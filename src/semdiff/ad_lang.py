@@ -87,6 +87,27 @@ class GuardOr:
 Guard = GuardLit | GuardVar | GuardCmp | GuardNot | GuardAnd | GuardOr
 
 
+# Deeper guards are rejected by the parser, which keeps the recursive guard
+# functions below (and the dataclasses' own hash and equality) well inside
+# Python's recursion limit.
+MAX_GUARD_DEPTH = 100
+
+
+def _guard_height(guard: Guard) -> int:
+    """Levels of the guard tree, counted without recursion."""
+    height = 0
+    todo = [(guard, 1)]
+    while todo:
+        g, h = todo.pop()
+        height = max(height, h)
+        if isinstance(g, GuardNot):
+            todo.append((g.inner, h + 1))
+        elif isinstance(g, (GuardAnd, GuardOr)):
+            todo.append((g.left, h + 1))
+            todo.append((g.right, h + 1))
+    return height
+
+
 def eval_guard(guard: Guard, state: dict[str, str]) -> bool:
     if isinstance(guard, GuardLit):
         return guard.value
@@ -253,7 +274,10 @@ def _parse_edge(cur: TokenCursor):
     src_tok = cur.expect_ident("a node name")
     guard = None
     if cur.eat_sym("-["):
-        guard = _parse_guard(cur)
+        guard_tok = cur.peek()
+        guard = _parse_guard(cur, 0)
+        if _guard_height(guard) > MAX_GUARD_DEPTH:
+            cur.fail(f"guard nested more than {MAX_GUARD_DEPTH} levels deep", guard_tok)
         cur.expect_sym("]->")
     else:
         cur.expect_sym("->")
@@ -262,25 +286,29 @@ def _parse_edge(cur: TokenCursor):
     return src_tok, guard, dst_tok
 
 
-def _parse_guard(cur: TokenCursor) -> Guard:
-    left = _parse_guard_and(cur)
+def _parse_guard(cur: TokenCursor, depth: int) -> Guard:
+    left = _parse_guard_and(cur, depth)
     while cur.eat_sym("||"):
-        left = GuardOr(left, _parse_guard_and(cur))
+        left = GuardOr(left, _parse_guard_and(cur, depth))
     return left
 
 
-def _parse_guard_and(cur: TokenCursor) -> Guard:
-    left = _parse_guard_unary(cur)
+def _parse_guard_and(cur: TokenCursor, depth: int) -> Guard:
+    left = _parse_guard_unary(cur, depth)
     while cur.eat_sym("&&"):
-        left = GuardAnd(left, _parse_guard_unary(cur))
+        left = GuardAnd(left, _parse_guard_unary(cur, depth))
     return left
 
 
-def _parse_guard_unary(cur: TokenCursor) -> Guard:
+def _parse_guard_unary(cur: TokenCursor, depth: int) -> Guard:
+    # ``depth`` counts the enclosing '!' and '(' and bounds the parser's own
+    # recursion; _parse_edge bounds the height of the finished tree.
+    if (cur.at_sym("!") or cur.at_sym("(")) and depth >= MAX_GUARD_DEPTH:
+        cur.fail(f"guard nested more than {MAX_GUARD_DEPTH} levels deep")
     if cur.eat_sym("!"):
-        return GuardNot(_parse_guard_unary(cur))
+        return GuardNot(_parse_guard_unary(cur, depth + 1))
     if cur.eat_sym("("):
-        inner = _parse_guard(cur)
+        inner = _parse_guard(cur, depth + 1)
         cur.expect_sym(")")
         return inner
     tok = cur.expect_ident("a guard term")

@@ -2,19 +2,35 @@
 
 The diff of two diagrams is the set of object models that instantiate the
 first but not the second. The search is exhaustive up to a per-class instance
-bound k: it walks canonical labeled models in the same order as the
-brute-force enumerator, but only ever materializes candidates that already
-satisfy the first diagram, so multiplicity caps prune the link space early.
+bound k. It walks count vectors (how many objects each class gets) level by
+level, in the order of the brute-force enumerator, and decides each count
+vector per association instead of per model.
+
+Membership in the second diagram B splits into independent parts: B's
+object-level checks (declared, concrete and singleton classes), each
+association only B declares on the empty link set, and, for each association
+of the first diagram A, that association's link set against B's declaration
+of it (only the empty set passes when B lacks it). So when the objects alone
+rule out B, every model of A is a witness. Otherwise a cheap, sound
+containment test settles most associations without enumeration: A's end
+classes inside B's end closures, A's possible degrees inside B's
+multiplicities. The remaining associations enumerate their A-valid link sets
+once and flag those B rejects. A count vector with nothing flagged is
+skipped; otherwise only the combinations that hold a flagged link set are
+built into models.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterator
 
-from .cd_lang import Association, ClassDiagram, ClassModifier, _closure_map
+from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity, _closure_map
 from .cd_semantics import (
+    Link,
     ObjectModel,
     Universe,
     is_instance,
@@ -27,6 +43,9 @@ from .cd_semantics import (
 
 DEFAULT_BOUND = 3
 DEFAULT_MAX_WITNESSES = 10
+
+LinkSet = tuple[Link, ...]
+_DECIDE, _TAKE, _UNDO = range(3)
 
 
 class VerdictValue(Enum):
@@ -121,34 +140,68 @@ def _witness_levels(
         for c in universe.classes
     ]
     max_total = sum(caps)
-    closures1 = _closure_map(cd1)
-    assocs1 = sorted(cd1.associations, key=lambda a: a.name)
     for total in range(max_total + 1):
         level: list[tuple[str, ObjectModel]] = []
         for counts in _count_vectors(caps, total):
             objects = objects_for_counts(universe.classes, prefixes, counts)
             if not _object_level_ok(objects, cd1):
                 continue
-            # Once the object population alone rules out cd2, every link
-            # configuration valid for cd1 is a witness; otherwise the full
-            # checker decides per configuration.
-            counts_rule_out_cd2 = not _object_level_ok(objects, cd2)
-            choice_lists = []
-            feasible = True
-            for a in assocs1:
-                choices = _assoc_link_sets(a, objects, closures1)
-                if not choices:
-                    feasible = False
-                    break
-                choice_lists.append(choices)
-            if not feasible:
-                continue
-            for links in _combine(choice_lists):
+            for links in _rejected_link_choices(objects, cd1, cd2):
                 om = ObjectModel("om", dict(objects), links)
-                if counts_rule_out_cd2 or not is_instance(om, cd2)[0]:
-                    level.append((print_om(om), om))
+                level.append((print_om(om), om))
         level.sort(key=lambda item: item[0])
         yield total, max_total, [om for _, om in level]
+
+
+def _rejected_link_choices(
+    objects: dict[str, str], cd1: ClassDiagram, cd2: ClassDiagram
+) -> Iterator[frozenset[Link]]:
+    """Links of every model of ``cd1`` over ``objects`` that ``cd2`` rejects.
+
+    ``objects`` must already pass ``cd1``'s object-level check.
+    """
+    closures1 = _closure_map(cd1)
+    closures2 = _closure_map(cd2)
+    assocs1 = sorted(cd1.associations, key=lambda a: a.name)
+    decls2 = {b.name: b for b in cd2.associations}
+    names1 = {a.name for a in assocs1}
+    if not _object_level_ok(objects, cd2) or not all(
+        _links_ok(b, (), objects, closures2) for b in cd2.associations if b.name not in names1
+    ):
+        yield from _unions([_assoc_link_sets(a, objects, closures1) for a in assocs1])
+        return
+    accepted: list[list[LinkSet] | None] = []  # None: cd2 admits every link set
+    flagged: list[list[LinkSet]] = []
+    for a in assocs1:
+        b = decls2.get(a.name)
+        if _contained(a, b, objects, closures1, closures2):
+            accepted.append(None)
+            flagged.append([])
+            continue
+        ok: list[LinkSet] = []
+        bad: list[LinkSet] = []
+        for links in _assoc_link_sets(a, objects, closures1):
+            (ok if _links_ok(b, links, objects, closures2) else bad).append(links)
+        accepted.append(ok)
+        flagged.append(bad)
+    if not any(flagged):
+        return
+    every = [
+        _assoc_link_sets(a, objects, closures1) if ok is None else ok + bad
+        for a, ok, bad in zip(assocs1, accepted, flagged)
+    ]
+    accepted = [e if ok is None else ok for e, ok in zip(every, accepted)]
+    # The rejected combinations, split by the first association whose link
+    # set cd2 rejects: accepted sets before it, any set after it.
+    for i, bad in enumerate(flagged):
+        if bad:
+            yield from _unions([*accepted[:i], bad, *every[i + 1:]])
+
+
+def _unions(choice_lists: list[list[LinkSet]]) -> Iterator[frozenset[Link]]:
+    """One link set per association, in every combination, as one link set."""
+    for combo in product(*choice_lists):
+        yield frozenset(link for links in combo for link in links)
 
 
 def _object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
@@ -167,14 +220,85 @@ def _object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
     return True
 
 
+def _links_ok(
+    b: Association | None,
+    links: LinkSet,
+    objects: dict[str, str],
+    closures: dict[str, frozenset[str]],
+) -> bool:
+    """Whether one association's links satisfy its declaration ``b`` in the
+    other diagram; an association that diagram lacks admits no links."""
+    if b is None:
+        return not links
+    left = closures[b.left_class]
+    right = closures[b.right_class]
+    out_counts: Counter[str] = Counter()
+    in_counts: Counter[str] = Counter()
+    for _, s, t in links:
+        if objects[s] not in left or objects[t] not in right:
+            return False
+        out_counts[s] += 1
+        in_counts[t] += 1
+    return all(
+        (cls not in left or b.right_mult.admits(out_counts[o]))
+        and (cls not in right or b.left_mult.admits(in_counts[o]))
+        for o, cls in objects.items()
+    )
+
+
+def _contained(
+    a: Association,
+    b: Association | None,
+    objects: dict[str, str],
+    closures1: dict[str, frozenset[str]],
+    closures2: dict[str, frozenset[str]],
+) -> bool:
+    """Sound, incomplete test that every link set ``a`` admits over
+    ``objects`` also satisfies ``b``: ``a``'s end objects lie inside ``b``'s
+    end closures and their possible degrees inside ``b``'s multiplicities."""
+    left1 = closures1[a.left_class]
+    right1 = closures1[a.right_class]
+    sources = [cls for cls in objects.values() if cls in left1]
+    targets = [cls for cls in objects.values() if cls in right1]
+    linkable = bool(sources and targets) and a.right_mult.max != 0 and a.left_mult.max != 0
+    if b is None:
+        return not linkable
+    left2 = closures2[b.left_class]
+    right2 = closures2[b.right_class]
+    if linkable and not (all(c in left2 for c in sources) and all(c in right2 for c in targets)):
+        return False
+    out_range = _degree_range(a.right_mult, len(targets) if linkable else 0)
+    in_range = _degree_range(a.left_mult, len(sources) if linkable else 0)
+    return all(
+        (cls not in left2 or _range_within(out_range if cls in left1 else (0, 0), b.right_mult))
+        and (cls not in right2 or _range_within(in_range if cls in right1 else (0, 0), b.left_mult))
+        for cls in objects.values()
+    )
+
+
+def _degree_range(mult: Multiplicity, available: int) -> tuple[int, int]:
+    """Degrees an end object can have with ``available`` partners."""
+    high = available if mult.max is None else min(mult.max, available)
+    return mult.min, high
+
+
+def _range_within(degrees: tuple[int, int], mult: Multiplicity) -> bool:
+    # An empty range belongs to an object that no link set can satisfy, so
+    # there is no link set to reject.
+    low, high = degrees
+    return low > high or (low >= mult.min and (mult.max is None or high <= mult.max))
+
+
 def _assoc_link_sets(
     a: Association, objects: dict[str, str], closures: dict[str, frozenset[str]]
-) -> list[tuple[tuple[str, str, str], ...]]:
+) -> list[LinkSet]:
     """Every link set for one association that satisfies the owning diagram.
 
     Sources and targets are the objects inside the end closures; out-counts
     must land in the right-end multiplicity and in-counts in the left-end one.
     Upper bounds prune during generation, lower bounds filter at the leaves.
+    The walk over the object pairs keeps its own stack, so its depth does not
+    grow with the number of pairs.
     """
     left_members = closures.get(a.left_class, frozenset())
     right_members = closures.get(a.right_class, frozenset())
@@ -185,42 +309,35 @@ def _assoc_link_sets(
     in_max = a.left_mult.max
     out_counts = {s: 0 for s in sources}
     in_counts = {t: 0 for t in targets}
-    results: list[tuple[tuple[str, str, str], ...]] = []
-
-    def rec(i: int, chosen: list[tuple[str, str, str]]) -> None:
-        if i == len(pairs):
+    results: list[LinkSet] = []
+    chosen: list[Link] = []
+    # (step, i): decide pair i (leave it out first, then take it), take pair i
+    # and decide the next, or undo taking pair i.
+    todo = [(_DECIDE, 0)]
+    while todo:
+        step, i = todo.pop()
+        if step == _UNDO:
+            chosen.pop()
+            s, t = pairs[i]
+            out_counts[s] -= 1
+            in_counts[t] -= 1
+        elif step == _TAKE:
+            s, t = pairs[i]
+            out_counts[s] += 1
+            in_counts[t] += 1
+            chosen.append((a.name, s, t))
+            todo.append((_UNDO, i))
+            todo.append((_DECIDE, i + 1))
+        elif i == len(pairs):
             if all(a.right_mult.admits(out_counts[s]) for s in sources) and all(
                 a.left_mult.admits(in_counts[t]) for t in targets
             ):
                 results.append(tuple(chosen))
-            return
-        s, t = pairs[i]
-        rec(i + 1, chosen)
-        if (out_max is None or out_counts[s] < out_max) and (
-            in_max is None or in_counts[t] < in_max
-        ):
-            out_counts[s] += 1
-            in_counts[t] += 1
-            chosen.append((a.name, s, t))
-            rec(i + 1, chosen)
-            chosen.pop()
-            out_counts[s] -= 1
-            in_counts[t] -= 1
-
-    rec(0, [])
+        else:
+            s, t = pairs[i]
+            if (out_max is None or out_counts[s] < out_max) and (
+                in_max is None or in_counts[t] < in_max
+            ):
+                todo.append((_TAKE, i))
+            todo.append((_DECIDE, i + 1))
     return results
-
-
-def _combine(choice_lists: list[list[tuple[tuple[str, str, str], ...]]]) -> Iterator[frozenset]:
-    if not choice_lists:
-        yield frozenset()
-        return
-
-    def rec(i: int, acc: list) -> Iterator[frozenset]:
-        if i == len(choice_lists):
-            yield frozenset(acc)
-            return
-        for links in choice_lists[i]:
-            yield from rec(i + 1, acc + list(links))
-
-    yield from rec(0, [])

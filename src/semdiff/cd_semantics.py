@@ -210,9 +210,40 @@ def universe_of(*cds: ClassDiagram) -> Universe:
 
 def object_id_prefixes(classes: tuple[str, ...]) -> dict[str, str]:
     """Lowercased class names as object-id stems, falling back to the raw name
-    when two classes collide case-insensitively."""
+    when two classes collide case-insensitively.
+
+    A stem that is another stem plus digits (``a1`` beside ``a``) would give
+    clashing ids (``a11`` twice), so it gets ``_`` appended until it neither
+    equals a stem nor has one as itself plus digits. Stems ending in ``_``
+    cannot clash that way, so all ids stay pairwise distinct.
+    """
     lowered = Counter(c.lower() for c in classes)
-    return {c: (c.lower() if lowered[c.lower()] == 1 else c) for c in classes}
+    stems = {c: (c.lower() if lowered[c.lower()] == 1 else c) for c in classes}
+    initial = set(stems.values())
+    taken = set(initial)
+    for c in classes:
+        stem = stems[c]
+        if not any(_digit_extension(stem, other) for other in initial):
+            continue
+        stem += "_"
+        while stem in taken or any(_digit_extension(other, stem) for other in taken):
+            stem += "_"
+        taken.add(stem)
+        stems[c] = stem
+    return stems
+
+
+def _digit_extension(stem: str, base: str) -> bool:
+    """Whether ``stem`` is ``base`` followed by a number without leading zero,
+    so that ``base`` ids and ``stem`` ids can spell the same string."""
+    tail = stem[len(base):]
+    return (
+        len(stem) > len(base)
+        and stem.startswith(base)
+        and tail.isascii()
+        and tail.isdigit()
+        and tail[0] != "0"
+    )
 
 
 @lru_cache(maxsize=None)

@@ -123,6 +123,38 @@ def test_print_guard_restores_parentheses():
     assert print_guard(guard) == "(p || false) && !q"
 
 
+def nested_guard_diagram(guard):
+    return (
+        "activity A {\n  input p: bool;\n  decision d; action a; action b;\n"
+        f"  start -> d;\n  d -[{guard}]-> a;\n  d -[!p]-> b;\n  a -> end; b -> end;\n}}\n"
+    )
+
+
+def test_guard_nesting_up_to_the_limit_parses():
+    # 50 negations inside 50 parentheses, and a conjunction 100 levels deep
+    for guard in ("!(" * 50 + "p" + ")" * 50, " && ".join(["p"] * 100)):
+        parse_ad(nested_guard_diagram(guard))
+
+
+@pytest.mark.parametrize(
+    "guard, col",
+    [
+        ("!" * 101 + "p", 107),
+        ("(" * 101 + "p" + ")" * 101, 107),
+        ("!(" * 500 + "p" + ")" * 500, 107),
+        (" && ".join(["p"] * 101), 7),
+        ("(" + " || ".join(["p"] * 5000) + ")", 7),
+    ],
+    ids=["negations", "parentheses", "negated-parentheses", "conjunction", "disjunction"],
+)
+def test_guard_nested_too_deep_is_a_positioned_error(guard, col):
+    with pytest.raises(ParseError) as exc:
+        parse_ad(nested_guard_diagram(guard))
+    (diag,) = exc.value.diagnostics
+    assert (diag.line, diag.col) == (5, col)
+    assert diag.message == "guard nested more than 100 levels deep"
+
+
 def test_guard_comparison_forms():
     ad = parse_ad(
         """

@@ -1,8 +1,9 @@
 import pytest
 
+from semdiff import cd_diff
 from semdiff.cd_diff import VerdictValue, cddiff, compare_cd
 from semdiff.cd_lang import parse_cd
-from semdiff.cd_semantics import is_instance, print_om
+from semdiff.cd_semantics import enumerate_object_models, is_instance, print_om, universe_of
 
 
 def texts(result):
@@ -155,3 +156,120 @@ def test_parameter_validation(cd1v1):
 def test_verdict_str():
     assert str(compare_cd(parse_cd("classdiagram C { class A; }"),
                           parse_cd("classdiagram C { class A; }"))) == "EQUIVALENT"
+
+
+# ---------------------------------------------------------------------------
+# per-association decision against the brute-force enumeration
+#
+# Each pair exercises a case in which the search decides a count vector
+# without enumerating some association's link sets, or must not.
+
+EDGE_PAIRS = {
+    "b_only_association_with_lower_bound": (
+        "classdiagram C { class A; class B; }",
+        "classdiagram C { class A; class B; association s [1..*] A -- B; }",
+        3,
+    ),
+    "association_b_does_not_declare": (
+        "classdiagram C { class A; class B; association r A -- B [0..1]; }",
+        "classdiagram C { class A; class B; }",
+        3,
+    ),
+    "end_reached_through_another_closure": (
+        "classdiagram C { class P; class Q extends P; class X;"
+        " association r [0..1] P -- X [*]; }",
+        "classdiagram C { class R; class P; class Q extends R; class X;"
+        " association r [0..1] R -- X [*]; }",
+        2,
+    ),
+    "object_only_in_b_closure": (
+        "classdiagram C { class P; class Q; class X; association r P -- X [1..*]; }",
+        "classdiagram C { abstract class R; class P extends R; class Q extends R; class X;"
+        " association r R -- X [1..*]; }",
+        2,
+    ),
+    "singleton_only_in_b": (
+        "classdiagram C { class A; class B; association r [0..1] A -- B; }",
+        "classdiagram C { singleton class A; class B; association r [0..1] A -- B; }",
+        3,
+    ),
+    "minimum_above_available_objects": (
+        "classdiagram C { class A; class B; association r [*] A -- B [2..*]; }",
+        "classdiagram C { class A; class B; association r [*] A -- B [2]; }",
+        3,
+    ),
+    "one_of_three_associations_differs": (
+        "classdiagram C { class A; class B; class C; association r A -- B [0..1];"
+        " association s [0..1] B -- C [0..1]; association t C -- A [0..1]; }",
+        "classdiagram C { class A; class B; class C; association r A -- B [0..1];"
+        " association s [0..1] B -- C [0..2]; association t C -- A [0..1]; }",
+        2,
+    ),
+}
+
+
+def reference_diff(cd1, cd2, k):
+    return [
+        om
+        for om in enumerate_object_models(universe_of(cd1, cd2), k)
+        if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PAIRS))
+def test_edge_pairs_match_reference_enumeration(name):
+    text1, text2, k = EDGE_PAIRS[name]
+    cd1, cd2 = parse_cd(text1), parse_cd(text2)
+    found_any = False
+    for a, b in ((cd1, cd2), (cd2, cd1)):
+        expected = reference_diff(a, b, k)
+        result = cddiff(a, b, k, max_witnesses=10**9)
+        assert texts(result) == [print_om(om) for om in expected]
+        assert result.exhausted
+        found_any = found_any or bool(expected)
+    assert found_any
+
+
+def test_search_checks_membership_only_for_the_self_check(cd1v1, cd1v2, monkeypatch):
+    calls = []
+
+    def counting(om, cd):
+        calls.append(cd)
+        return is_instance(om, cd)
+
+    monkeypatch.setattr(cd_diff, "is_instance", counting)
+    result = cddiff(cd1v1, cd1v2, 3, max_witnesses=25)
+    assert result.witnesses
+    assert len(calls) == 2 * len(result.witnesses)
+
+
+def test_prefix_and_digit_class_names_give_distinct_witnesses():
+    # Objects of A are a1..a11; those of A1 must not reuse a11.
+    plain = parse_cd("classdiagram ids { class A; class A1; }")
+    single = parse_cd("classdiagram ids { class A; singleton class A1; }")
+    result = cddiff(plain, single, 11, max_witnesses=10**9)
+    assert result.exhausted
+    assert len(result.witnesses) == 132
+    assert len(set(texts(result))) == 132
+    counts = sorted(
+        (sum(c == "A" for c in om.objects.values()), sum(c == "A1" for c in om.objects.values()))
+        for om in result.witnesses
+    )
+    assert counts == sorted((a, b) for a in range(12) for b in range(12) if b != 1)
+
+
+def test_large_self_association_compares_without_recursion_error():
+    closed = parse_cd("classdiagram C { class C; association r [0] C -- C [0]; }")
+    plain = parse_cd("classdiagram C { class C; }")
+    assert compare_cd(closed, plain, 35).value is VerdictValue.EQUIVALENT
+
+
+def test_large_self_association_enumerates_its_link_sets():
+    # B needs an incoming link for every object, so the search has to walk
+    # all 35 * 35 object pairs of A's association to flag its one link set.
+    closed = parse_cd("classdiagram C { class C; association r [0] C -- C [0]; }")
+    needy = parse_cd("classdiagram C { class C; association r [1..*] C -- C; }")
+    result = cddiff(closed, needy, 35, max_witnesses=100)
+    assert result.exhausted
+    assert [len(om.objects) for om in result.witnesses] == list(range(1, 36))
+    assert all(not om.links for om in result.witnesses)

@@ -234,6 +234,18 @@ def test_object_id_prefixes_lowercase_and_collisions():
     assert object_id_prefixes(("Task", "task")) == {"Task": "Task", "task": "task"}
 
 
+def test_object_id_prefixes_keep_digit_suffixed_names_apart():
+    # 'a' plus 11 and 'a1' plus 1 would both spell a11.
+    assert object_id_prefixes(("A", "A1")) == {"A": "a", "A1": "a1_"}
+    assert object_id_prefixes(("A", "A1", "A1_")) == {"A": "a", "A1": "a1__", "A1_": "a1_"}
+    # No number without a leading zero turns 'a' into 'a0...', so 'a0' stays.
+    assert object_id_prefixes(("A", "A0", "B2")) == {"A": "a", "A0": "a0", "B2": "b2"}
+    classes = ("A", "A1", "A11", "A1_", "a2", "A2")
+    prefixes = object_id_prefixes(classes)
+    ids = [f"{prefixes[c]}{i}" for c in classes for i in range(1, 120)]
+    assert len(set(ids)) == len(ids)
+
+
 def test_compatible_pairs_use_subclass_closure(cd5v1, cd5v2):
     u = universe_of(cd5v1, cd5v2)
     pairs = compatible_pairs(u, {"employee1": "Employee", "address1": "Address"})

@@ -254,6 +254,18 @@ def test_parse_errors_carry_file_positions():
     assert err.startswith(f"{fx('adv1.ad')}:4:1: ")
 
 
+def test_deeply_nested_guard_exits_two_with_position(tmp_path):
+    guard = "!(" * 400 + "v" + ")" * 400
+    ad_file = tmp_path / "deep.ad"
+    ad_file.write_text(
+        "activity deep {\n  input v: bool;\n  action a;\n  action b;\n  decision d;\n"
+        f"  start -> d;\n  d -[{guard}]-> a;\n  d -[!v]-> b;\n  a -> end;\n  b -> end;\n}}\n"
+    )
+    code, out, err = go("ad", "compare", str(ad_file), str(ad_file))
+    assert (code, out) == (2, "")
+    assert err == f"{ad_file}:7:107: guard nested more than 100 levels deep\n"
+
+
 def test_unknown_commands_exit_two(capsys):
     assert go("bogus")[0] == 2
     assert go("cd", "bogus")[0] == 2
