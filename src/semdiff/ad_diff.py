@@ -1,25 +1,37 @@
 """Semantic differencing of activity diagrams.
 
-For each input valuation the two diagrams compile to finite NFAs; the second
-is determinized over the union alphabet, completed, and complemented, and its
-product with the first accepts exactly the traces possible in the first
-diagram but not the second. A breadth-first walk of that product yields the
-shortest such traces, keeping only prefix-minimal ones. Unlike the bounded
+For each input valuation both diagrams compile to finite NFAs, their config
+NFAs. The search runs on one graph, the pair graph: its states are the pairs
+(A-subset, B-subset) of configurations that reading the same trace leads to
+in A and in B, built breadth-first over the union alphabet from the pair of
+initial closures. A pair accepts when its A-subset holds an accepting
+configuration and its B-subset holds none, and the graph stops at accepting
+pairs, so every path to one spells a prefix-minimal trace of A that B cannot
+produce. B's subset is a function of the trace, so the pair graph is exactly
+the determinized product of A with the complement of B
+(``difference_automaton``), built without materializing either.
+
+Witnesses come shortest first and lexicographic within a length, following
+Ackerman & Shallit, "Efficient enumeration of words in regular languages"
+(TCS 2009): the backward layer ``reach[r]`` holds the pairs that reach an
+accepting pair in exactly r steps, and the walk for length L only steps into
+pairs of ``reach[L - depth - 1]``. Every step then leads to a witness, so a
+witness costs O(L·|Σ|) steps however many shorter traces A has. ``compare_ad``
+only asks whether a pair graph holds an accepting pair. Every witness, and
+the trace behind every difference ``compare_ad`` reports, is checked again by
+running it on the two config NFAs the search built. Unlike the bounded
 class-diagram search this is exact: the state spaces are finite.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .ad_lang import ActivityDiagram
 from .ad_semantics import (
-    EPSILON,
     Nfa,
     NfaRunner,
     Trace,
-    accepts,
     build_config_nfa,
     input_valuations,
 )
@@ -64,29 +76,120 @@ class Dfa:
         return state in self.accepting
 
 
+def _explore(initial, successors, letters, stop):
+    """Breadth-first walk of the deterministic graph that ``successors``
+    spells out.
+
+    ``successors(state)`` maps letters to successor states, omitting letters
+    without one; states where ``stop`` holds get no successors. Returns the
+    states in discovery order (the initial one has id 0) and per state its
+    successor ids by letter index (-1 where there is none).
+    """
+    index = {initial: 0}
+    order = [initial]
+    rows: list[list[int]] = []
+    for state in order:
+        row: list[int] = []
+        if not stop(state):
+            succs = successors(state)
+            for letter in letters:
+                succ = succs.get(letter)
+                if succ is None:
+                    row.append(-1)
+                    continue
+                succ_id = index.get(succ)
+                if succ_id is None:
+                    succ_id = index[succ] = len(order)
+                    order.append(succ)
+                row.append(succ_id)
+        rows.append(row)
+    return order, rows
+
+
+def _walk(
+    rows: list[list[int]],
+    final: list[bool],
+    letters,
+    max_words: int | None,
+    max_len: int | None,
+) -> tuple[list[tuple[str, ...]], bool]:
+    """Words spelling a path from state 0 to a final state, shortest first,
+    then lexicographic.
+
+    Final states must have no successors, so no word is a prefix of another.
+    Returns (words, exhausted); exhausted is False exactly when some further
+    word exists beyond ``max_words`` or ``max_len``.
+    """
+    preds: list[list[int]] = [[] for _ in rows]
+    for sid, row in enumerate(rows):
+        for tid in row:
+            if tid >= 0:
+                preds[tid].append(sid)
+    reach = [{sid for sid, f in enumerate(final) if f}]
+    live = set(reach[0])
+    todo = list(live)
+    while todo:
+        for back in preds[todo.pop()]:
+            if back not in live:
+                live.add(back)
+                todo.append(back)
+
+    words: list[tuple[str, ...]] = []
+    frontier = {0} & live  # live states at the end of some path of this length
+    length = 0
+    while frontier:
+        if any(final[sid] for sid in frontier):
+            while len(reach) < length:
+                reach.append({back for sid in reach[-1] for back in preds[sid]})
+            for word in _words_of_length(rows, letters, reach, length):
+                if max_words is not None and len(words) >= max_words:
+                    return words, False
+                words.append(word)
+        frontier = {tid for sid in frontier for tid in rows[sid] if tid in live}
+        if frontier and length == max_len:
+            return words, False
+        length += 1
+    return words, True
+
+
+def _words_of_length(rows, letters, reach, length: int):
+    """Paths of exactly ``length`` steps from state 0 to a final state, in
+    letter order; ``reach[r]`` must hold the states with such a path of r
+    steps, for r < ``length``, and state 0 must have one of ``length``."""
+    states = [0]
+    chosen: list[int] = []  # letter index taken at each depth
+    i = 0
+    while True:
+        depth = len(chosen)
+        if depth == length:
+            yield tuple(letters[c] for c in chosen)
+        else:
+            row = rows[states[-1]]
+            viable = reach[length - depth - 1]
+            while i < len(row) and row[i] not in viable:
+                i += 1
+            if i < len(row):
+                chosen.append(i)
+                states.append(row[i])
+                i = 0
+                continue
+        if not chosen:
+            return
+        i = chosen.pop() + 1
+        states.pop()
+
+
 def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Dfa:
     """Subset construction over ``alphabet`` (the NFA's own by default),
     completed with a sink so the result is total."""
     letters = tuple(sorted(alphabet if alphabet is not None else nfa.alphabet))
     runner = NfaRunner(nfa)
-    initial = runner.closure({nfa.initial})
-    index: dict[frozenset[int], int] = {initial: 0}
-    order: list[frozenset[int]] = [initial]
-    rows: list[list[int]] = []
-    todo = deque([initial])
-    while todo:
-        states = todo.popleft()
-        row = []
-        for letter in letters:
-            succ = runner.step(states, letter)
-            succ_id = index.get(succ)
-            if succ_id is None:
-                succ_id = len(order)
-                index[succ] = succ_id
-                order.append(succ)
-                todo.append(succ)
-            row.append(succ_id)
-        rows.append(row)
+    order, rows = _explore(
+        runner.closure({nfa.initial}),
+        lambda states: {letter: runner.step(states, letter) for letter in letters},
+        letters,
+        _never,
+    )
     accepting = frozenset(i for i, s in enumerate(order) if runner.is_accepting(s))
     return Dfa(letters, tuple(tuple(r) for r in rows), 0, accepting)
 
@@ -94,57 +197,21 @@ def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Dfa:
 def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
     """An NFA accepting L(a) minus L(b) over the union of both alphabets.
 
-    ``b`` is determinized and complemented; ``a`` stays nondeterministic, its
-    silent moves advancing only the ``a`` component of the product.
+    It is the pair graph of ``a`` against ``b`` without the cut at accepting
+    pairs (see the module docstring), so it is deterministic.
     """
-    alphabet = frozenset(a.alphabet | b.alphabet)
-    b_comp = determinize(b, alphabet).complement()
-    letters = b_comp.alphabet
-    col = {letter: i for i, letter in enumerate(letters)}
-
-    a_eps: dict[int, list[int]] = {}
-    a_step: dict[tuple[int, str], list[int]] = {}
-    for src, label, dst in a.transitions:
-        if label is EPSILON:
-            a_eps.setdefault(src, []).append(dst)
-        else:
-            a_step.setdefault((src, label), []).append(dst)
-
-    initial = (a.initial, b_comp.initial)
-    index: dict[tuple[int, int], int] = {initial: 0}
-    order: list[tuple[int, int]] = [initial]
-    transitions: list[tuple[int, str | None, int]] = []
-    todo = deque([initial])
-
-    def intern(pair: tuple[int, int]) -> int:
-        pid = index.get(pair)
-        if pid is None:
-            pid = len(order)
-            index[pair] = pid
-            order.append(pair)
-            todo.append(pair)
-        return pid
-
-    while todo:
-        pair = todo.popleft()
-        pid = index[pair]
-        qa, qb = pair
-        for qa2 in a_eps.get(qa, ()):
-            transitions.append((pid, EPSILON, intern((qa2, qb))))
-        for letter in letters:
-            for qa2 in a_step.get((qa, letter), ()):
-                qb2 = b_comp.transitions[qb][col[letter]]
-                transitions.append((pid, letter, intern((qa2, qb2))))
-    accepting = frozenset(
-        i for i, (qa, qb) in enumerate(order)
-        if qa in a.accepting and qb in b_comp.accepting
-    )
+    rows, final, letters = _pair_graph(NfaRunner(a), NfaRunner(b), trimmed=False)
     return Nfa(
-        n_states=len(order),
-        alphabet=alphabet,
-        transitions=tuple(transitions),
+        n_states=len(rows),
+        alphabet=frozenset(letters),
+        transitions=tuple(
+            (sid, letter, tid)
+            for sid, row in enumerate(rows)
+            for letter, tid in zip(letters, row)
+            if tid >= 0
+        ),
         initial=0,
-        accepting=accepting,
+        accepting=frozenset(sid for sid, f in enumerate(final) if f),
     )
 
 
@@ -153,82 +220,48 @@ def prefix_minimal_words(
 ) -> tuple[list[tuple[str, ...]], bool]:
     """Accepted words none of whose proper prefixes are accepted.
 
-    BFS by length, lexicographic within a length. The walk runs on the
-    determinized view of ``nfa``, never extends past an accepting state set
-    (which is exactly the prefix-minimality cut), and skips state sets from
-    which acceptance is unreachable, so it terminates whenever the language
-    of prefix-minimal words is finite. Returns (words, exhausted); exhausted
-    is False when the word list was cut off by either limit.
+    Shortest first, lexicographic within a length. The walk runs on the
+    pair graph of ``nfa`` against an automaton accepting nothing, that is on
+    the determinized view of ``nfa``, which stops at accepting state sets
+    (the prefix-minimality cut); it only enters state sets from which
+    acceptance is reachable, so it terminates whenever the language of
+    prefix-minimal words is finite. Returns (words, exhausted); exhausted is
+    False when the word list was cut off by either limit.
     """
-    letters = sorted(nfa.alphabet)
-    runner = NfaRunner(nfa)
-    initial = runner.closure({nfa.initial})
+    nothing = Nfa(n_states=1, alphabet=frozenset(), transitions=(), initial=0,
+                  accepting=frozenset())
+    rows, final, letters = _pair_graph(NfaRunner(nfa), NfaRunner(nothing))
+    return _walk(rows, final, letters, max_witnesses, max_len)
 
-    # Materialize the reachable determinized graph, trimmed at accepting sets.
-    index: dict[frozenset[int], int] = {initial: 0}
-    succs: list[list[int]] = []
-    accepting: list[bool] = []
-    order: list[frozenset[int]] = [initial]
-    todo = deque([initial])
-    while todo:
-        states = todo.popleft()
-        acc = runner.is_accepting(states)
-        accepting.append(acc)
-        row: list[int] = []
-        if not acc:
-            for letter in letters:
-                succ = runner.step(states, letter)
-                if not succ:
-                    row.append(-1)
-                    continue
-                succ_id = index.get(succ)
-                if succ_id is None:
-                    succ_id = len(order)
-                    index[succ] = succ_id
-                    order.append(succ)
-                    todo.append(succ)
-                row.append(succ_id)
-        succs.append(row)
 
-    # Backward reachability to acceptance; dead branches are never walked.
-    rev: dict[int, set[int]] = {}
-    for sid, row in enumerate(succs):
-        for tid in row:
-            if tid >= 0:
-                rev.setdefault(tid, set()).add(sid)
-    live: set[int] = set()
-    frontier = [sid for sid, acc in enumerate(accepting) if acc]
-    live.update(frontier)
-    while frontier:
-        nxt: list[int] = []
-        for sid in frontier:
-            for back in rev.get(sid, ()):
-                if back not in live:
-                    live.add(back)
-                    nxt.append(back)
-        frontier = nxt
+def _pair_graph(a: NfaRunner, b: NfaRunner, trimmed: bool = True):
+    """The pair graph of ``a`` against ``b`` (see the module docstring) as
+    (successor rows, accepting flags, letters). Unless ``trimmed``, accepting
+    pairs keep their successors."""
+    letters = sorted(a.nfa.alphabet | b.nfa.alphabet)
 
-    words: list[tuple[str, ...]] = []
-    if 0 not in live:
-        return words, True
-    queue: deque[tuple[tuple[str, ...], int]] = deque([((), 0)])
-    truncated = False
-    while queue:
-        if max_witnesses is not None and len(words) >= max_witnesses:
-            truncated = True
-            break
-        word, sid = queue.popleft()
-        if accepting[sid]:
-            words.append(word)
-            continue
-        if max_len is not None and len(word) >= max_len:
-            truncated = True
-            continue
-        for i, letter in enumerate(letters):
-            tid = succs[sid][i]
-            if tid >= 0 and tid in live:
-                queue.append((word + (letter,), tid))
-    return words, not truncated and not queue
+    def successors(pair):
+        succ_b = b.successors(pair[1])
+        return {
+            letter: (succ_a, succ_b.get(letter, frozenset()))
+            for letter, succ_a in a.successors(pair[0]).items()
+        }
+
+    def accepting(pair):
+        return a.is_accepting(pair[0]) and not b.is_accepting(pair[1])
+
+    initial = (a.closure({a.nfa.initial}), b.closure({b.nfa.initial}))
+    order, rows = _explore(initial, successors, letters, accepting if trimmed else _never)
+    return rows, [accepting(pair) for pair in order], letters
+
+
+def _never(state) -> bool:
+    return False
+
+
+def _self_check(a: NfaRunner, b: NfaRunner, trace: Trace) -> None:
+    if not a.accepts(trace.actions) or b.accepts(trace.actions):
+        raise RuntimeError(f"diff search produced an unsound witness: {trace}")
 
 
 @dataclass
@@ -264,19 +297,41 @@ def addiff(
         if budget == 0:
             exhausted = False
             break
-        diff = difference_automaton(build_config_nfa(ad1, v), build_config_nfa(ad2, v))
-        words, done = prefix_minimal_words(diff, budget, max_len)
-        witnesses.extend(Trace.make(v, w) for w in words)
-        if not done:
-            exhausted = False
-    for t in witnesses:
-        if not accepts(ad1, t) or accepts(ad2, t):
-            raise RuntimeError(f"diff search produced an unsound witness: {t}")
+        a = NfaRunner(build_config_nfa(ad1, v))
+        b = NfaRunner(build_config_nfa(ad2, v))
+        rows, final, letters = _pair_graph(a, b)
+        words, done = _walk(rows, final, letters, budget, max_len)
+        for w in words:
+            trace = Trace.make(v, w)
+            _self_check(a, b, trace)
+            witnesses.append(trace)
+        exhausted = exhausted and done
     return AdDiffResult(witnesses, exhausted, max_witnesses, max_len)
 
 
 def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
-    """Relate two activity diagrams exactly by probing both diff directions."""
-    forward = addiff(ad1, ad2, 1, None).witnesses
-    backward = addiff(ad2, ad1, 1, None).witnesses
-    return Verdict(_verdict_value(bool(forward), bool(backward)), bounded=False)
+    """Relate two activity diagrams exactly.
+
+    A direction differs when some valuation's pair graph holds an accepting
+    pair. Valuations are visited in order until both directions differ, and
+    each valuation's two config NFAs serve both directions.
+    """
+    ads = (ad1, ad2)
+    differs = [False, False]
+    for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
+        if all(differs):
+            break
+        # Build in the order a forward search, then a backward one, would, so
+        # that of two unsafe diagrams the same one is reported.
+        runners: list[NfaRunner | None] = [None, None]
+        for side in ((1, 0) if differs[0] else (0, 1)):
+            runners[side] = NfaRunner(build_config_nfa(ads[side], v))
+        for d, (a, b) in enumerate((runners, runners[::-1])):
+            if differs[d]:
+                continue
+            rows, final, letters = _pair_graph(a, b)
+            if any(final):
+                words, _ = _walk(rows, final, letters, 1, None)
+                _self_check(a, b, Trace.make(v, words[0]))
+                differs[d] = True
+    return Verdict(_verdict_value(*differs), bounded=False)

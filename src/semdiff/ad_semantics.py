@@ -78,11 +78,6 @@ class Nfa:
     accepting: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ConfigNfa(Nfa):
-    configs: tuple[Config, ...] = ()
-
-
 def input_valuations(
     inputs_a: tuple[VarDecl, ...], inputs_b: tuple[VarDecl, ...]
 ) -> list[dict[str, str]]:
@@ -106,7 +101,7 @@ def input_valuations(
     return [dict(zip(names, combo)) for combo in product(*(domains[n] for n in names))]
 
 
-def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> ConfigNfa:
+def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
     """Explore every configuration reachable under one input valuation.
 
     ``valuation`` must cover the diagram's input variables; extra variables
@@ -157,13 +152,12 @@ def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> ConfigNf
                 configs.append(nxt)
                 todo.append(nxt_id)
             transitions.append((cur_id, label, nxt_id))
-    return ConfigNfa(
+    return Nfa(
         n_states=len(configs),
         alphabet=frozenset(ad.action_names()),
         transitions=tuple(transitions),
         initial=0,
         accepting=frozenset(accepting),
-        configs=tuple(configs),
     )
 
 
@@ -221,12 +215,12 @@ class NfaRunner:
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
         self.eps: dict[int, list[int]] = {}
-        self.step_map: dict[tuple[int, str], list[int]] = {}
+        self.moves: dict[int, dict[str, list[int]]] = {}
         for src, label, dst in nfa.transitions:
             if label is EPSILON:
                 self.eps.setdefault(src, []).append(dst)
             else:
-                self.step_map.setdefault((src, label), []).append(dst)
+                self.moves.setdefault(src, {}).setdefault(label, []).append(dst)
 
     def closure(self, states) -> frozenset[int]:
         out = set(states)
@@ -242,11 +236,27 @@ class NfaRunner:
     def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
         out: set[int] = set()
         for s in states:
-            out.update(self.step_map.get((s, letter), ()))
+            out.update(self.moves.get(s, {}).get(letter, ()))
         return self.closure(out)
+
+    def successors(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
+        """``step(states, letter)`` for each letter where it is not empty."""
+        out: dict[str, set[int]] = {}
+        for s in states:
+            for letter, targets in self.moves.get(s, {}).items():
+                out.setdefault(letter, set()).update(targets)
+        return {letter: self.closure(targets) for letter, targets in out.items()}
 
     def is_accepting(self, states: frozenset[int]) -> bool:
         return bool(states & self.nfa.accepting)
+
+    def accepts(self, word) -> bool:
+        states = self.closure({self.nfa.initial})
+        for letter in word:
+            states = self.step(states, letter)
+            if not states:
+                return False
+        return self.is_accepting(states)
 
 
 def nfa_words(nfa: Nfa, max_len: int) -> list[tuple[str, ...]]:
@@ -286,11 +296,4 @@ def accepts(ad: ActivityDiagram, trace: Trace) -> bool:
     The trace's inputs must cover the diagram's input variables; extra
     variables are ignored.
     """
-    nfa = build_config_nfa(ad, trace.inputs_dict())
-    runner = NfaRunner(nfa)
-    states = runner.closure({nfa.initial})
-    for letter in trace.actions:
-        states = runner.step(states, letter)
-        if not states:
-            return False
-    return runner.is_accepting(states)
+    return NfaRunner(build_config_nfa(ad, trace.inputs_dict())).accepts(trace.actions)

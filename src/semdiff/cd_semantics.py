@@ -273,20 +273,32 @@ def compatible_pairs(universe: Universe, objects: dict[str, str]) -> list[Link]:
 
 
 def _count_vectors(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """All count tuples bounded by ``caps`` that sum to ``total``."""
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(caps):
-            if remaining == 0:
-                yield tuple(acc)
+    """All count tuples bounded by ``caps`` that sum to ``total``, in
+    lexicographic order."""
+    n = len(caps)
+    room = [0] * (n + 1)  # room[i]: the most that positions i.. can hold
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if not 0 <= total <= room[0]:
+        return
+    counts = [0] * n
+    left = [total] * (n + 1)  # left[i]: what positions i.. must sum to
+    start = 0
+    while True:
+        # Fill positions start.. with their smallest values that can still
+        # reach the total.
+        for i in range(start, n):
+            counts[i] = max(0, left[i] - room[i + 1])
+            left[i + 1] = left[i] - counts[i]
+        yield tuple(counts)
+        j = n - 1
+        while j >= 0 and counts[j] >= min(caps[j], left[j]):
+            j -= 1
+        if j < 0:
             return
-        if remaining > sum(caps[i:]):
-            return
-        for n in range(min(caps[i], remaining) + 1):
-            acc.append(n)
-            yield from rec(i + 1, remaining - n, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])
+        counts[j] += 1
+        left[j + 1] = left[j] - counts[j]
+        start = j + 1
 
 
 def objects_for_counts(

@@ -1,5 +1,10 @@
+import random
+from collections import Counter
+
 import pytest
 
+import generators
+from semdiff import ad_diff, ad_semantics
 from semdiff.ad_diff import (
     addiff,
     compare_ad,
@@ -8,7 +13,16 @@ from semdiff.ad_diff import (
     prefix_minimal_words,
 )
 from semdiff.ad_lang import parse_ad
-from semdiff.ad_semantics import Nfa, Trace, accepts, nfa_words
+from semdiff.ad_semantics import (
+    Nfa,
+    NfaRunner,
+    Trace,
+    UnsafeMarkingError,
+    accepts,
+    build_config_nfa,
+    input_valuations,
+    nfa_words,
+)
 from semdiff.cd_diff import VerdictValue
 
 
@@ -265,3 +279,161 @@ def test_traces_round_trip_through_make(adv):
     result = addiff(adv[1], adv[2])
     for trace in result.witnesses:
         assert Trace.make(trace.inputs_dict(), trace.actions) == trace
+
+
+def paths_by_length(rows, final, upto):
+    """How many paths of each length up to ``upto`` lead from state 0 to a
+    final state of a successor table."""
+    counts = []
+    paths = Counter({0: 1})
+    for _ in range(upto + 1):
+        counts.append(sum(n for sid, n in paths.items() if final[sid]))
+        step = Counter()
+        for sid, n in paths.items():
+            for tid in rows[sid]:
+                if tid >= 0:
+                    step[tid] += n
+        paths = step
+    return counts
+
+
+def test_walk_limits_cut_a_prefix_and_exhausted_means_nothing_more():
+    rng = random.Random(505)
+    infinite = 0
+    for _ in range(30):
+        ad1, ad2 = generators.random_ad_pair(rng, max_len=8)
+        for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
+            a = NfaRunner(build_config_nfa(ad1, v))
+            b = NfaRunner(build_config_nfa(ad2, v))
+            rows, final, letters = ad_diff._pair_graph(a, b)
+            reference, _ = ad_diff._walk(rows, final, letters, 50, None)
+            # A word beyond a list is, if there is one, pumped down to at most
+            # len(rows) letters past the list's longest word or max_len.
+            top = max([8] + [len(w) for w in reference[:7]]) + len(rows)
+            counts = paths_by_length(rows, final, top)
+            infinite += counts[-1] > 0
+            for max_len in (None, 0, 1, 2, 3, 5, 8):
+                uncapped, _ = ad_diff._walk(rows, final, letters, 50, max_len)
+                for cap in (1, 2, 3, 7):
+                    words, exhausted = ad_diff._walk(rows, final, letters, cap, max_len)
+                    assert words == uncapped[:cap]
+                    for w in words:
+                        assert a.accepts(w) and not b.accepts(w)
+                    upto = max([max_len or 0] + [len(w) for w in words]) + len(rows)
+                    assert exhausted == (sum(counts[: upto + 1]) == len(words))
+    assert infinite > 0  # loops gave some valuation an infinite difference
+
+
+def test_addiff_limits_cut_a_prefix_of_the_uncapped_answer():
+    rng = random.Random(506)
+    for _ in range(25):
+        ad1, ad2 = generators.random_ad_pair(rng, max_len=8)
+        for max_len in (None, 0, 2, 5):
+            full = addiff(ad1, ad2, 50, max_len)
+            for cap in (1, 2, 3, 7):
+                result = addiff(ad1, ad2, cap, max_len)
+                assert result.witnesses == full.witnesses[:cap]
+                if result.exhausted:
+                    assert full.exhausted and result.witnesses == full.witnesses
+                if len(full.witnesses) > cap:
+                    assert not result.exhausted
+
+
+def count_config_builds(monkeypatch):
+    built = Counter()
+    real = ad_semantics.build_config_nfa
+
+    def counting(ad, valuation):
+        built[id(ad), tuple(sorted(valuation.items()))] += 1
+        return real(ad, valuation)
+
+    monkeypatch.setattr(ad_semantics, "build_config_nfa", counting)
+    monkeypatch.setattr(ad_diff, "build_config_nfa", counting)
+    return built
+
+
+def test_each_visited_valuation_builds_each_config_nfa_once(adv, monkeypatch):
+    built = count_config_builds(monkeypatch)
+    valuations = [tuple(sorted(v.items())) for v in input_valuations(
+        adv[1].input_vars(), adv[2].input_vars())]
+    assert len(valuations) == 2
+    # The self-check of the four witnesses reuses the search's automata.
+    assert len(addiff(adv[1], adv[2]).witnesses) == 4
+    assert built == Counter({(id(ad), v): 1 for ad in adv[1:3] for v in valuations})
+
+    # The only witness of the first valuation fills the budget: one valuation.
+    built.clear()
+    assert len(addiff(adv[2], adv[3], max_witnesses=1).witnesses) == 1
+    assert built == Counter({(id(ad), valuations[0]): 1 for ad in adv[2:4]})
+
+    for pair in ((adv[1], adv[2]), (adv[2], adv[1]), (adv[2], adv[3])):
+        built.clear()
+        compare_ad(*pair)
+        assert built and max(built.values()) == 1
+        assert sum(built.values()) <= 2 * len(valuations)
+
+
+def test_unsound_search_result_fails_the_self_check(monkeypatch):
+    par = parse_ad(
+        "activity P { action x; action y; fork f; join j;"
+        " start -> f; f -> x; f -> y; x -> j; y -> j; j -> end; }"
+    )
+    seq = parse_ad("activity S { action x; action y; start -> x; x -> y; y -> end; }")
+    assert [t.actions for t in addiff(par, seq).witnesses] == [("y", "x")]
+    assert compare_ad(par, seq).value is VerdictValue.RIGHT_REFINES_LEFT
+    # A kernel that returns a trace both diagrams allow.
+    monkeypatch.setattr(ad_diff, "_walk", lambda *args: ([("x", "y")], True))
+    with pytest.raises(RuntimeError, match="unsound witness"):
+        addiff(par, seq)
+    with pytest.raises(RuntimeError, match="unsound witness"):
+        compare_ad(par, seq)
+
+
+def fork_text(n, sequenced):
+    """An n-way fork of single actions, then a final action; ``sequenced``
+    puts a1 right after a0 on one branch."""
+    acts = [f"a{i}" for i in range(n)]
+    lines = ["activity work {"] + [f"  action {a};" for a in acts + ["fin"]]
+    lines += ["  fork split;", "  join sync;", "  start -> split;"]
+    for a in acts:
+        if sequenced and a == "a1":
+            continue
+        lines.append(f"  split -> {a};")
+        lines.append(f"  {a} -> {'a1' if sequenced and a == 'a0' else 'sync'};")
+    if sequenced:
+        lines.append("  a1 -> sync;")
+    lines += ["  sync -> fin;", "  fin -> end;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_ten_way_fork_refines_to_its_sequenced_variant():
+    plain, sequenced = parse_ad(fork_text(10, False)), parse_ad(fork_text(10, True))
+    assert compare_ad(plain, sequenced).value is VerdictValue.RIGHT_REFINES_LEFT
+    result = addiff(plain, sequenced, 2)
+    first = ("a1", "a0", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "fin")
+    second = ("a1", "a0", "a2", "a3", "a4", "a5", "a6", "a7", "a9", "a8", "fin")
+    assert [t.actions for t in result.witnesses] == [first, second]
+    assert not result.exhausted
+
+
+def unsafe_when_p(name, idle_actions):
+    """Safe when p is false; when p holds, two tokens meet on the edge out of
+    the merge named after the diagram."""
+    merge = f"m{name}"
+    idle = "".join(f" action {a}; d -[!p]-> {a}; {a} -> end;" for a in idle_actions)
+    return parse_ad(
+        f"activity {name} {{ input p: bool; action a; action b; action c;"
+        f" decision d; fork f; merge {merge};{idle}"
+        f" start -> d; d -[p]-> f; f -> a; f -> b; a -> {merge}; b -> {merge};"
+        f" {merge} -> c; c -> end; }}"
+    )
+
+
+def test_compare_reports_the_unsafe_diagram_a_backward_search_meets_first():
+    x, y = unsafe_when_p("X", ["x1", "z"]), unsafe_when_p("Y", ["z"])
+    # Forward differs at p=false already; only the backward direction reaches
+    # p=true, and a backward search builds the right diagram first.
+    with pytest.raises(UnsafeMarkingError, match="'mY'"):
+        compare_ad(x, y)
+    with pytest.raises(UnsafeMarkingError, match="'mY'"):
+        compare_ad(y, x)

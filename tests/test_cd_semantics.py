@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from semdiff.cd_lang import parse_cd
@@ -11,6 +13,7 @@ from semdiff.cd_semantics import (
     parse_om,
     print_om,
     universe_of,
+    _count_vectors,
 )
 from semdiff.lexer import ParseError
 
@@ -244,6 +247,21 @@ def test_object_id_prefixes_keep_digit_suffixed_names_apart():
     prefixes = object_id_prefixes(classes)
     ids = [f"{prefixes[c]}{i}" for c in classes for i in range(1, 120)]
     assert len(set(ids)) == len(ids)
+
+
+def test_count_vectors_are_the_bounded_tuples_in_lexicographic_order():
+    for caps in ([], [0], [2], [1, 0, 2], [3, 1, 2], [0, 0], [2, 2, 2, 1]):
+        for total in range(-1, sum(caps) + 2):
+            expected = [c for c in product(*(range(k + 1) for k in caps)) if sum(c) == total]
+            assert list(_count_vectors(caps, total)) == expected
+
+
+def test_count_vectors_handle_thousands_of_classes():
+    caps = [1] * 3000
+    vectors = _count_vectors(caps, 1)
+    assert next(vectors) == (0,) * 2999 + (1,)
+    assert next(vectors) == (0,) * 2998 + (1, 0)
+    assert list(_count_vectors(caps, 0)) == [(0,) * 3000]
 
 
 def test_compatible_pairs_use_subclass_closure(cd5v1, cd5v2):

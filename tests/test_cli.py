@@ -266,6 +266,14 @@ def test_deeply_nested_guard_exits_two_with_position(tmp_path):
     assert err == f"{ad_file}:7:107: guard nested more than 100 levels deep\n"
 
 
+def test_thousand_class_diagram_compares_at_bound_zero(tmp_path):
+    path = tmp_path / "big.cd"
+    classes = "".join(f"  class C{i};\n" for i in range(1100))
+    path.write_text(f"classdiagram big {{\n{classes}}}\n")
+    code, out, err = go("cd", "compare", str(path), str(path), "--bound", "0")
+    assert (code, out, err) == (0, "EQUIVALENT (bounded k=0)\n", "")
+
+
 def test_unknown_commands_exit_two(capsys):
     assert go("bogus")[0] == 2
     assert go("cd", "bogus")[0] == 2
