@@ -17,13 +17,7 @@ from .ad_semantics import (
     enumerate_traces,
     input_valuations,
 )
-from .cd_diff import (
-    CdDiffResult,
-    Verdict,
-    VerdictValue,
-    cddiff,
-    compare_cd,
-)
+from .cd_diff import CdDiffResult, cddiff, compare_cd
 from .cd_lang import ClassDiagram, Multiplicity, parse_cd, print_cd
 from .cd_semantics import (
     ObjectModel,
@@ -44,8 +38,8 @@ from .render import (
     print_trace,
     render_om,
     render_trace,
-    validate_dot,
 )
+from .verdict import Verdict, VerdictValue
 
 __version__ = "0.1.0"
 
@@ -94,5 +88,4 @@ __all__ = [
     "render_trace",
     "run",
     "universe_of",
-    "validate_dot",
 ]

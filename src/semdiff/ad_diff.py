@@ -35,7 +35,7 @@ from .ad_semantics import (
     build_config_nfa,
     input_valuations,
 )
-from .cd_diff import Verdict, _verdict_value
+from .verdict import Verdict
 
 DEFAULT_MAX_WITNESSES = 10
 
@@ -61,19 +61,6 @@ class Dfa:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def complement(self) -> "Dfa":
-        flipped = frozenset(range(self.n_states)) - self.accepting
-        return Dfa(self.alphabet, self.transitions, self.initial, flipped)
-
-    def accepts_word(self, word) -> bool:
-        col = {a: i for i, a in enumerate(self.alphabet)}
-        state = self.initial
-        for letter in word:
-            if letter not in col:
-                return False
-            state = self.transitions[state][col[letter]]
-        return state in self.accepting
 
 
 def _explore(initial, successors, letters, stop):
@@ -268,7 +255,6 @@ def _self_check(a: NfaRunner, b: NfaRunner, trace: Trace) -> None:
 class AdDiffResult:
     witnesses: list[Trace]
     exhausted: bool
-    requested: int
     max_len: int | None
 
 
@@ -306,7 +292,7 @@ def addiff(
             _self_check(a, b, trace)
             witnesses.append(trace)
         exhausted = exhausted and done
-    return AdDiffResult(witnesses, exhausted, max_witnesses, max_len)
+    return AdDiffResult(witnesses, exhausted, max_len)
 
 
 def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
@@ -334,4 +320,4 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
                 words, _ = _walk(rows, final, letters, 1, None)
                 _self_check(a, b, Trace.make(v, words[0]))
                 differs[d] = True
-    return Verdict(_verdict_value(*differs), bounded=False)
+    return Verdict.of(*differs, bounded=False)

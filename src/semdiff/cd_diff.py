@@ -24,22 +24,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Iterator
 
-from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity, _closure_map
+from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity, closure_map
 from .cd_semantics import (
     Link,
     ObjectModel,
     Universe,
+    count_vectors,
     is_instance,
     object_id_prefixes,
     objects_for_counts,
     print_om,
     universe_of,
-    _count_vectors,
 )
+from .verdict import Verdict
 
 DEFAULT_BOUND = 3
 DEFAULT_MAX_WITNESSES = 10
@@ -48,32 +48,11 @@ LinkSet = tuple[Link, ...]
 _DECIDE, _TAKE, _UNDO = range(3)
 
 
-class VerdictValue(Enum):
-    EQUIVALENT = "EQUIVALENT"
-    LEFT_REFINES_RIGHT = "LEFT_REFINES_RIGHT"
-    RIGHT_REFINES_LEFT = "RIGHT_REFINES_LEFT"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Four-valued comparison outcome; ``bounded`` records whether it only
-    holds up to a search bound (class diagrams) or exactly (activity
-    diagrams)."""
-
-    value: VerdictValue
-    bounded: bool
-
-    def __str__(self) -> str:
-        return self.value.value
-
-
 @dataclass
 class CdDiffResult:
     witnesses: list[ObjectModel]
     exhausted: bool
     bound: int
-    requested: int
 
 
 def cddiff(
@@ -109,24 +88,14 @@ def cddiff(
         ok2, _ = is_instance(w, cd2)
         if not ok1 or ok2:
             raise RuntimeError(f"diff search produced an unsound witness:\n{print_om(w)}")
-    return CdDiffResult(witnesses, exhausted, k, max_witnesses)
+    return CdDiffResult(witnesses, exhausted, k)
 
 
 def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> Verdict:
     """Relate two diagrams up to bound k by probing both diff directions."""
     forward = cddiff(cd1, cd2, k, 1).witnesses
     backward = cddiff(cd2, cd1, k, 1).witnesses
-    return Verdict(_verdict_value(bool(forward), bool(backward)), bounded=True)
-
-
-def _verdict_value(forward_nonempty: bool, backward_nonempty: bool) -> VerdictValue:
-    if not forward_nonempty and not backward_nonempty:
-        return VerdictValue.EQUIVALENT
-    if not forward_nonempty:
-        return VerdictValue.LEFT_REFINES_RIGHT
-    if not backward_nonempty:
-        return VerdictValue.RIGHT_REFINES_LEFT
-    return VerdictValue.INCOMPARABLE
+    return Verdict.of(bool(forward), bool(backward), bounded=True)
 
 
 def _witness_levels(
@@ -142,7 +111,7 @@ def _witness_levels(
     max_total = sum(caps)
     for total in range(max_total + 1):
         level: list[tuple[str, ObjectModel]] = []
-        for counts in _count_vectors(caps, total):
+        for counts in count_vectors(caps, total):
             objects = objects_for_counts(universe.classes, prefixes, counts)
             if not _object_level_ok(objects, cd1):
                 continue
@@ -160,8 +129,8 @@ def _rejected_link_choices(
 
     ``objects`` must already pass ``cd1``'s object-level check.
     """
-    closures1 = _closure_map(cd1)
-    closures2 = _closure_map(cd2)
+    closures1 = closure_map(cd1)
+    closures2 = closure_map(cd2)
     assocs1 = sorted(cd1.associations, key=lambda a: a.name)
     decls2 = {b.name: b for b in cd2.associations}
     names1 = {a.name for a in assocs1}
@@ -207,7 +176,7 @@ def _unions(choice_lists: list[list[LinkSet]]) -> Iterator[frozenset[Link]]:
 def _object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
     """Object-population checks only: declared, concrete, singleton counts."""
     modifiers = {c.name: c.modifier for c in cd.classes}
-    closures = _closure_map(cd)
+    closures = closure_map(cd)
     for cls in objects.values():
         mod = modifiers.get(cls)
         if mod is None or mod is ClassModifier.ABSTRACT:

@@ -245,13 +245,7 @@ def closure_of(extends: tuple[tuple[str, str], ...], root: str) -> frozenset[str
 
 
 @lru_cache(maxsize=None)
-def _closure_map(cd: ClassDiagram) -> dict[str, frozenset[str]]:
+def closure_map(cd: ClassDiagram) -> dict[str, frozenset[str]]:
+    """Each declared class's subclass closure (see ``closure_of``)."""
     return {c.name: closure_of(cd.extends, c.name) for c in cd.classes}
 
-
-def subtype_set(cd: ClassDiagram, class_name: str) -> frozenset[str]:
-    """All declared classes that are ``class_name`` or transitively extend it."""
-    closures = _closure_map(cd)
-    if class_name not in closures:
-        raise ValueError(f"unknown class '{class_name}' in diagram '{cd.name}'")
-    return closures[class_name]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .cd_lang import ClassDiagram, ClassModifier, closure_of, _closure_map
+from .cd_lang import ClassDiagram, ClassModifier, closure_map, closure_of
 from .lexer import EOF, IDENT, Diagnostic, ParseError, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
@@ -110,7 +110,7 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
     """
     violations: list[Violation] = []
     modifiers = {c.name: c.modifier for c in cd.classes}
-    closures = _closure_map(cd)
+    closures = closure_map(cd)
 
     for oid in sorted(om.objects):
         cls = om.objects[oid]
@@ -221,29 +221,30 @@ def object_id_prefixes(classes: tuple[str, ...]) -> dict[str, str]:
     stems = {c: (c.lower() if lowered[c.lower()] == 1 else c) for c in classes}
     initial = set(stems.values())
     taken = set(initial)
+    # Appended stems end in ``_`` and extend nothing, so this need not grow.
+    extended = {base for stem in initial for base in _digit_bases(stem)}
     for c in classes:
         stem = stems[c]
-        if not any(_digit_extension(stem, other) for other in initial):
+        if initial.isdisjoint(_digit_bases(stem)):
             continue
         stem += "_"
-        while stem in taken or any(_digit_extension(other, stem) for other in taken):
+        while stem in taken or stem in extended:
             stem += "_"
         taken.add(stem)
         stems[c] = stem
     return stems
 
 
-def _digit_extension(stem: str, base: str) -> bool:
-    """Whether ``stem`` is ``base`` followed by a number without leading zero,
-    so that ``base`` ids and ``stem`` ids can spell the same string."""
-    tail = stem[len(base):]
-    return (
-        len(stem) > len(base)
-        and stem.startswith(base)
-        and tail.isascii()
-        and tail.isdigit()
-        and tail[0] != "0"
-    )
+def _digit_bases(stem: str) -> list[str]:
+    """The prefixes that ``stem`` extends by a number without leading zero,
+    so that ids of such a prefix and ids of ``stem`` can spell one string."""
+    bases = []
+    i = len(stem)
+    while i > 0 and stem[i - 1] in "0123456789":
+        i -= 1
+        if stem[i] != "0":
+            bases.append(stem[:i])
+    return bases
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +273,7 @@ def compatible_pairs(universe: Universe, objects: dict[str, str]) -> list[Link]:
     return sorted(pairs)
 
 
-def _count_vectors(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
+def count_vectors(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
     """All count tuples bounded by ``caps`` that sum to ``total``, in
     lexicographic order."""
     n = len(caps)
@@ -326,7 +327,7 @@ def enumerate_object_models(universe: Universe, k: int, name: str = "om") -> Ite
     caps = [k] * len(universe.classes)
     for total in range(sum(caps) + 1):
         level: list[tuple[str, ObjectModel]] = []
-        for counts in _count_vectors(caps, total):
+        for counts in count_vectors(caps, total):
             objects = objects_for_counts(universe.classes, prefixes, counts)
             pairs = compatible_pairs(universe, objects)
             for r in range(len(pairs) + 1):

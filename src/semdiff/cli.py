@@ -9,37 +9,28 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .ad_diff import addiff, compare_ad
-from .ad_lang import ActivityDiagram, parse_ad
-from .ad_semantics import DomainMismatchError, Trace, UnsafeMarkingError
-from .cd_diff import (
-    DEFAULT_BOUND,
-    DEFAULT_MAX_WITNESSES,
-    Verdict,
-    VerdictValue,
-    _verdict_value,
-    cddiff,
-    compare_cd,
-)
-from .cd_lang import ClassDiagram, parse_cd
-from .cd_semantics import ObjectModel, parse_om, print_om
+from .ad_lang import parse_ad
+from .ad_semantics import DomainMismatchError, UnsafeMarkingError
+from .cd_diff import DEFAULT_BOUND, DEFAULT_MAX_WITNESSES, cddiff, compare_cd
+from .cd_lang import parse_cd
+from .cd_semantics import parse_om
 from .lexer import ParseError
 from .render import (
     OutputFormat,
-    diff_json,
-    om_dot,
-    om_json,
     parse_trace,
-    print_trace,
-    trace_dot,
-    trace_json,
-    _json_dump,
+    render_diff,
+    render_history,
+    render_om,
+    render_trace,
 )
+from .verdict import Verdict, VerdictValue
 
 
 class CliError(Exception):
@@ -64,34 +55,17 @@ class HistoryReport:
     rows: tuple[HistoryRow, ...]
 
 
-def _read(path: str) -> str:
+def _load(path: str, parser):
+    """``parser`` applied to the file at ``path``; read and parse errors
+    become messages that start with the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError([f"{path}: {exc.strerror or exc}"]) from exc
-
-
-def _parse_with_path(path: str, parser, text: str):
     try:
         return parser(text)
     except ParseError as exc:
         raise CliError([f"{path}:{d}" for d in exc.diagnostics]) from exc
-
-
-def _load_cd(path: str) -> ClassDiagram:
-    return _parse_with_path(path, parse_cd, _read(path))
-
-
-def _load_ad(path: str) -> ActivityDiagram:
-    return _parse_with_path(path, parse_ad, _read(path))
-
-
-def _load_om(path: str) -> ObjectModel:
-    return _parse_with_path(path, parse_om, _read(path))
-
-
-def _load_trace(path: str) -> Trace:
-    return _parse_with_path(path, parse_trace, _read(path))
 
 
 def _check(condition: bool, message: str) -> None:
@@ -113,61 +87,36 @@ def history_report(
     _check(kind in ("cd", "ad"), f"unknown history kind '{kind}'")
     _check(len(paths) >= 2, "history needs at least two files")
     if kind == "cd":
-        models = [_load_cd(p) for p in paths]
+        parser, diff = parse_cd, lambda x, y: cddiff(x, y, bound, max_witnesses)
     else:
-        models = [_load_ad(p) for p in paths]
+        parser, diff = parse_ad, lambda x, y: addiff(x, y, max_witnesses)
+    models = [_load(p, parser) for p in paths]
     rows = []
     for old_path, new_path, old, new in zip(paths, paths[1:], models, models[1:]):
-        if kind == "cd":
-            fwd = len(cddiff(old, new, bound, max_witnesses).witnesses)
-            bwd = len(cddiff(new, old, bound, max_witnesses).witnesses)
-            verdict = Verdict(_verdict_value(fwd > 0, bwd > 0), bounded=True)
-        else:
-            fwd = len(addiff(old, new, max_witnesses).witnesses)
-            bwd = len(addiff(new, old, max_witnesses).witnesses)
-            verdict = Verdict(_verdict_value(fwd > 0, bwd > 0), bounded=False)
+        fwd = len(diff(old, new).witnesses)
+        bwd = len(diff(new, old).witnesses)
+        verdict = Verdict.of(fwd > 0, bwd > 0, bounded=kind == "cd")
         rows.append(
             HistoryRow(Path(old_path).name, Path(new_path).name, verdict, fwd, bwd)
         )
     return HistoryReport(tuple(rows))
 
 
-def _witness_headline(count: int, exhausted: bool, suffix: str = "") -> str:
-    state = "exhausted" if exhausted else "not exhausted"
-    noun = "witness" if count == 1 else "witnesses"
-    head = f"no witnesses ({state}" if count == 0 else f"{count} {noun} ({state}"
-    return f"{head}{suffix})"
-
-
 def _cmd_cd_diff(args, out, err) -> int:
     _check(args.bound >= 0, "--bound must be >= 0")
     _check(args.max_witnesses >= 1, "--max-witnesses must be >= 1")
-    cd1 = _load_cd(args.left)
-    cd2 = _load_cd(args.right)
+    cd1 = _load(args.left, parse_cd)
+    cd2 = _load(args.right, parse_cd)
     result = cddiff(cd1, cd2, args.bound, args.max_witnesses)
     fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.TEXT:
-        print(
-            _witness_headline(len(result.witnesses), result.exhausted, f", k={args.bound}"),
-            file=out,
-        )
-        for i, om in enumerate(result.witnesses, 1):
-            print(f"witness {i}:", file=out)
-            out.write(print_om(om))
-    elif fmt is OutputFormat.DOT:
-        out.write("\n".join(om_dot(om) for om in result.witnesses))
-    else:
-        document = diff_json(
-            "AtoB", result.exhausted, args.bound, [om_json(om) for om in result.witnesses]
-        )
-        out.write(_json_dump(document))
+    out.write(render_diff(result.witnesses, result.exhausted, args.bound, fmt).payload)
     return 1 if result.witnesses else 0
 
 
 def _cmd_cd_compare(args, out, err) -> int:
     _check(args.bound >= 0, "--bound must be >= 0")
-    cd1 = _load_cd(args.left)
-    cd2 = _load_cd(args.right)
+    cd1 = _load(args.left, parse_cd)
+    cd2 = _load(args.right, parse_cd)
     verdict = compare_cd(cd1, cd2, args.bound)
     print(f"{verdict} (bounded k={args.bound})", file=out)
     return 0 if verdict.value is VerdictValue.EQUIVALENT else 1
@@ -176,31 +125,17 @@ def _cmd_cd_compare(args, out, err) -> int:
 def _cmd_ad_diff(args, out, err) -> int:
     _check(args.max_witnesses >= 1, "--max-witnesses must be >= 1")
     _check(args.max_len is None or args.max_len >= 0, "--max-len must be >= 0")
-    ad1 = _load_ad(args.left)
-    ad2 = _load_ad(args.right)
+    ad1 = _load(args.left, parse_ad)
+    ad2 = _load(args.right, parse_ad)
     result = addiff(ad1, ad2, args.max_witnesses, args.max_len)
     fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.TEXT:
-        print(_witness_headline(len(result.witnesses), result.exhausted), file=out)
-        for i, trace in enumerate(result.witnesses, 1):
-            print(f"witness {i}:", file=out)
-            out.write(print_trace(trace))
-    elif fmt is OutputFormat.DOT:
-        out.write("\n".join(trace_dot(ad1, t) for t in result.witnesses))
-    else:
-        document = diff_json(
-            "AtoB",
-            result.exhausted,
-            result.max_len,
-            [trace_json(t) for t in result.witnesses],
-        )
-        out.write(_json_dump(document))
+    out.write(render_diff(result.witnesses, result.exhausted, result.max_len, fmt, ad1).payload)
     return 1 if result.witnesses else 0
 
 
 def _cmd_ad_compare(args, out, err) -> int:
-    ad1 = _load_ad(args.left)
-    ad2 = _load_ad(args.right)
+    ad1 = _load(args.left, parse_ad)
+    ad2 = _load(args.right, parse_ad)
     verdict = compare_ad(ad1, ad2)
     print(str(verdict), file=out)
     return 0 if verdict.value is VerdictValue.EQUIVALENT else 1
@@ -209,59 +144,21 @@ def _cmd_ad_compare(args, out, err) -> int:
 def _cmd_history(args, out, err) -> int:
     _check(args.bound >= 0, "--bound must be >= 0")
     report = history_report(args.files, args.kind, args.bound)
-    if args.format == "json":
-        document = {
-            "rows": [
-                {
-                    "from": r.from_file,
-                    "to": r.to_file,
-                    "verdict": str(r.verdict),
-                    "forward": r.forward,
-                    "backward": r.backward,
-                }
-                for r in report.rows
-            ]
-        }
-        out.write(_json_dump(document))
-    else:
-        headers = ("from", "to", "verdict", "forward", "backward")
-        table = [
-            (r.from_file, r.to_file, str(r.verdict), str(r.forward), str(r.backward))
-            for r in report.rows
-        ]
-        widths = [
-            max(len(headers[i]), *(len(row[i]) for row in table)) if table else len(headers[i])
-            for i in range(len(headers))
-        ]
-        for row in (headers, *table):
-            line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            print(line.rstrip(), file=out)
+    out.write(render_history(report.rows, OutputFormat(args.format)).payload)
     clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in report.rows)
     return 0 if clean else 1
 
 
 def _cmd_render_om(args, out, err) -> int:
-    om = _load_om(args.file)
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.TEXT:
-        out.write(print_om(om))
-    elif fmt is OutputFormat.DOT:
-        out.write(om_dot(om))
-    else:
-        out.write(_json_dump(om_json(om)))
+    om = _load(args.file, parse_om)
+    out.write(render_om(om, OutputFormat(args.format)).payload)
     return 0
 
 
 def _cmd_render_trace(args, out, err) -> int:
-    ad = _load_ad(args.ad_file)
-    trace = _load_trace(args.trace_file)
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.TEXT:
-        out.write(print_trace(trace))
-    elif fmt is OutputFormat.DOT:
-        out.write(trace_dot(ad, trace))
-    else:
-        out.write(_json_dump(trace_json(trace)))
+    ad = _load(args.ad_file, parse_ad)
+    trace = _load(args.trace_file, parse_trace)
+    out.write(render_trace(ad, trace, OutputFormat(args.format)).payload)
     return 0
 
 
@@ -317,15 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="render a model or witness on its own")
     render_sub = render.add_subparsers(dest="subcommand", required=True)
-    render_om = render_sub.add_parser("om", help="render an object model")
-    render_om.add_argument("file")
-    _add_format(render_om)
-    render_om.set_defaults(handler=_cmd_render_om)
-    render_trace = render_sub.add_parser("trace", help="render a trace over its diagram")
-    render_trace.add_argument("ad_file")
-    render_trace.add_argument("trace_file")
-    _add_format(render_trace)
-    render_trace.set_defaults(handler=_cmd_render_trace)
+    om_cmd = render_sub.add_parser("om", help="render an object model")
+    om_cmd.add_argument("file")
+    _add_format(om_cmd)
+    om_cmd.set_defaults(handler=_cmd_render_om)
+    trace_cmd = render_sub.add_parser("trace", help="render a trace over its diagram")
+    trace_cmd.add_argument("ad_file")
+    trace_cmd.add_argument("trace_file")
+    _add_format(trace_cmd)
+    trace_cmd.set_defaults(handler=_cmd_render_trace)
 
     return parser
 
@@ -355,4 +252,15 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # Flush here, so that a reader that closed the pipe early is noticed
+        # inside this block rather than at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe from the "Note on SIGPIPE" in the docs of ``signal``:
+        # point stdout at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -1,8 +1,10 @@
 """Witness rendering: text, DOT graph descriptions, and JSON documents.
 
-Everything here is byte-deterministic for identical inputs. The text forms
-round-trip through their parsers; DOT output is meant for graphviz but is
-also checked by a small structural validator used in the test suite.
+This is the one module that picks an output format: for one witness
+(``render_om``, ``render_trace``), for a diff result (``render_diff``) and
+for a history (``render_history``). Everything here is byte-deterministic
+for identical inputs. The text forms round-trip through their parsers; DOT
+output is meant for graphviz.
 """
 
 from __future__ import annotations
@@ -38,6 +40,25 @@ def _json_dump(document) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def _witness_form(format: OutputFormat, ad: ActivityDiagram | None):
+    """How one witness is written in ``format``: an object model when ``ad``
+    is None, else a trace drawn over ``ad``. The JSON form is a document."""
+    if ad is None:
+        forms = {OutputFormat.TEXT: print_om, OutputFormat.DOT: om_dot, OutputFormat.JSON: om_json}
+    else:
+        forms = {
+            OutputFormat.TEXT: print_trace,
+            OutputFormat.DOT: lambda trace: trace_dot(ad, trace),
+            OutputFormat.JSON: trace_json,
+        }
+    return forms[format]
+
+
+def _artifact(format: OutputFormat, value) -> RenderedArtifact:
+    """``value`` as the payload; a JSON document is dumped first."""
+    return RenderedArtifact(format, _json_dump(value) if format is OutputFormat.JSON else value)
+
+
 # ---------------------------------------------------------------------------
 # object models
 
@@ -67,11 +88,7 @@ def om_dot(om: ObjectModel) -> str:
 
 
 def render_om(om: ObjectModel, format: OutputFormat) -> RenderedArtifact:
-    if format is OutputFormat.TEXT:
-        return RenderedArtifact(format, print_om(om))
-    if format is OutputFormat.DOT:
-        return RenderedArtifact(format, om_dot(om))
-    return RenderedArtifact(format, _json_dump(om_json(om)))
+    return _artifact(format, _witness_form(format, None)(om))
 
 
 # ---------------------------------------------------------------------------
@@ -207,63 +224,59 @@ def trace_dot(ad: ActivityDiagram, trace: Trace) -> str:
 def render_trace(
     ad: ActivityDiagram, trace: Trace, format: OutputFormat
 ) -> RenderedArtifact:
-    if format is OutputFormat.TEXT:
-        return RenderedArtifact(format, print_trace(trace))
-    if format is OutputFormat.DOT:
-        return RenderedArtifact(format, trace_dot(ad, trace))
-    return RenderedArtifact(format, _json_dump(trace_json(trace)))
+    return _artifact(format, _witness_form(format, ad)(trace))
 
 
 # ---------------------------------------------------------------------------
-# diff results
+# diff results and histories
 
 
-def diff_json(
-    direction: str, exhausted: bool, bound: int | None, witnesses: list[dict]
-) -> dict:
-    if direction not in ("AtoB", "BtoA"):
-        raise ValueError(f"unknown direction {direction!r}")
+def diff_json(exhausted: bool, bound: int | None, witnesses: list[dict]) -> dict:
     return {
-        "direction": direction,
+        "direction": "AtoB",
         "exhausted": exhausted,
         "bound": bound,
         "witnesses": witnesses,
     }
 
 
-# ---------------------------------------------------------------------------
-# DOT validation (structural only; enough to catch malformed output)
+def render_diff(
+    witnesses: list,
+    exhausted: bool,
+    bound: int | None,
+    format: OutputFormat,
+    ad: ActivityDiagram | None = None,
+) -> RenderedArtifact:
+    """A diff result: object models searched up to ``bound`` objects per
+    class or, given ``ad``, traces of ``ad`` cut at length ``bound``.
 
-_DOT_ATTRS = r'\[(?:[^\]"]|"(?:[^"\\]|\\.)*")*\]'
-_DOT_NODE_RE = re.compile(r'^\s*("(?:[^"\\]|\\.)*")\s*(%s)?\s*;\s*$' % _DOT_ATTRS)
-_DOT_EDGE_RE = re.compile(
-    r'^\s*("(?:[^"\\]|\\.)*")\s*->\s*("(?:[^"\\]|\\.)*")\s*(%s)?\s*;\s*$' % _DOT_ATTRS
-)
+    Text is a headline and a numbered block per witness, DOT one graph per
+    witness, and JSON one ``diff_json`` document.
+    """
+    form = _witness_form(format, ad)
+    if format is OutputFormat.DOT:
+        return RenderedArtifact(format, "\n".join(form(w) for w in witnesses))
+    if format is OutputFormat.JSON:
+        return _artifact(format, diff_json(exhausted, bound, [form(w) for w in witnesses]))
+    state = "exhausted" if exhausted else "not exhausted"
+    if ad is None:
+        state += f", k={bound}"
+    count = len(witnesses)
+    head = "no witnesses" if count == 0 else f"{count} witness{'' if count == 1 else 'es'}"
+    blocks = [f"witness {i}:\n{form(w)}" for i, w in enumerate(witnesses, 1)]
+    return RenderedArtifact(format, "".join([f"{head} ({state})\n", *blocks]))
 
 
-def validate_dot(payload: str) -> None:
-    """Check digraph shape: header, balanced braces, edges between declared
-    nodes. Raises ValueError on the first problem."""
-    lines = payload.splitlines()
-    if not lines or not re.match(r'^digraph\s+("(?:[^"\\]|\\.)*"|\w+)\s*\{$', lines[0]):
-        raise ValueError("missing digraph header")
-    if not lines or lines[-1].strip() != "}":
-        raise ValueError("missing closing brace")
-    declared: set[str] = set()
-    for line in lines[1:-1]:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("//"):
-            continue
-        edge = _DOT_EDGE_RE.match(line)
-        if edge:
-            for endpoint in (edge.group(1), edge.group(2)):
-                if endpoint not in declared:
-                    raise ValueError(f"edge endpoint {endpoint} is not a declared node")
-            continue
-        node = _DOT_NODE_RE.match(line)
-        if node:
-            declared.add(node.group(1))
-            continue
-        raise ValueError(f"unrecognized DOT line: {stripped!r}")
-    if payload.count("{") != payload.count("}"):
-        raise ValueError("unbalanced braces")
+def render_history(rows, format: OutputFormat) -> RenderedArtifact:
+    """History rows (``from_file``, ``to_file``, ``verdict``, ``forward``,
+    ``backward``) as an aligned text table or a JSON document."""
+    if format is OutputFormat.DOT:
+        raise ValueError("a history has no DOT form")
+    columns = ("from", "to", "verdict", "forward", "backward")
+    table = [(r.from_file, r.to_file, str(r.verdict), r.forward, r.backward) for r in rows]
+    if format is OutputFormat.JSON:
+        return _artifact(format, {"rows": [dict(zip(columns, row)) for row in table]})
+    cells = [columns, *([str(value) for value in row] for row in table)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    return RenderedArtifact(format, "".join(line + "\n" for line in lines))

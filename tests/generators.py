@@ -15,8 +15,8 @@ from semdiff import build_config_nfa, input_valuations, parse_ad, parse_cd, univ
 from semdiff.ad_semantics import Nfa, NfaRunner
 from semdiff.cd_semantics import (
     ObjectModel,
-    _count_vectors,
     compatible_pairs,
+    count_vectors,
     object_id_prefixes,
     objects_for_counts,
 )
@@ -58,7 +58,7 @@ def enumeration_space(universe, k: int, cap: int) -> int:
     caps = [k] * len(universe.classes)
     size = 0
     for total in range(sum(caps) + 1):
-        for counts in _count_vectors(caps, total):
+        for counts in count_vectors(caps, total):
             objects = objects_for_counts(universe.classes, prefixes, counts)
             size += 2 ** len(compatible_pairs(universe, objects))
             if size > cap:

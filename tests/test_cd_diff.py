@@ -1,9 +1,10 @@
 import pytest
 
 from semdiff import cd_diff
-from semdiff.cd_diff import VerdictValue, cddiff, compare_cd
+from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd
 from semdiff.cd_semantics import enumerate_object_models, is_instance, print_om, universe_of
+from semdiff.verdict import VerdictValue
 
 
 def texts(result):

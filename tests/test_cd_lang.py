@@ -6,10 +6,10 @@ from semdiff.cd_lang import (
     ClassDiagram,
     ClassModifier,
     Multiplicity,
+    closure_map,
     closure_of,
     parse_cd,
     print_cd,
-    subtype_set,
 )
 from semdiff.lexer import ParseError
 
@@ -147,24 +147,22 @@ def test_error_position_points_at_offender():
     assert (diag.line, diag.col) == (3, 3)
 
 
-def test_subtype_set_with_inheritance(cd1v1, cd1v2):
-    assert subtype_set(cd1v2, "Employee") == {"Employee", "Manager"}
-    assert subtype_set(cd1v1, "Employee") == {"Employee"}
-    assert subtype_set(cd1v2, "Task") == {"Task"}
+def test_closure_map_with_inheritance(cd1v1, cd1v2):
+    assert closure_map(cd1v2)["Employee"] == {"Employee", "Manager"}
+    assert closure_map(cd1v1)["Employee"] == {"Employee"}
+    assert closure_map(cd1v2)["Task"] == {"Task"}
 
 
-def test_subtype_set_is_transitive():
+def test_closure_map_is_transitive():
     cd = parse_cd(
         "classdiagram C { class A; class B extends A; class C extends B; }"
     )
-    assert subtype_set(cd, "A") == {"A", "B", "C"}
-    assert subtype_set(cd, "B") == {"B", "C"}
+    assert closure_map(cd) == {"A": {"A", "B", "C"}, "B": {"B", "C"}, "C": {"C"}}
 
 
-def test_subtype_set_unknown_class():
+def test_closure_map_holds_only_declared_classes():
     cd = parse_cd("classdiagram C { class A; }")
-    with pytest.raises(ValueError, match="unknown class 'Nope'"):
-        subtype_set(cd, "Nope")
+    assert closure_map(cd) == {"A": {"A"}}
 
 
 def test_closure_tolerates_cycles():

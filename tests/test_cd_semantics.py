@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -7,15 +8,17 @@ from semdiff.cd_semantics import (
     ObjectModel,
     ViolationKind,
     compatible_pairs,
+    count_vectors,
     enumerate_object_models,
     is_instance,
     object_id_prefixes,
     parse_om,
     print_om,
     universe_of,
-    _count_vectors,
 )
 from semdiff.lexer import ParseError
+
+from helpers import reference_object_id_prefixes
 
 
 def kinds(om, cd):
@@ -249,19 +252,31 @@ def test_object_id_prefixes_keep_digit_suffixed_names_apart():
     assert len(set(ids)) == len(ids)
 
 
+def test_object_id_prefixes_match_the_quadratic_reference():
+    rng = random.Random(6)
+    tails = ("", "0", "1", "2", "10", "12", "01", "_", "_1", "__")
+    for _ in range(5000):
+        names = {
+            rng.choice("AaBb") + "".join(rng.choice(tails) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 8))
+        }
+        classes = tuple(rng.sample(sorted(names), len(names)))
+        assert object_id_prefixes(classes) == reference_object_id_prefixes(classes), classes
+
+
 def test_count_vectors_are_the_bounded_tuples_in_lexicographic_order():
     for caps in ([], [0], [2], [1, 0, 2], [3, 1, 2], [0, 0], [2, 2, 2, 1]):
         for total in range(-1, sum(caps) + 2):
             expected = [c for c in product(*(range(k + 1) for k in caps)) if sum(c) == total]
-            assert list(_count_vectors(caps, total)) == expected
+            assert list(count_vectors(caps, total)) == expected
 
 
 def test_count_vectors_handle_thousands_of_classes():
     caps = [1] * 3000
-    vectors = _count_vectors(caps, 1)
+    vectors = count_vectors(caps, 1)
     assert next(vectors) == (0,) * 2999 + (1,)
     assert next(vectors) == (0,) * 2998 + (1, 0)
-    assert list(_count_vectors(caps, 0)) == [(0,) * 3000]
+    assert list(count_vectors(caps, 0)) == [(0,) * 3000]
 
 
 def test_compatible_pairs_use_subclass_closure(cd5v1, cd5v2):

@@ -8,6 +8,7 @@ import pytest
 from semdiff.cli import history_report, run
 
 from conftest import fixture_path
+from helpers import validate_dot
 
 EXPECTED_FORWARD_WITNESS = """\
 objectmodel om {
@@ -73,8 +74,6 @@ def test_cd_diff_dot_output_is_wellformed():
     )
     assert code == 1
     assert out.count("digraph") == 2
-    from semdiff.render import validate_dot
-
     for chunk in out.split("\n\n"):
         if chunk.strip():
             validate_dot(chunk if chunk.endswith("\n") else chunk + "\n")
@@ -289,3 +288,16 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "EQUIVALENT (bounded k=3)\n"
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semdiff", "ad", "diff",
+         fx("adv2.ad"), fx("adv3.ad"), "--format", "dot"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before any output is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
