@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 from .lexer import EOF, IDENT, Diagnostic, ParseError, Token, TokenCursor, tokenize
 
@@ -108,20 +110,27 @@ def _guard_height(guard: Guard) -> int:
     return height
 
 
-def eval_guard(guard: Guard, state: dict[str, str]) -> bool:
+def compile_guard(guard: Guard, slots: dict[str, int]) -> Callable[[tuple[str, ...]], bool]:
+    """``guard`` as a closure over a state tuple, which holds the value of
+    each variable at the position ``slots`` gives it."""
     if isinstance(guard, GuardLit):
-        return guard.value
+        value = guard.value
+        return lambda state: value
     if isinstance(guard, GuardVar):
-        return state[guard.var] == "true"
+        i = slots[guard.var]
+        return lambda state: state[i] == "true"
     if isinstance(guard, GuardCmp):
-        hit = state[guard.var] == guard.value
-        return hit if guard.op == "==" else not hit
+        i, value, equal = slots[guard.var], guard.value, guard.op == "=="
+        return lambda state: (state[i] == value) is equal
     if isinstance(guard, GuardNot):
-        return not eval_guard(guard.inner, state)
+        inner = compile_guard(guard.inner, slots)
+        return lambda state: not inner(state)
     if isinstance(guard, GuardAnd):
-        return eval_guard(guard.left, state) and eval_guard(guard.right, state)
+        left, right = compile_guard(guard.left, slots), compile_guard(guard.right, slots)
+        return lambda state: left(state) and right(state)
     if isinstance(guard, GuardOr):
-        return eval_guard(guard.left, state) or eval_guard(guard.right, state)
+        left, right = compile_guard(guard.left, slots), compile_guard(guard.right, slots)
+        return lambda state: left(state) or right(state)
     raise TypeError(f"not a guard: {guard!r}")
 
 
@@ -190,6 +199,16 @@ class ActivityDiagram:
 
     def input_vars(self) -> tuple[VarDecl, ...]:
         return tuple(v for v in self.variables if v.kind is VarKind.INPUT)
+
+    @cached_property
+    def compiled(self):
+        """The token game's tables (``ad_semantics.compile_ad``), built on first use."""
+        from .ad_semantics import compile_ad  # not at the top: ad_semantics imports this module
+        return compile_ad(self)
+
+    def __getstate__(self):
+        # The compiled guards are closures, which do not pickle; a copy compiles again.
+        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
 
 
 _NODE_KEYWORDS = {

@@ -7,6 +7,10 @@ silently. A token reaching a final node ends the run (remaining tokens are
 discarded), so such configurations accept and have no outgoing transitions.
 Compiling all reachable configurations gives a finite NFA whose language is
 the set of action traces for one input valuation.
+
+Each diagram is compiled once into tables (``compile_ad``, cached on the
+diagram): a marking is an int with bit i for edge i, a state a tuple of
+values in sorted variable order, and guards are closures over that tuple.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .ad_lang import (
-    ActivityDiagram,
-    NodeKind,
-    VarDecl,
-    VarKind,
-    eval_guard,
-)
+from .ad_lang import START, ActivityDiagram, NodeKind, VarDecl, VarKind, compile_guard
 
 EPSILON = None
 
@@ -101,15 +99,55 @@ def input_valuations(
     return [dict(zip(names, combo)) for combo in product(*(domains[n] for n in names))]
 
 
+def compile_ad(ad: ActivityDiagram):
+    """The tables ``build_config_nfa`` plays the token game on, cached as
+    ``ad.compiled``: (variable names in slot order, start edge bit, mask of
+    the edges entering a final node, destination node of each edge, firings
+    of each node in edge order). A firing is (label, consumed edges, marked
+    edges, guard or None, assignments), an assignment (target slot, source
+    slot or -1, literal)."""
+    var_names = tuple(sorted(v.name for v in ad.variables))
+    slots = {name: i for i, name in enumerate(var_names)}
+    node_index = {n.name: i for i, n in enumerate(ad.nodes)}
+    ins, outs = [[] for _ in ad.nodes], [[] for _ in ad.nodes]
+    for i, e in enumerate(ad.edges):
+        outs[node_index[e.src]].append(i)
+        ins[node_index[e.dst]].append(i)
+    edge_dst = tuple(node_index[e.dst] for e in ad.edges)
+    firings = []
+    for node, node_ins, node_outs in zip(ad.nodes, ins, outs):
+        emit = sum(1 << o for o in node_outs)
+        if node.kind in (NodeKind.ACTION, NodeKind.MERGE):
+            label = node.name if node.kind is NodeKind.ACTION else EPSILON
+            assigns = tuple((slots[a.target], slots[a.source] if a.source_is_var else -1, a.source)
+                            for a in node.assignments)
+            rules = [(label, 1 << i, emit, None, assigns) for i in node_ins]
+        elif node.kind is NodeKind.DECISION:
+            rules = [(EPSILON, 1 << node_ins[0], 1 << o, compile_guard(ad.edges[o].guard, slots), ())
+                     for o in node_outs]
+        elif node.kind is NodeKind.FORK:
+            rules = [(EPSILON, 1 << node_ins[0], emit, None, ())]
+        elif node.kind is NodeKind.JOIN:
+            rules = [(EPSILON, sum(1 << i for i in node_ins), emit, None, ())]
+        else:  # initial and final nodes never fire
+            rules = []
+        firings.append(tuple(rules))
+    final_mask = sum(1 << i for i, n in enumerate(edge_dst) if ad.nodes[n].kind is NodeKind.FINAL)
+    return var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings)
+
+
 def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
     """Explore every configuration reachable under one input valuation.
 
     ``valuation`` must cover the diagram's input variables; extra variables
     are ignored. Raises UnsafeMarkingError if any firing would double-mark an
-    edge.
+    edge. Configurations are numbered breadth-first, and the firings of each
+    are tried in node order, then edge order.
     """
-    state0: dict[str, str] = {}
+    var_names, start_bit, final_mask, edge_dst, firings = ad.compiled
+    state0: list[str | None] = [None] * len(var_names)
     for v in ad.variables:
+        value = v.initial
         if v.kind is VarKind.INPUT:
             if v.name not in valuation:
                 raise ValueError(f"valuation is missing input variable '{v.name}'")
@@ -117,96 +155,58 @@ def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
             if value not in v.domain:
                 raise ValueError(
                     f"value '{value}' is outside the domain of input '{v.name}'")
-            state0[v.name] = value
-        else:
-            state0[v.name] = v.initial
+        state0[var_names.index(v.name)] = value
 
-    nodes = {n.name: n for n in ad.nodes}
-    out_edges: dict[str, list[int]] = {n.name: [] for n in ad.nodes}
-    in_edges: dict[str, list[int]] = {n.name: [] for n in ad.nodes}
-    for i, e in enumerate(ad.edges):
-        out_edges[e.src].append(i)
-        in_edges[e.dst].append(i)
-
-    start_out = out_edges["start"][0]
-    initial = Config(frozenset([start_out]), tuple(sorted(state0.items())))
-
-    index: dict[Config, int] = {initial: 0}
-    configs: list[Config] = [initial]
+    initial = (start_bit, tuple(state0))
+    index = {initial: 0}
+    configs = [initial]
     transitions: list[tuple[int, str | None, int]] = []
-    accepting: set[int] = set()
-    todo = [0]
-    while todo:
-        cur_id = todo.pop(0)
-        cur = configs[cur_id]
-        if any(nodes[ad.edges[i].dst].kind is NodeKind.FINAL for i in cur.marking):
+    accepting: list[int] = []
+    for cur_id, (marking, state) in enumerate(configs):
+        if marking & final_mask:
             # A token has entered a final node: the run stops here and any
             # other tokens are discarded.
-            accepting.add(cur_id)
+            accepting.append(cur_id)
             continue
-        for label, nxt in _firings(ad, nodes, out_edges, in_edges, cur):
-            nxt_id = index.get(nxt)
-            if nxt_id is None:
-                nxt_id = len(configs)
-                index[nxt] = nxt_id
-                configs.append(nxt)
-                todo.append(nxt_id)
-            transitions.append((cur_id, label, nxt_id))
+        # Only the nodes that a marked edge enters can fire.
+        for n in sorted({edge_dst[i] for i in _edges(marking)}):
+            for label, consume, emit, guard, assigns in firings[n]:
+                if marking & consume != consume or guard is not None and not guard(state):
+                    continue
+                rest = marking ^ consume
+                if rest & emit:
+                    edge = ad.edges[next(_edges(rest & emit))]
+                    raise UnsafeMarkingError(ad.nodes[n].name, (edge.src, edge.dst), Config(
+                        frozenset(_edges(marking)), tuple(zip(var_names, state))))
+                nxt = (rest | emit, _assign(state, assigns) if assigns else state)
+                nxt_id = index.get(nxt)
+                if nxt_id is None:
+                    nxt_id = index[nxt] = len(configs)
+                    configs.append(nxt)
+                transitions.append((cur_id, label, nxt_id))
     return Nfa(
         n_states=len(configs),
-        alphabet=frozenset(ad.action_names()),
+        alphabet=ad.action_names(),
         transitions=tuple(transitions),
         initial=0,
         accepting=frozenset(accepting),
     )
 
 
-def _firings(ad, nodes, out_edges, in_edges, config: Config):
-    """Enabled firings of one configuration, in deterministic node order."""
-    marking = config.marking
-    state = dict(config.state)
-    for node in ad.nodes:
-        kind = node.kind
-        if kind in (NodeKind.INITIAL, NodeKind.FINAL):
-            continue
-        ins = in_edges[node.name]
-        outs = out_edges[node.name]
-        if kind is NodeKind.ACTION:
-            for i in ins:
-                if i in marking:
-                    new_state = dict(state)
-                    for a in node.assignments:
-                        new_state[a.target] = new_state[a.source] if a.source_is_var else a.source
-                    yield node.name, _move(node.name, ad, config, [i], outs, new_state)
-        elif kind is NodeKind.DECISION:
-            i = ins[0]
-            if i in marking:
-                for o in outs:
-                    if eval_guard(ad.edges[o].guard, state):
-                        yield EPSILON, _move(node.name, ad, config, [i], [o], state)
-        elif kind is NodeKind.MERGE:
-            for i in ins:
-                if i in marking:
-                    yield EPSILON, _move(node.name, ad, config, [i], outs, state)
-        elif kind is NodeKind.FORK:
-            i = ins[0]
-            if i in marking:
-                yield EPSILON, _move(node.name, ad, config, [i], outs, state)
-        elif kind is NodeKind.JOIN:
-            if all(i in marking for i in ins):
-                yield EPSILON, _move(node.name, ad, config, ins, outs, state)
+def _edges(mask: int):
+    """The edge indices in a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _move(node_name, ad, config: Config, consume, emit, state) -> Config:
-    nxt = set(config.marking)
-    for i in consume:
-        nxt.discard(i)
-    for o in emit:
-        if o in nxt:
-            edge = ad.edges[o]
-            raise UnsafeMarkingError(node_name, (edge.src, edge.dst), config)
-        nxt.add(o)
-    return Config(frozenset(nxt), tuple(sorted(state.items())))
+def _assign(state: tuple[str, ...], assigns) -> tuple[str, ...]:
+    """``state`` after an action's assignments, applied in order."""
+    out = list(state)
+    for target, source, literal in assigns:
+        out[target] = out[source] if source >= 0 else literal
+    return tuple(out)
 
 
 class NfaRunner:

@@ -249,3 +249,61 @@ def random_ad_pair(rng: random.Random, max_len: int, word_cap: int = 3000):
                 break
         if ok:
             return ad1, ad2
+
+
+def fork_text(n, sequenced):
+    """An n-way fork of single actions, then a final action; ``sequenced``
+    puts a1 right after a0 on one branch."""
+    acts = [f"a{i}" for i in range(n)]
+    lines = ["activity work {"] + [f"  action {a};" for a in acts + ["fin"]]
+    lines += ["  fork split;", "  join sync;", "  start -> split;"]
+    for a in acts:
+        if sequenced and a == "a1":
+            continue
+        lines.append(f"  split -> {a};")
+        lines.append(f"  {a} -> {'a1' if sequenced and a == 'a0' else 'sync'};")
+    if sequenced:
+        lines.append("  a1 -> sync;")
+    lines += ["  sync -> fin;", "  fin -> end;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def unsafe_when_p(name, idle_actions):
+    """Safe when p is false; when p holds, two tokens meet on the edge out of
+    the merge named after the diagram."""
+    merge = f"m{name}"
+    idle = "".join(f" action {a}; d -[!p]-> {a}; {a} -> end;" for a in idle_actions)
+    return parse_ad(
+        f"activity {name} {{ input p: bool; action a; action b; action c;"
+        f" decision d; fork f; merge {merge};{idle}"
+        f" start -> d; d -[p]-> f; f -> a; f -> b; a -> {merge}; b -> {merge};"
+        f" {merge} -> c; c -> end; }}"
+    )
+
+
+def decision_chain_text(n: int, rich: bool = False) -> str:
+    """n decisions in a row: decision i takes action y_i when bool input b_i
+    holds and n_i otherwise. ``rich`` adds an enum input, locals that the
+    actions assign from inputs, literals and each other (one reading a value
+    assigned earlier in the same action), and guards that read them, some
+    overlapping and some leaving no way on."""
+    lines = ["activity chain {"] + [f"  input b{i}: bool;" for i in range(n)]
+    if rich:
+        lines += ["  input mode: {low, mid, high};", "  local seen: bool;",
+                  "  local last: {low, mid, high} = high;", "  local prev: {low, mid, high};"]
+    entry = "start"
+    for i in range(n):
+        yes, no = f"y{i}", f"n{i}"
+        if rich:
+            lines += [f"  action {yes} / seen := b{i}, last := mode;",
+                      f"  action {no} / last := low, prev := last;"]
+            guards = (f"b{i} && (seen || last != mid)", f"!b{i} || mode == low || prev == high")
+        else:
+            lines += [f"  action {yes};", f"  action {no};"]
+            guards = (f"b{i}", f"!b{i}")
+        lines += [f"  decision d{i};", f"  merge m{i};", f"  {entry} -> d{i};",
+                  f"  d{i} -[{guards[0]}]-> {yes};", f"  d{i} -[{guards[1]}]-> {no};",
+                  f"  {yes} -> m{i};", f"  {no} -> m{i};"]
+        entry = f"m{i}"
+    lines += [f"  {entry} -> end;", "}"]
+    return "\n".join(lines) + "\n"

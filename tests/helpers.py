@@ -1,6 +1,7 @@
 """Test-only helpers: a structural DOT validator, word membership for the
-``Dfa`` that ``determinize`` returns, and the quadratic reference for
-``object_id_prefixes``."""
+``Dfa`` that ``determinize`` returns, the quadratic reference for
+``object_id_prefixes``, and the reference config-NFA builder that
+``build_config_nfa`` must agree with."""
 
 from __future__ import annotations
 
@@ -8,6 +9,19 @@ import re
 from collections import Counter
 
 from semdiff.ad_diff import Dfa
+from semdiff.ad_lang import (
+    ActivityDiagram,
+    Guard,
+    GuardAnd,
+    GuardCmp,
+    GuardLit,
+    GuardNot,
+    GuardOr,
+    GuardVar,
+    NodeKind,
+    VarKind,
+)
+from semdiff.ad_semantics import EPSILON, Config, Nfa, UnsafeMarkingError
 
 # ---------------------------------------------------------------------------
 # DOT validation (structural only; enough to catch malformed output)
@@ -99,3 +113,127 @@ def _digit_extension(stem: str, base: str) -> bool:
         and tail.isdigit()
         and tail[0] != "0"
     )
+
+
+# ---------------------------------------------------------------------------
+# config NFAs
+
+
+def reference_build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
+    """``build_config_nfa`` as first written: markings are frozensets of edge
+    indices, the diagram is indexed again on every call, every node is tried
+    for every configuration, and guards are evaluated on their syntax trees."""
+    state0: dict[str, str] = {}
+    for v in ad.variables:
+        if v.kind is VarKind.INPUT:
+            if v.name not in valuation:
+                raise ValueError(f"valuation is missing input variable '{v.name}'")
+            value = valuation[v.name]
+            if value not in v.domain:
+                raise ValueError(
+                    f"value '{value}' is outside the domain of input '{v.name}'")
+            state0[v.name] = value
+        else:
+            state0[v.name] = v.initial
+
+    nodes = {n.name: n for n in ad.nodes}
+    out_edges: dict[str, list[int]] = {n.name: [] for n in ad.nodes}
+    in_edges: dict[str, list[int]] = {n.name: [] for n in ad.nodes}
+    for i, e in enumerate(ad.edges):
+        out_edges[e.src].append(i)
+        in_edges[e.dst].append(i)
+
+    start_out = out_edges["start"][0]
+    initial = Config(frozenset([start_out]), tuple(sorted(state0.items())))
+
+    index: dict[Config, int] = {initial: 0}
+    configs: list[Config] = [initial]
+    transitions: list[tuple[int, str | None, int]] = []
+    accepting: set[int] = set()
+    todo = [0]
+    while todo:
+        cur_id = todo.pop(0)
+        cur = configs[cur_id]
+        if any(nodes[ad.edges[i].dst].kind is NodeKind.FINAL for i in cur.marking):
+            accepting.add(cur_id)
+            continue
+        for label, nxt in _firings(ad, out_edges, in_edges, cur):
+            nxt_id = index.get(nxt)
+            if nxt_id is None:
+                nxt_id = len(configs)
+                index[nxt] = nxt_id
+                configs.append(nxt)
+                todo.append(nxt_id)
+            transitions.append((cur_id, label, nxt_id))
+    return Nfa(
+        n_states=len(configs),
+        alphabet=frozenset(ad.action_names()),
+        transitions=tuple(transitions),
+        initial=0,
+        accepting=frozenset(accepting),
+    )
+
+
+def _firings(ad, out_edges, in_edges, config: Config):
+    """Enabled firings of one configuration, in deterministic node order."""
+    marking = config.marking
+    state = dict(config.state)
+    for node in ad.nodes:
+        kind = node.kind
+        if kind in (NodeKind.INITIAL, NodeKind.FINAL):
+            continue
+        ins = in_edges[node.name]
+        outs = out_edges[node.name]
+        if kind is NodeKind.ACTION:
+            for i in ins:
+                if i in marking:
+                    new_state = dict(state)
+                    for a in node.assignments:
+                        new_state[a.target] = new_state[a.source] if a.source_is_var else a.source
+                    yield node.name, _move(node.name, ad, config, [i], outs, new_state)
+        elif kind is NodeKind.DECISION:
+            i = ins[0]
+            if i in marking:
+                for o in outs:
+                    if eval_guard(ad.edges[o].guard, state):
+                        yield EPSILON, _move(node.name, ad, config, [i], [o], state)
+        elif kind is NodeKind.MERGE:
+            for i in ins:
+                if i in marking:
+                    yield EPSILON, _move(node.name, ad, config, [i], outs, state)
+        elif kind is NodeKind.FORK:
+            i = ins[0]
+            if i in marking:
+                yield EPSILON, _move(node.name, ad, config, [i], outs, state)
+        elif kind is NodeKind.JOIN:
+            if all(i in marking for i in ins):
+                yield EPSILON, _move(node.name, ad, config, ins, outs, state)
+
+
+def _move(node_name, ad, config: Config, consume, emit, state) -> Config:
+    nxt = set(config.marking)
+    for i in consume:
+        nxt.discard(i)
+    for o in emit:
+        if o in nxt:
+            edge = ad.edges[o]
+            raise UnsafeMarkingError(node_name, (edge.src, edge.dst), config)
+        nxt.add(o)
+    return Config(frozenset(nxt), tuple(sorted(state.items())))
+
+
+def eval_guard(guard: Guard, state: dict[str, str]) -> bool:
+    if isinstance(guard, GuardLit):
+        return guard.value
+    if isinstance(guard, GuardVar):
+        return state[guard.var] == "true"
+    if isinstance(guard, GuardCmp):
+        hit = state[guard.var] == guard.value
+        return hit if guard.op == "==" else not hit
+    if isinstance(guard, GuardNot):
+        return not eval_guard(guard.inner, state)
+    if isinstance(guard, GuardAnd):
+        return eval_guard(guard.left, state) and eval_guard(guard.right, state)
+    if isinstance(guard, GuardOr):
+        return eval_guard(guard.left, state) or eval_guard(guard.right, state)
+    raise TypeError(f"not a guard: {guard!r}")

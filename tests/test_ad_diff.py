@@ -390,25 +390,8 @@ def test_unsound_search_result_fails_the_self_check(monkeypatch):
         compare_ad(par, seq)
 
 
-def fork_text(n, sequenced):
-    """An n-way fork of single actions, then a final action; ``sequenced``
-    puts a1 right after a0 on one branch."""
-    acts = [f"a{i}" for i in range(n)]
-    lines = ["activity work {"] + [f"  action {a};" for a in acts + ["fin"]]
-    lines += ["  fork split;", "  join sync;", "  start -> split;"]
-    for a in acts:
-        if sequenced and a == "a1":
-            continue
-        lines.append(f"  split -> {a};")
-        lines.append(f"  {a} -> {'a1' if sequenced and a == 'a0' else 'sync'};")
-    if sequenced:
-        lines.append("  a1 -> sync;")
-    lines += ["  sync -> fin;", "  fin -> end;", "}"]
-    return "\n".join(lines) + "\n"
-
-
 def test_ten_way_fork_refines_to_its_sequenced_variant():
-    plain, sequenced = parse_ad(fork_text(10, False)), parse_ad(fork_text(10, True))
+    plain, sequenced = parse_ad(generators.fork_text(10, False)), parse_ad(generators.fork_text(10, True))
     assert compare_ad(plain, sequenced).value is VerdictValue.RIGHT_REFINES_LEFT
     result = addiff(plain, sequenced, 2)
     first = ("a1", "a0", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "fin")
@@ -417,21 +400,8 @@ def test_ten_way_fork_refines_to_its_sequenced_variant():
     assert not result.exhausted
 
 
-def unsafe_when_p(name, idle_actions):
-    """Safe when p is false; when p holds, two tokens meet on the edge out of
-    the merge named after the diagram."""
-    merge = f"m{name}"
-    idle = "".join(f" action {a}; d -[!p]-> {a}; {a} -> end;" for a in idle_actions)
-    return parse_ad(
-        f"activity {name} {{ input p: bool; action a; action b; action c;"
-        f" decision d; fork f; merge {merge};{idle}"
-        f" start -> d; d -[p]-> f; f -> a; f -> b; a -> {merge}; b -> {merge};"
-        f" {merge} -> c; c -> end; }}"
-    )
-
-
 def test_compare_reports_the_unsafe_diagram_a_backward_search_meets_first():
-    x, y = unsafe_when_p("X", ["x1", "z"]), unsafe_when_p("Y", ["z"])
+    x, y = generators.unsafe_when_p("X", ["x1", "z"]), generators.unsafe_when_p("Y", ["z"])
     # Forward differs at p=false already; only the backward direction reaches
     # p=true, and a backward search builds the right diagram first.
     with pytest.raises(UnsafeMarkingError, match="'mY'"):

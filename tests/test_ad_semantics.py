@@ -1,6 +1,13 @@
+import pickle
+import random
+
 import pytest
 
-from semdiff.ad_lang import parse_ad
+import generators
+from helpers import reference_build_config_nfa
+from semdiff import ad_semantics
+from semdiff.ad_diff import addiff
+from semdiff.ad_lang import parse_ad, print_ad
 from semdiff.ad_semantics import (
     DomainMismatchError,
     Trace,
@@ -114,22 +121,96 @@ def test_assignment_feeds_later_guard():
     assert enumerate_traces(without, {}, 5) == [("prepare", "no")]
 
 
+FORK_INTO_MERGE = parse_ad(
+    """
+    activity U {
+      fork f; merge m; action a; action b; action c;
+      start -> f; f -> a; f -> b;
+      a -> m; b -> m;
+      m -> c; c -> end;
+    }
+    """
+)
+
+
 def test_double_marking_is_rejected():
-    ad = parse_ad(
-        """
-        activity U {
-          fork f; merge m; action a; action b; action c;
-          start -> f; f -> a; f -> b;
-          a -> m; b -> m;
-          m -> c; c -> end;
-        }
-        """
-    )
     with pytest.raises(UnsafeMarkingError) as err:
-        build_config_nfa(ad, {})
+        build_config_nfa(FORK_INTO_MERGE, {})
     assert err.value.node == "m"
     assert err.value.edge == ("m", "c")
     assert "m -> c" in str(err.value)
+
+
+def test_build_config_nfa_matches_the_reference_builder(adv):
+    rng = random.Random(2011)
+    diagrams = [ad for _ in range(150) for ad in generators.random_ad_pair(rng, max_len=8)]
+    diagrams += adv
+    diagrams += [parse_ad(generators.fork_text(n, False)) for n in range(2, 9)]
+    diagrams += [parse_ad(generators.fork_text(n, True)) for n in range(3, 9)]
+    diagrams += [parse_ad(generators.decision_chain_text(n, rich))
+                 for n in (1, 2, 4) for rich in (False, True)]
+    builds = 0
+    for ad in diagrams:
+        for v in input_valuations(ad.input_vars(), ()):
+            # Nfa equality covers state numbering, transition order and the
+            # accepting set.
+            assert build_config_nfa(ad, v) == reference_build_config_nfa(ad, v)
+            builds += 1
+    assert builds > len(diagrams)
+
+
+# A fork that fires again while two of its outgoing edges are still marked.
+REFORKING_LOOP = parse_ad(
+    "activity W { fork f; merge m; action a; action b; action c;"
+    " start -> m; m -> f; f -> a; f -> b; f -> c; c -> m; a -> end; b -> end; }"
+)
+
+
+@pytest.mark.parametrize("ad, valuation", [
+    (FORK_INTO_MERGE, {}),
+    (generators.unsafe_when_p("X", ["x1", "z"]), {"p": "true"}),
+    (generators.unsafe_when_p("Y", ["z"]), {"p": "true"}),
+    (REFORKING_LOOP, {}),
+], ids=["fork-into-merge", "unsafe-X", "unsafe-Y", "reforking-loop"])
+def test_unsafe_marking_error_matches_the_reference_builder(ad, valuation):
+    with pytest.raises(UnsafeMarkingError) as ours:
+        build_config_nfa(ad, valuation)
+    with pytest.raises(UnsafeMarkingError) as ref:
+        reference_build_config_nfa(ad, valuation)
+    assert str(ours.value) == str(ref.value)
+    assert ours.value.node == ref.value.node
+    assert ours.value.edge == ref.value.edge
+    assert ours.value.config == ref.value.config
+
+
+def test_missing_inputs_name_the_first_declared_one():
+    ad = parse_ad(
+        "activity M { input zeta: bool; input alpha: bool; decision d; action x;"
+        " action y; start -> d; d -[zeta && alpha]-> x; d -[!zeta || !alpha]-> y;"
+        " x -> end; y -> end; }"
+    )
+    for build in (build_config_nfa, reference_build_config_nfa):
+        with pytest.raises(ValueError, match="missing input variable 'zeta'$"):
+            build(ad, {})
+
+
+def test_addiff_compiles_each_diagram_once(monkeypatch):
+    compiled = []
+    real = ad_semantics.compile_ad
+
+    def counting(ad):
+        compiled.append(id(ad))
+        return real(ad)
+
+    monkeypatch.setattr(ad_semantics, "compile_ad", counting)
+    text = generators.decision_chain_text(8)
+    a, b = parse_ad(text), parse_ad(text)
+    assert len(input_valuations(a.input_vars(), b.input_vars())) == 256
+    assert addiff(a, b).witnesses == []
+    assert sorted(compiled) == sorted([id(a), id(b)])
+    addiff(a, b)
+    addiff(b, a)
+    assert len(compiled) == 2
 
 
 def test_accepts_membership(adv):
@@ -201,3 +282,13 @@ def test_enumeration_is_deterministic(adv):
     first = enumerate_traces(adv[1], {"isInternal": "true"}, 10)
     second = enumerate_traces(adv[1], {"isInternal": "true"}, 10)
     assert first == second and len(first) > 1
+
+
+def test_a_compiled_diagram_still_pickles(adv):
+    ad = parse_ad(print_ad(adv[1]))
+    before = pickle.dumps(ad)
+    build_config_nfa(ad, {"isInternal": "true"})
+    copy = pickle.loads(pickle.dumps(ad))
+    assert pickle.dumps(ad) == before
+    assert copy == ad and "compiled" not in vars(copy)
+    assert build_config_nfa(copy, {"isInternal": "true"}) == build_config_nfa(ad, {"isInternal": "true"})
