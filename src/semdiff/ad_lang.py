@@ -188,12 +188,6 @@ class ActivityDiagram:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 
-    def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
     def action_names(self) -> frozenset[str]:
         return frozenset(n.name for n in self.nodes if n.kind is NodeKind.ACTION)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity, closure_map
+from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .cd_semantics import (
     Link,
     ObjectModel,
@@ -129,34 +129,32 @@ def _rejected_link_choices(
 
     ``objects`` must already pass ``cd1``'s object-level check.
     """
-    closures1 = closure_map(cd1)
-    closures2 = closure_map(cd2)
     assocs1 = sorted(cd1.associations, key=lambda a: a.name)
     decls2 = {b.name: b for b in cd2.associations}
     names1 = {a.name for a in assocs1}
     if not _object_level_ok(objects, cd2) or not all(
-        _links_ok(b, (), objects, closures2) for b in cd2.associations if b.name not in names1
+        _links_ok(b, (), objects, cd2.closures) for b in cd2.associations if b.name not in names1
     ):
-        yield from _unions([_assoc_link_sets(a, objects, closures1) for a in assocs1])
+        yield from _unions([_assoc_link_sets(a, objects, cd1.closures) for a in assocs1])
         return
     accepted: list[list[LinkSet] | None] = []  # None: cd2 admits every link set
     flagged: list[list[LinkSet]] = []
     for a in assocs1:
         b = decls2.get(a.name)
-        if _contained(a, b, objects, closures1, closures2):
+        if _contained(a, b, objects, cd1.closures, cd2.closures):
             accepted.append(None)
             flagged.append([])
             continue
         ok: list[LinkSet] = []
         bad: list[LinkSet] = []
-        for links in _assoc_link_sets(a, objects, closures1):
-            (ok if _links_ok(b, links, objects, closures2) else bad).append(links)
+        for links in _assoc_link_sets(a, objects, cd1.closures):
+            (ok if _links_ok(b, links, objects, cd2.closures) else bad).append(links)
         accepted.append(ok)
         flagged.append(bad)
     if not any(flagged):
         return
     every = [
-        _assoc_link_sets(a, objects, closures1) if ok is None else ok + bad
+        _assoc_link_sets(a, objects, cd1.closures) if ok is None else ok + bad
         for a, ok, bad in zip(assocs1, accepted, flagged)
     ]
     accepted = [e if ok is None else ok for e, ok in zip(every, accepted)]
@@ -176,14 +174,13 @@ def _unions(choice_lists: list[list[LinkSet]]) -> Iterator[frozenset[Link]]:
 def _object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
     """Object-population checks only: declared, concrete, singleton counts."""
     modifiers = {c.name: c.modifier for c in cd.classes}
-    closures = closure_map(cd)
     for cls in objects.values():
         mod = modifiers.get(cls)
         if mod is None or mod is ClassModifier.ABSTRACT:
             return False
     for decl in cd.classes:
         if decl.modifier is ClassModifier.SINGLETON:
-            n = sum(1 for cls in objects.values() if cls in closures[decl.name])
+            n = sum(1 for cls in objects.values() if cls in cd.closures[decl.name])
             if n != 1:
                 return False
     return True

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 from .lexer import EOF, Diagnostic, ParseError, TokenCursor, tokenize
 
@@ -74,8 +74,10 @@ class ClassDiagram:
     extends: tuple[tuple[str, str], ...]  # (child, parent) pairs
     associations: tuple[Association, ...]
 
-    def class_names(self) -> frozenset[str]:
-        return frozenset(c.name for c in self.classes)
+    @cached_property
+    def closures(self) -> dict[str, frozenset[str]]:
+        """Each declared class's subclass closure (``closures_of``), built on first use."""
+        return closures_of(self.extends, tuple(c.name for c in self.classes))
 
 
 def parse_cd(text: str) -> ClassDiagram:
@@ -228,24 +230,21 @@ def print_cd(cd: ClassDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def closure_of(extends: tuple[tuple[str, str], ...], root: str) -> frozenset[str]:
-    """Reflexive-transitive subclass closure of ``root`` under an extends relation."""
+def closures_of(
+    extends: tuple[tuple[str, str], ...], roots: tuple[str, ...]
+) -> dict[str, frozenset[str]]:
+    """Each root's reflexive-transitive subclass closure under an extends relation."""
     children: dict[str, list[str]] = {}
     for child, parent in extends:
         children.setdefault(parent, []).append(child)
-    out = {root}
-    todo = [root]
-    while todo:
-        cur = todo.pop()
-        for ch in children.get(cur, ()):
-            if ch not in out:
-                out.add(ch)
-                todo.append(ch)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def closure_map(cd: ClassDiagram) -> dict[str, frozenset[str]]:
-    """Each declared class's subclass closure (see ``closure_of``)."""
-    return {c.name: closure_of(cd.extends, c.name) for c in cd.classes}
-
+    closures = {}
+    for root in roots:
+        out = {root}
+        todo = [root]
+        while todo:
+            for ch in children.get(todo.pop(), ()):
+                if ch not in out:
+                    out.add(ch)
+                    todo.append(ch)
+        closures[root] = frozenset(out)
+    return closures

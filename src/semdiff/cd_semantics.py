@@ -15,11 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .cd_lang import ClassDiagram, ClassModifier, closure_map, closure_of
+from .cd_lang import ClassDiagram, ClassModifier, closures_of
 from .lexer import EOF, IDENT, Diagnostic, ParseError, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
@@ -110,7 +110,7 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
     """
     violations: list[Violation] = []
     modifiers = {c.name: c.modifier for c in cd.classes}
-    closures = closure_map(cd)
+    closures = cd.closures
 
     for oid in sorted(om.objects):
         cls = om.objects[oid]
@@ -192,6 +192,11 @@ class Universe:
     extends: tuple[tuple[str, str], ...]
     associations: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 
+    @cached_property
+    def closures(self) -> dict[str, frozenset[str]]:
+        """Each class's subclass closure under the joint extends relation."""
+        return closures_of(self.extends, self.classes)
+
 
 def universe_of(*cds: ClassDiagram) -> Universe:
     classes: set[str] = set()
@@ -247,18 +252,13 @@ def _digit_bases(stem: str) -> list[str]:
     return bases
 
 
-@lru_cache(maxsize=None)
-def _universe_closures(universe: Universe) -> dict[str, frozenset[str]]:
-    return {c: closure_of(universe.extends, c) for c in universe.classes}
-
-
 def compatible_pairs(universe: Universe, objects: dict[str, str]) -> list[Link]:
     """All links the universe can justify over the given objects, sorted.
 
     A pair fits an association if some declaration of that name covers both
     ends through the joint subclass closure.
     """
-    closures = _universe_closures(universe)
+    closures = universe.closures
     by_class: dict[str, list[str]] = {}
     for oid in sorted(objects):
         by_class.setdefault(objects[oid], []).append(oid)

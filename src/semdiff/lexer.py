@@ -83,9 +83,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token(NAT, text[i:j], line, col))
             col += j - i
@@ -101,6 +101,15 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(Diagnostic(line, col, f"unexpected character {ch!r}"))
     tokens.append(Token(EOF, "", line, col))
     return tokens
+
+
+def is_ident(text: str) -> bool:
+    """Whether ``tokenize`` reads ``text`` as exactly one identifier token."""
+    try:
+        first = tokenize(text)[0]
+    except ParseError:
+        return False
+    return first.kind == IDENT and first.text == text
 
 
 class TokenCursor:

@@ -10,14 +10,13 @@ output is meant for graphviz.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .ad_lang import ActivityDiagram, NodeKind, print_guard
 from .ad_semantics import Trace
 from .cd_semantics import ObjectModel, print_om
-from .lexer import Diagnostic, ParseError
+from .lexer import Diagnostic, ParseError, is_ident
 
 
 class OutputFormat(Enum):
@@ -94,9 +93,6 @@ def render_om(om: ObjectModel, format: OutputFormat) -> RenderedArtifact:
 # ---------------------------------------------------------------------------
 # traces
 
-_STEP_RE = re.compile(r"^\s*(\d+)\.\s*(\S+)\s*$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
 
 def print_trace(trace: Trace) -> str:
     header = "inputs:"
@@ -132,7 +128,7 @@ def parse_trace(text: str) -> Trace:
             for part in rest.split(","):
                 name, sep, value = part.strip().partition("=")
                 name, value = name.strip(), value.strip()
-                if not sep or not _NAME_RE.match(name) or not _NAME_RE.match(value):
+                if not sep or not is_ident(name) or not is_ident(value):
                     diagnostics.append(
                         Diagnostic(lineno, 1, f"malformed input binding '{part.strip()}'")
                     )
@@ -143,13 +139,14 @@ def parse_trace(text: str) -> Trace:
                 else:
                     inputs[name] = value
             continue
-        m = _STEP_RE.match(raw)
-        if not m or not _NAME_RE.match(m.group(2)):
+        digits, _, action = line.partition(".")
+        action = action.strip()
+        if not digits.isdecimal() or not is_ident(action):
             diagnostics.append(
                 Diagnostic(lineno, 1, f"expected a numbered action step, found '{line}'")
             )
             continue
-        number = int(m.group(1))
+        number = int(digits)
         if number != len(actions) + 1:
             diagnostics.append(
                 Diagnostic(
@@ -158,7 +155,7 @@ def parse_trace(text: str) -> Trace:
                 )
             )
             continue
-        actions.append(m.group(2))
+        actions.append(action)
     if not seen_header and not diagnostics:
         diagnostics.append(Diagnostic(1, 1, "expected 'inputs:' header"))
     if diagnostics:

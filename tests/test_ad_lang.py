@@ -94,7 +94,7 @@ def test_node_may_reuse_declaration_keywords():
     # Lookahead keeps "input -> end;" an edge while "action input;" declares
     # a node called input.
     ad = parse_ad("activity A { action input; start -> input; input -> end; }")
-    assert ad.node("input").kind is NodeKind.ACTION
+    assert {n.name: n.kind for n in ad.nodes}["input"] is NodeKind.ACTION
 
 
 def test_guard_precedence():
@@ -224,7 +224,7 @@ def test_assignment_prefers_variable_over_value():
         }
         """
     )
-    (assign,) = ad.node("a").assignments
+    (assign,) = next(n for n in ad.nodes if n.name == "a").assignments
     assert assign.source == "y" and assign.source_is_var
 
 

@@ -1,10 +1,12 @@
 import pytest
 
-from semdiff import cd_diff
+from semdiff import cd_diff, cd_lang
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd
 from semdiff.cd_semantics import enumerate_object_models, is_instance, print_om, universe_of
 from semdiff.verdict import VerdictValue
+
+from conftest import fixture_text
 
 
 def texts(result):
@@ -39,6 +41,32 @@ def test_versions_with_cap_and_inheritance_are_incomparable(cd1v1, cd1v2):
     verdict = compare_cd(cd1v1, cd1v2, 3)
     assert verdict.value is VerdictValue.INCOMPARABLE
     assert verdict.bounded
+
+
+def test_each_diagram_builds_its_closures_once(monkeypatch):
+    calls = []
+    real = cd_lang.closures_of
+
+    def counting(extends, roots):
+        calls.append(id(extends))
+        return real(extends, roots)
+
+    monkeypatch.setattr(cd_lang, "closures_of", counting)
+    text = fixture_text("cd1v2.cd")
+    a, b = parse_cd(text), parse_cd(text)
+    assert cddiff(a, b).witnesses == []
+    assert compare_cd(a, b).value is VerdictValue.EQUIVALENT
+    assert sorted(calls) == sorted([id(a.extends), id(b.extends)])
+    # A pair that differs, so that the is_instance self-checks run as well.
+    old = parse_cd(fixture_text("cd1v1.cd"))
+    result = cddiff(a, old)
+    assert result.witnesses
+    assert len(calls) == 3
+    cddiff(a, b)
+    compare_cd(b, old)
+    cddiff(old, a)
+    assert is_instance(result.witnesses[0], b) == is_instance(result.witnesses[0], a)
+    assert len(calls) == 3
 
 
 def test_abstract_superclass_refactoring_is_equivalent(cd5v1, cd5v2):

@@ -6,8 +6,7 @@ from semdiff.cd_lang import (
     ClassDiagram,
     ClassModifier,
     Multiplicity,
-    closure_map,
-    closure_of,
+    closures_of,
     parse_cd,
     print_cd,
 )
@@ -147,28 +146,40 @@ def test_error_position_points_at_offender():
     assert (diag.line, diag.col) == (3, 3)
 
 
-def test_closure_map_with_inheritance(cd1v1, cd1v2):
-    assert closure_map(cd1v2)["Employee"] == {"Employee", "Manager"}
-    assert closure_map(cd1v1)["Employee"] == {"Employee"}
-    assert closure_map(cd1v2)["Task"] == {"Task"}
+def test_closures_with_inheritance(cd1v1, cd1v2):
+    assert cd1v2.closures["Employee"] == {"Employee", "Manager"}
+    assert cd1v1.closures["Employee"] == {"Employee"}
+    assert cd1v2.closures["Task"] == {"Task"}
 
 
-def test_closure_map_is_transitive():
+def test_closures_are_transitive():
     cd = parse_cd(
         "classdiagram C { class A; class B extends A; class C extends B; }"
     )
-    assert closure_map(cd) == {"A": {"A", "B", "C"}, "B": {"B", "C"}, "C": {"C"}}
+    assert cd.closures == {"A": {"A", "B", "C"}, "B": {"B", "C"}, "C": {"C"}}
 
 
-def test_closure_map_holds_only_declared_classes():
+def test_closures_hold_only_declared_classes():
     cd = parse_cd("classdiagram C { class A; }")
-    assert closure_map(cd) == {"A": {"A"}}
+    assert cd.closures == {"A": {"A"}}
+
+
+def test_closures_leave_equality_hash_and_repr_alone():
+    text = "classdiagram C { class A; class B extends A; }"
+    cd, fresh = parse_cd(text), parse_cd(text)
+    before = (hash(cd), repr(cd))
+    assert cd.closures == {"A": {"A", "B"}, "B": {"B"}}
+    assert "closures" in vars(cd) and "closures" not in vars(fresh)
+    assert (cd == fresh, hash(cd), repr(cd)) == (True, *before)
 
 
 def test_closure_tolerates_cycles():
     # Validation rejects cyclic extends, but the closure helper itself must
     # not loop forever when handed one directly.
-    assert closure_of((("A", "B"), ("B", "A")), "A") == {"A", "B"}
+    assert closures_of((("A", "B"), ("B", "A")), ("A", "B")) == {
+        "A": {"A", "B"},
+        "B": {"A", "B"},
+    }
 
 
 def test_print_rejects_multiple_parents():

@@ -265,6 +265,26 @@ def test_deeply_nested_guard_exits_two_with_position(tmp_path):
     assert err == f"{ad_file}:7:107: guard nested more than 100 levels deep\n"
 
 
+def _self_association(tmp_path, name, mult):
+    path = tmp_path / name
+    path.write_text(f"classdiagram C {{\n  class A;\n  association r [{mult}] A -- A [*];\n}}\n")
+    return str(path)
+
+
+def test_non_decimal_digit_is_a_positioned_error(tmp_path):
+    path = _self_association(tmp_path, "f.cd", "\u00b2")  # superscript two
+    code, out, err = go("cd", "compare", path, path)
+    assert (code, out, err) == (2, "", f"{path}:3:18: unexpected character '\u00b2'\n")
+
+
+def test_unicode_decimal_digits_read_as_a_number(tmp_path):
+    arabic = _self_association(tmp_path, "arabic.cd", "\u0663")  # Arabic-Indic three
+    three = _self_association(tmp_path, "three.cd", "3")
+    two = _self_association(tmp_path, "two.cd", "2")
+    assert go("cd", "compare", arabic, three) == (0, "EQUIVALENT (bounded k=3)\n", "")
+    assert go("cd", "compare", arabic, two)[0] == 1
+
+
 def test_thousand_class_diagram_compares_at_bound_zero(tmp_path):
     path = tmp_path / "big.cd"
     classes = "".join(f"  class C{i};\n" for i in range(1100))

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from semdiff.ad_diff import addiff
 from semdiff.ad_lang import parse_ad
 from semdiff.ad_semantics import Trace
 from semdiff.cd_semantics import parse_om, print_om
@@ -108,6 +109,31 @@ def test_trace_text_round_trip():
     multi = Trace.make({"b": "x", "a": "y"}, ("go",))
     assert parse_trace(print_trace(multi)) == multi
     assert print_trace(multi).startswith("inputs: a=y, b=x\n")
+
+
+def test_trace_text_round_trips_non_ascii_names():
+    # Every name the lexer reads as one identifier must come back from the
+    # text form: here an action and an enum input value from a real diff.
+    v1 = parse_ad(
+        "activity A { input sorte: {thé, café}; action café; action thé; decision d;"
+        " start -> d; d -[sorte == café]-> café; d -[sorte == thé]-> thé;"
+        " café -> end; thé -> end; }"
+    )
+    v2 = parse_ad("activity A { input sorte: {thé, café}; action thé; start -> thé; thé -> end; }")
+    (witness,) = addiff(v1, v2).witnesses
+    assert witness == Trace.make({"sorte": "café"}, ("café",))
+    assert print_trace(witness) == "inputs: sorte=café\n  1. café\n"
+    assert parse_trace(print_trace(witness)) == witness
+    multi = Trace.make({"_ß2": "ǅ", "x": "é_1"}, ("ℌ", "naïve", "a²"))
+    assert parse_trace(print_trace(multi)) == multi
+
+
+@pytest.mark.parametrize("name", ["a b", "1a", "²", "a-b", "a.b", "café!"])
+def test_parse_trace_rejects_what_the_lexer_does_not_read_as_one_name(name):
+    with pytest.raises(ParseError):
+        parse_trace(f"inputs:\n  1. {name}\n")
+    with pytest.raises(ParseError):
+        parse_trace(f"inputs: v={name}\n")
 
 
 def trace_error_cases():
