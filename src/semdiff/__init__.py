@@ -33,7 +33,6 @@ from .cli import HistoryReport, HistoryRow, history_report, main, run
 from .lexer import Diagnostic, ParseError
 from .render import (
     OutputFormat,
-    RenderedArtifact,
     parse_trace,
     print_trace,
     render_om,
@@ -56,7 +55,6 @@ __all__ = [
     "ObjectModel",
     "OutputFormat",
     "ParseError",
-    "RenderedArtifact",
     "Trace",
     "UnsafeMarkingError",
     "Verdict",

@@ -222,13 +222,13 @@ def parse_ad(text: str) -> ActivityDiagram:
     reachability; every problem is reported with its source position.
     """
     cur = TokenCursor(tokenize(text))
-    cur.expect_keyword("activity")
+    cur.expect("activity")
     name = cur.expect_ident("an activity name").text
-    cur.expect_sym("{")
+    cur.expect("{")
     raw_vars: list[tuple[Token, VarKind, tuple[str, ...], Token | None]] = []
     raw_nodes: list[tuple[NodeKind, Token, list[tuple[Token, Token]]]] = []
     raw_edges: list[tuple[Token, Guard | None, Token]] = []
-    while not cur.at_sym("}"):
+    while not cur.at("}"):
         tok = cur.peek()
         if tok.kind == EOF:
             cur.fail("expected '}', found end of input")
@@ -240,7 +240,7 @@ def parse_ad(text: str) -> ActivityDiagram:
             raw_nodes.append(_parse_nodedecl(cur))
         else:
             raw_edges.append(_parse_edge(cur))
-    cur.expect_sym("}")
+    cur.expect("}")
     cur.expect_eof()
     return _resolve(name, raw_vars, raw_nodes, raw_edges)
 
@@ -248,22 +248,22 @@ def parse_ad(text: str) -> ActivityDiagram:
 def _parse_vardecl(cur: TokenCursor):
     kind = VarKind.INPUT if cur.advance().text == "input" else VarKind.LOCAL
     name_tok = cur.expect_ident("a variable name")
-    cur.expect_sym(":")
-    if cur.eat_ident("bool"):
+    cur.expect(":")
+    if cur.eat("bool"):
         domain = BOOL_DOMAIN
     else:
-        cur.expect_sym("{")
+        cur.expect("{")
         values = [cur.expect_ident("a domain value").text]
-        if not cur.at_sym(","):
+        if not cur.at(","):
             cur.fail("expected ',' (enum domains need at least two values)")
-        while cur.eat_sym(","):
+        while cur.eat(","):
             values.append(cur.expect_ident("a domain value").text)
-        cur.expect_sym("}")
+        cur.expect("}")
         domain = tuple(values)
     initial_tok = None
-    if cur.eat_sym("="):
+    if cur.eat("="):
         initial_tok = cur.expect_ident("an initial value")
-    cur.expect_sym(";")
+    cur.expect(";")
     return name_tok, kind, domain, initial_tok
 
 
@@ -271,44 +271,44 @@ def _parse_nodedecl(cur: TokenCursor):
     kind = _NODE_KEYWORDS[cur.advance().text]
     name_tok = cur.expect_ident("a node name")
     assigns: list[tuple[Token, Token]] = []
-    if kind is NodeKind.ACTION and cur.eat_sym("/"):
+    if kind is NodeKind.ACTION and cur.eat("/"):
         while True:
             target = cur.expect_ident("an assignment target")
-            cur.expect_sym(":=")
+            cur.expect(":=")
             source = cur.expect_ident("a value or variable")
             assigns.append((target, source))
-            if not cur.eat_sym(","):
+            if not cur.eat(","):
                 break
-    cur.expect_sym(";")
+    cur.expect(";")
     return kind, name_tok, assigns
 
 
 def _parse_edge(cur: TokenCursor):
     src_tok = cur.expect_ident("a node name")
     guard = None
-    if cur.eat_sym("-["):
+    if cur.eat("-["):
         guard_tok = cur.peek()
         guard = _parse_guard(cur, 0)
         if _guard_height(guard) > MAX_GUARD_DEPTH:
             cur.fail(f"guard nested more than {MAX_GUARD_DEPTH} levels deep", guard_tok)
-        cur.expect_sym("]->")
+        cur.expect("]->")
     else:
-        cur.expect_sym("->")
+        cur.expect("->")
     dst_tok = cur.expect_ident("a node name")
-    cur.expect_sym(";")
+    cur.expect(";")
     return src_tok, guard, dst_tok
 
 
 def _parse_guard(cur: TokenCursor, depth: int) -> Guard:
     left = _parse_guard_and(cur, depth)
-    while cur.eat_sym("||"):
+    while cur.eat("||"):
         left = GuardOr(left, _parse_guard_and(cur, depth))
     return left
 
 
 def _parse_guard_and(cur: TokenCursor, depth: int) -> Guard:
     left = _parse_guard_unary(cur, depth)
-    while cur.eat_sym("&&"):
+    while cur.eat("&&"):
         left = GuardAnd(left, _parse_guard_unary(cur, depth))
     return left
 
@@ -316,20 +316,20 @@ def _parse_guard_and(cur: TokenCursor, depth: int) -> Guard:
 def _parse_guard_unary(cur: TokenCursor, depth: int) -> Guard:
     # ``depth`` counts the enclosing '!' and '(' and bounds the parser's own
     # recursion; _parse_edge bounds the height of the finished tree.
-    if (cur.at_sym("!") or cur.at_sym("(")) and depth >= MAX_GUARD_DEPTH:
+    if (cur.at("!") or cur.at("(")) and depth >= MAX_GUARD_DEPTH:
         cur.fail(f"guard nested more than {MAX_GUARD_DEPTH} levels deep")
-    if cur.eat_sym("!"):
+    if cur.eat("!"):
         return GuardNot(_parse_guard_unary(cur, depth + 1))
-    if cur.eat_sym("("):
+    if cur.eat("("):
         inner = _parse_guard(cur, depth + 1)
-        cur.expect_sym(")")
+        cur.expect(")")
         return inner
     tok = cur.expect_ident("a guard term")
     if tok.text == "true":
         return GuardLit(True)
     if tok.text == "false":
         return GuardLit(False)
-    if cur.at_sym("==") or cur.at_sym("!="):
+    if cur.at("==") or cur.at("!="):
         op = cur.advance().text
         value = cur.expect_ident("a value").text
         return GuardCmp(tok.text, op, value)

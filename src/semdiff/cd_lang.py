@@ -87,17 +87,17 @@ def parse_cd(text: str) -> ClassDiagram:
     or on any collection of validation problems.
     """
     cur = TokenCursor(tokenize(text))
-    cur.expect_keyword("classdiagram")
+    cur.expect("classdiagram")
     name = cur.expect_ident("a diagram name").text
-    cur.expect_sym("{")
+    cur.expect("{")
     classes: list[ClassDecl] = []
     extends: list[tuple[str, str]] = []
     extend_pos: dict[str, tuple[int, int]] = {}
     associations: list[Association] = []
-    while not cur.at_sym("}"):
+    while not cur.at("}"):
         if cur.peek().kind == EOF:
             cur.fail("expected '}', found end of input")
-        if cur.at_ident("association"):
+        if cur.at("association"):
             associations.append(_parse_assoc(cur))
         else:
             decl, parent = _parse_classdecl(cur)
@@ -105,7 +105,7 @@ def parse_cd(text: str) -> ClassDiagram:
             if parent is not None:
                 extends.append((decl.name, parent))
                 extend_pos[decl.name] = decl.pos
-    cur.expect_sym("}")
+    cur.expect("}")
     cur.expect_eof()
     cd = ClassDiagram(name, tuple(classes), tuple(extends), tuple(associations))
     problems = _validate(cd, extend_pos)
@@ -117,47 +117,47 @@ def parse_cd(text: str) -> ClassDiagram:
 def _parse_classdecl(cur: TokenCursor) -> tuple[ClassDecl, str | None]:
     tok = cur.peek()
     modifier = ClassModifier.CONCRETE
-    if cur.eat_ident("abstract"):
+    if cur.eat("abstract"):
         modifier = ClassModifier.ABSTRACT
-    elif cur.eat_ident("singleton"):
+    elif cur.eat("singleton"):
         modifier = ClassModifier.SINGLETON
-    cur.expect_keyword("class")
+    cur.expect("class")
     name = cur.expect_ident("a class name").text
     parent = None
-    if cur.eat_ident("extends"):
+    if cur.eat("extends"):
         parent = cur.expect_ident("a parent class name").text
-    cur.expect_sym(";")
+    cur.expect(";")
     return ClassDecl(name, modifier, (tok.line, tok.col)), parent
 
 
 def _parse_assoc(cur: TokenCursor) -> Association:
-    tok = cur.expect_keyword("association")
+    tok = cur.expect("association")
     name = cur.expect_ident("an association name").text
     left_mult = _parse_mult(cur)
     left = cur.expect_ident("a class name").text
-    cur.expect_sym("--")
+    cur.expect("--")
     right = cur.expect_ident("a class name").text
     right_mult = _parse_mult(cur)
-    cur.expect_sym(";")
+    cur.expect(";")
     return Association(name, left, left_mult, right, right_mult, (tok.line, tok.col))
 
 
 def _parse_mult(cur: TokenCursor) -> Multiplicity:
     # An omitted multiplicity reads as "*".
-    if not cur.eat_sym("["):
+    if not cur.eat("["):
         return MANY
-    if cur.eat_sym("*"):
-        cur.expect_sym("]")
+    if cur.eat("*"):
+        cur.expect("]")
         return MANY
     lo, lo_tok = cur.expect_nat()
-    if not cur.eat_sym(".."):
-        cur.expect_sym("]")
+    if not cur.eat(".."):
+        cur.expect("]")
         return Multiplicity(lo, lo)
-    if cur.eat_sym("*"):
-        cur.expect_sym("]")
+    if cur.eat("*"):
+        cur.expect("]")
         return Multiplicity(lo, UNBOUNDED)
     hi, _ = cur.expect_nat()
-    cur.expect_sym("]")
+    cur.expect("]")
     if lo > hi:
         cur.fail(f"multiplicity {lo}..{hi} has min > max", lo_tok)
     return Multiplicity(lo, hi)

@@ -54,33 +54,33 @@ class Violation:
 def parse_om(text: str) -> ObjectModel:
     """Parse object-model text; raises ParseError on bad syntax or references."""
     cur = TokenCursor(tokenize(text))
-    cur.expect_keyword("objectmodel")
+    cur.expect("objectmodel")
     name = cur.expect_ident("an object model name").text
-    cur.expect_sym("{")
+    cur.expect("{")
     objects: dict[str, str] = {}
     links: list[tuple[Link, tuple[int, int]]] = []
     problems: list[Diagnostic] = []
-    while not cur.at_sym("}"):
+    while not cur.at("}"):
         if cur.peek().kind == EOF:
             cur.fail("expected '}', found end of input")
         tok = cur.peek()
-        if tok.text == "link" and cur.peek(1).kind == IDENT:
+        if cur.at("link") and cur.peek(1).kind == IDENT:
             cur.advance()
             assoc = cur.expect_ident("an association name").text
             src = cur.expect_ident("an object id").text
-            cur.expect_sym("--")
+            cur.expect("--")
             dst = cur.expect_ident("an object id").text
-            cur.expect_sym(";")
+            cur.expect(";")
             links.append(((assoc, src, dst), (tok.line, tok.col)))
         else:
             oid = cur.expect_ident("an object id").text
-            cur.expect_sym(":")
+            cur.expect(":")
             cls = cur.expect_ident("a class name").text
-            cur.expect_sym(";")
+            cur.expect(";")
             if oid in objects:
                 problems.append(Diagnostic(tok.line, tok.col, f"duplicate object id '{oid}'"))
             objects[oid] = cls
-    cur.expect_sym("}")
+    cur.expect("}")
     cur.expect_eof()
     for (assoc, src, dst), pos in links:
         for end in (src, dst):

@@ -109,7 +109,7 @@ def _cmd_cd_diff(args, out, err) -> int:
     cd2 = _load(args.right, parse_cd)
     result = cddiff(cd1, cd2, args.bound, args.max_witnesses)
     fmt = OutputFormat(args.format)
-    out.write(render_diff(result.witnesses, result.exhausted, args.bound, fmt).payload)
+    out.write(render_diff(result.witnesses, result.exhausted, args.bound, fmt))
     return 1 if result.witnesses else 0
 
 
@@ -129,7 +129,7 @@ def _cmd_ad_diff(args, out, err) -> int:
     ad2 = _load(args.right, parse_ad)
     result = addiff(ad1, ad2, args.max_witnesses, args.max_len)
     fmt = OutputFormat(args.format)
-    out.write(render_diff(result.witnesses, result.exhausted, result.max_len, fmt, ad1).payload)
+    out.write(render_diff(result.witnesses, result.exhausted, result.max_len, fmt, ad1))
     return 1 if result.witnesses else 0
 
 
@@ -144,21 +144,21 @@ def _cmd_ad_compare(args, out, err) -> int:
 def _cmd_history(args, out, err) -> int:
     _check(args.bound >= 0, "--bound must be >= 0")
     report = history_report(args.files, args.kind, args.bound)
-    out.write(render_history(report.rows, OutputFormat(args.format)).payload)
+    out.write(render_history(report.rows, OutputFormat(args.format)))
     clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in report.rows)
     return 0 if clean else 1
 
 
 def _cmd_render_om(args, out, err) -> int:
     om = _load(args.file, parse_om)
-    out.write(render_om(om, OutputFormat(args.format)).payload)
+    out.write(render_om(om, OutputFormat(args.format)))
     return 0
 
 
 def _cmd_render_trace(args, out, err) -> int:
     ad = _load(args.ad_file, parse_ad)
     trace = _load(args.trace_file, parse_trace)
-    out.write(render_trace(ad, trace, OutputFormat(args.format)).payload)
+    out.write(render_trace(ad, trace, OutputFormat(args.format)))
     return 0
 
 

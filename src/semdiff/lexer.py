@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,17 @@ _SYMBOLS = (
     "{", "}", "(", ")", "[", "]", ";", ":", ",", "*", "!", "=", "/",
 )
 
+# The one definition of a token, alternatives tried in order. ``\d`` is
+# exactly ``str.isdecimal`` and ``\w`` exactly ``str.isalnum`` or "_"; a word
+# is an identifier only if it starts with a letter or "_" (see _starts_ident).
+# Only space, tab, CR and LF separate tokens; anything else is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    rf"|(?P<{NAT}>\d+)|(?P<{IDENT}>\w+)|(?P<{SYM}>{'|'.join(map(re.escape, _SYMBOLS))})|(?P<error>.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -55,61 +64,35 @@ class Token:
         return "end of input" if self.kind == EOF else f"'{self.text}'"
 
 
+def _starts_ident(word: str) -> bool:
+    return word[0].isalpha() or word[0] == "_"
+
+
 def tokenize(text: str) -> list[Token]:
     """Split source text into tokens, skipping whitespace and // comments."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space" or kind == "comment":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token(NAT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(SYM, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(Diagnostic(line, col, f"unexpected character {ch!r}"))
-    tokens.append(Token(EOF, "", line, col))
+        word, col = m.group(), m.start() - line_start + 1
+        if kind == "error" or kind == IDENT and not _starts_ident(word):
+            raise ParseError(Diagnostic(line, col, f"unexpected character {word[0]!r}"))
+        tokens.append(Token(kind, word, line, col))
+    # A trailing comment leaves the end of input at the column it starts in.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    tokens.append(Token(EOF, "", line, end - line_start + 1))
     return tokens
 
 
 def is_ident(text: str) -> bool:
     """Whether ``tokenize`` reads ``text`` as exactly one identifier token."""
-    try:
-        first = tokenize(text)[0]
-    except ParseError:
-        return False
-    return first.kind == IDENT and first.text == text
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == IDENT and _starts_ident(text)
 
 
 class TokenCursor:
@@ -129,41 +112,25 @@ class TokenCursor:
             self._i += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == SYM and tok.text == text
+    # A symbol, a keyword and a number never share a text, so the text alone
+    # says which token is meant.
+    def at(self, text: str) -> bool:
+        return self._tokens[self._i].text == text
 
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        if tok.kind != IDENT:
-            return False
-        return text is None or tok.text == text
-
-    def eat_sym(self, text: str) -> bool:
-        if self.at_sym(text):
+    def eat(self, text: str) -> bool:
+        if self.at(text):
             self.advance()
             return True
         return False
 
-    def eat_ident(self, text: str) -> bool:
-        if self.at_ident(text):
-            self.advance()
-            return True
-        return False
-
-    def expect_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
             self.fail(f"expected '{text}', found {self.peek().describe()}")
         return self.advance()
 
     def expect_ident(self, what: str = "an identifier") -> Token:
         if self.peek().kind != IDENT:
             self.fail(f"expected {what}, found {self.peek().describe()}")
-        return self.advance()
-
-    def expect_keyword(self, text: str) -> Token:
-        if not self.at_ident(text):
-            self.fail(f"expected '{text}', found {self.peek().describe()}")
         return self.advance()
 
     def expect_nat(self) -> tuple[int, Token]:

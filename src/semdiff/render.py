@@ -10,7 +10,6 @@ output is meant for graphviz.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .ad_lang import ActivityDiagram, NodeKind, print_guard
@@ -23,12 +22,6 @@ class OutputFormat(Enum):
     TEXT = "text"
     DOT = "dot"
     JSON = "json"
-
-
-@dataclass(frozen=True)
-class RenderedArtifact:
-    format: OutputFormat
-    payload: str
 
 
 def _dot_quote(text: str) -> str:
@@ -53,9 +46,9 @@ def _witness_form(format: OutputFormat, ad: ActivityDiagram | None):
     return forms[format]
 
 
-def _artifact(format: OutputFormat, value) -> RenderedArtifact:
-    """``value`` as the payload; a JSON document is dumped first."""
-    return RenderedArtifact(format, _json_dump(value) if format is OutputFormat.JSON else value)
+def _payload(format: OutputFormat, value) -> str:
+    """``value`` as output text; a JSON document is dumped first."""
+    return _json_dump(value) if format is OutputFormat.JSON else value
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +79,8 @@ def om_dot(om: ObjectModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_om(om: ObjectModel, format: OutputFormat) -> RenderedArtifact:
-    return _artifact(format, _witness_form(format, None)(om))
+def render_om(om: ObjectModel, format: OutputFormat) -> str:
+    return _payload(format, _witness_form(format, None)(om))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +211,8 @@ def trace_dot(ad: ActivityDiagram, trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace(
-    ad: ActivityDiagram, trace: Trace, format: OutputFormat
-) -> RenderedArtifact:
-    return _artifact(format, _witness_form(format, ad)(trace))
+def render_trace(ad: ActivityDiagram, trace: Trace, format: OutputFormat) -> str:
+    return _payload(format, _witness_form(format, ad)(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ def render_diff(
     bound: int | None,
     format: OutputFormat,
     ad: ActivityDiagram | None = None,
-) -> RenderedArtifact:
+) -> str:
     """A diff result: object models searched up to ``bound`` objects per
     class or, given ``ad``, traces of ``ad`` cut at length ``bound``.
 
@@ -252,19 +243,19 @@ def render_diff(
     """
     form = _witness_form(format, ad)
     if format is OutputFormat.DOT:
-        return RenderedArtifact(format, "\n".join(form(w) for w in witnesses))
+        return "\n".join(form(w) for w in witnesses)
     if format is OutputFormat.JSON:
-        return _artifact(format, diff_json(exhausted, bound, [form(w) for w in witnesses]))
+        return _json_dump(diff_json(exhausted, bound, [form(w) for w in witnesses]))
     state = "exhausted" if exhausted else "not exhausted"
     if ad is None:
         state += f", k={bound}"
     count = len(witnesses)
     head = "no witnesses" if count == 0 else f"{count} witness{'' if count == 1 else 'es'}"
     blocks = [f"witness {i}:\n{form(w)}" for i, w in enumerate(witnesses, 1)]
-    return RenderedArtifact(format, "".join([f"{head} ({state})\n", *blocks]))
+    return "".join([f"{head} ({state})\n", *blocks])
 
 
-def render_history(rows, format: OutputFormat) -> RenderedArtifact:
+def render_history(rows, format: OutputFormat) -> str:
     """History rows (``from_file``, ``to_file``, ``verdict``, ``forward``,
     ``backward``) as an aligned text table or a JSON document."""
     if format is OutputFormat.DOT:
@@ -272,8 +263,8 @@ def render_history(rows, format: OutputFormat) -> RenderedArtifact:
     columns = ("from", "to", "verdict", "forward", "backward")
     table = [(r.from_file, r.to_file, str(r.verdict), r.forward, r.backward) for r in rows]
     if format is OutputFormat.JSON:
-        return _artifact(format, {"rows": [dict(zip(columns, row)) for row in table]})
+        return _json_dump({"rows": [dict(zip(columns, row)) for row in table]})
     cells = [columns, *([str(value) for value in row] for row in table)]
     widths = [max(map(len, column)) for column in zip(*cells)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
-    return RenderedArtifact(format, "".join(line + "\n" for line in lines))
+    return "".join(line + "\n" for line in lines)

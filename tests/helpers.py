@@ -1,5 +1,6 @@
-"""Test-only helpers: a structural DOT validator, word membership for the
-``Dfa`` that ``determinize`` returns, the quadratic reference for
+"""Test-only helpers: the README's model blocks, a structural DOT validator,
+word membership for the ``Dfa`` that ``determinize`` returns, the
+character-loop reference for ``tokenize``, the quadratic reference for
 ``object_id_prefixes``, and the reference config-NFA builder that
 ``build_config_nfa`` must agree with."""
 
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from pathlib import Path
 
 from semdiff.ad_diff import Dfa
 from semdiff.ad_lang import (
@@ -22,6 +24,23 @@ from semdiff.ad_lang import (
     VarKind,
 )
 from semdiff.ad_semantics import EPSILON, Config, Nfa, UnsafeMarkingError
+from semdiff.lexer import EOF, IDENT, NAT, SYM, Diagnostic, ParseError, Token
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODEL_KEYWORDS = ("classdiagram", "activity", "objectmodel")
+
+
+def model_blocks() -> list[tuple[str, str]]:
+    """(keyword, text) of each fenced README block that starts with a model
+    keyword."""
+    blocks = []
+    for text in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                           re.DOTALL | re.MULTILINE):
+        words = text.split(maxsplit=1)
+        if words and words[0] in MODEL_KEYWORDS:
+            blocks.append((words[0], text))
+    return blocks
+
 
 # ---------------------------------------------------------------------------
 # DOT validation (structural only; enough to catch malformed output)
@@ -78,6 +97,64 @@ def dfa_accepts_word(dfa: Dfa, word) -> bool:
             return False
         state = dfa.transitions[state][col[letter]]
     return state in dfa.accepting
+
+
+# ---------------------------------------------------------------------------
+# tokens
+
+REFERENCE_SYMBOLS = (
+    "]->", ":=", "==", "!=", "&&", "||", "-[", "--", "->", "..",
+    "{", "}", "(", ")", "[", "]", ";", ":", ",", "*", "!", "=", "/",
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """``tokenize`` as first written: one character at a time, trying every
+    symbol, longest first, with ``str.startswith``."""
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token(IDENT, text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token(NAT, text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token(SYM, sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(Diagnostic(line, col, f"unexpected character {ch!r}"))
+    tokens.append(Token(EOF, "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,20 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from semdiff.lexer import EOF, IDENT, NAT, SYM, ParseError, TokenCursor, tokenize
+from semdiff.cd_lang import parse_cd
+from semdiff.lexer import EOF, IDENT, NAT, SYM, ParseError, TokenCursor, is_ident, tokenize
+
+from conftest import FIXTURES
+from helpers import reference_tokenize
+
+# Text for the differential tests: every character of the fixtures, plus
+# characters that sit on the edges of the lexical rules (non-decimal digits,
+# digits of other scripts, a combining accent, separators that are not
+# token separators) and the comment opener.
+PIECES = sorted({ch for path in FIXTURES.iterdir() for ch in path.read_text(encoding="utf-8")}) + [
+    "\u00b2", "\u00bd", "\u216b", "\u0663", "\U0001d7d9", "\u00e9", "\u0301",
+    "\x0b", "\x0c", "\xa0", "\x85", "\t", "\r", "//",
+]
 
 
 def kinds_and_texts(source):
@@ -60,7 +74,7 @@ def test_unexpected_character_is_positioned():
 
 def test_cursor_expectations_report_found_token():
     cur = TokenCursor(tokenize("class 7"))
-    cur.expect_keyword("class")
+    cur.expect("class")
     with pytest.raises(ParseError, match="expected an identifier, found '7'"):
         cur.expect_ident()
 
@@ -68,10 +82,84 @@ def test_cursor_expectations_report_found_token():
 def test_cursor_reports_end_of_input():
     cur = TokenCursor(tokenize(""))
     with pytest.raises(ParseError, match="end of input"):
-        cur.expect_sym("{")
+        cur.expect("{")
 
 
 def test_diagnostic_str_format():
     with pytest.raises(ParseError) as err:
         tokenize("%")
     assert str(err.value.diagnostics[0]) == "1:1: unexpected character '%'"
+
+
+def test_cursor_verbs_read_symbols_keywords_and_numbers_alike():
+    cur = TokenCursor(tokenize("class [ 7"))
+    assert cur.at("class") and not cur.at("[")
+    assert cur.eat("class") and not cur.eat("class")
+    assert cur.expect("[").text == "["
+    assert cur.expect("7").kind == NAT
+    with pytest.raises(ParseError, match="expected '}', found end of input"):
+        cur.expect("}")
+
+
+def outcome(tokenizer, text):
+    """The token list, or the diagnostic text of the error."""
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return str(err)
+
+
+def reads_as_one_ident(text):
+    try:
+        first = reference_tokenize(text)[0]
+    except ParseError:
+        return False
+    return first.kind == IDENT and first.text == text
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_tokenize_matches_the_character_loop(text):
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=4).map("".join))
+def test_is_ident_matches_the_character_loop(text):
+    assert is_ident(text) == reads_as_one_ident(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a\u00b2", [(IDENT, "a\u00b2", 1, 1), (EOF, "", 1, 3)]),
+    ("\u00e9 _1 \u0663\u0663", [(IDENT, "\u00e9", 1, 1), (IDENT, "_1", 1, 3), (NAT, "\u0663\u0663", 1, 6),
+                                (EOF, "", 1, 8)]),
+    ("a // note", [(IDENT, "a", 1, 1), (EOF, "", 1, 3)]),
+    ("a // note\nb", [(IDENT, "a", 1, 1), (IDENT, "b", 2, 1), (EOF, "", 2, 2)]),
+])
+def test_token_positions_at_the_edges(text, expected):
+    assert tokenize(text) == expected == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u00b2a", "1:1: unexpected character '\u00b2'"),
+    ("1\u00bd", "1:2: unexpected character '\u00bd'"),
+    ("x\u0301", "1:2: unexpected character " + repr("\u0301")),
+    ("a\x0bb", "1:2: unexpected character '\\x0b'"),
+    ("a\xa0", "1:2: unexpected character '\\xa0'"),
+    ("\n\x85", "2:1: unexpected character '\\x85'"),
+])
+def test_characters_outside_the_rules_are_positioned_errors(text, message):
+    assert outcome(tokenize, text) == message == outcome(reference_tokenize, text)
+
+
+def test_trailing_comment_leaves_end_of_input_at_its_start():
+    with pytest.raises(ParseError) as err:
+        parse_cd("classdiagram C {\n  class A; // note")
+    assert str(err.value) == "2:12: expected '}', found end of input"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a", True), ("_", True), ("caf\u00e9", True), ("a\u00b2", True),
+    ("", False), ("1a", False), ("\u00b2a", False), ("x\u0301", False), ("a b", False),
+    ("a//", False), ("a\n", False), ("->", False), ("7", False),
+])
+def test_is_ident(text, expected):
+    assert is_ident(text) is expected is reads_as_one_ident(text)

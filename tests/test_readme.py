@@ -1,27 +1,14 @@
 """Every model example in README.md must be accepted by its parser."""
 
-import re
-from pathlib import Path
-
 import pytest
 
 from semdiff.ad_lang import parse_ad
 from semdiff.cd_lang import parse_cd
 from semdiff.cd_semantics import is_instance, parse_om
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from helpers import model_blocks
+
 PARSERS = {"classdiagram": parse_cd, "activity": parse_ad, "objectmodel": parse_om}
-
-
-def model_blocks():
-    """(keyword, text) of each fenced block that starts with a model keyword."""
-    blocks = []
-    for text in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
-                           re.DOTALL | re.MULTILINE):
-        words = text.split(maxsplit=1)
-        if words and words[0] in PARSERS:
-            blocks.append((words[0], text))
-    return blocks
 
 
 def test_readme_shows_every_model_language():

@@ -81,15 +81,14 @@ def test_empty_om_renders():
     om = parse_om("objectmodel empty { }")
     validate_dot(om_dot(om))
     assert om_json(om) == {"objects": [], "links": []}
-    assert render_om(om, OutputFormat.TEXT).payload == print_om(om)
+    assert render_om(om, OutputFormat.TEXT) == print_om(om)
 
 
 def test_render_om_json_payload_parses_back():
     om = parse_om(WITNESS_OM)
-    artifact = render_om(om, OutputFormat.JSON)
-    assert artifact.format is OutputFormat.JSON
-    assert json.loads(artifact.payload) == om_json(om)
-    assert artifact.payload.endswith("\n")
+    text = render_om(om, OutputFormat.JSON)
+    assert json.loads(text) == om_json(om)
+    assert text.endswith("\n")
 
 
 def test_print_trace_layout():
@@ -205,9 +204,9 @@ def test_trace_dot_orders_steps_of_a_real_witness():
 
 def test_render_trace_formats():
     ad = parse_ad(fixture_text("adv3.ad"))
-    assert render_trace(ad, TRACE, OutputFormat.TEXT).payload == print_trace(TRACE)
-    assert render_trace(ad, TRACE, OutputFormat.DOT).payload == trace_dot(ad, TRACE)
-    assert json.loads(render_trace(ad, TRACE, OutputFormat.JSON).payload) == trace_json(TRACE)
+    assert render_trace(ad, TRACE, OutputFormat.TEXT) == print_trace(TRACE)
+    assert render_trace(ad, TRACE, OutputFormat.DOT) == trace_dot(ad, TRACE)
+    assert json.loads(render_trace(ad, TRACE, OutputFormat.JSON)) == trace_json(TRACE)
 
 
 def test_diff_json_shape():
@@ -245,5 +244,5 @@ def test_rendering_is_deterministic():
     om = parse_om(WITNESS_OM)
     ad = parse_ad(fixture_text("adv3.ad"))
     for fmt in OutputFormat:
-        assert render_om(om, fmt).payload == render_om(om, fmt).payload
-        assert render_trace(ad, TRACE, fmt).payload == render_trace(ad, TRACE, fmt).payload
+        assert render_om(om, fmt) == render_om(om, fmt)
+        assert render_trace(ad, TRACE, fmt) == render_trace(ad, TRACE, fmt)
