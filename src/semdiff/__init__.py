@@ -6,7 +6,7 @@ diagram the set of action traces it can execute. A diff is a set of concrete
 witnesses belonging to the first model's semantics and not the second's.
 """
 
-from .ad_diff import AdDiffResult, addiff, compare_ad, difference_automaton
+from .ad_diff import addiff, compare_ad, difference_automaton
 from .ad_lang import ActivityDiagram, parse_ad, print_ad
 from .ad_semantics import (
     DomainMismatchError,
@@ -17,7 +17,7 @@ from .ad_semantics import (
     enumerate_traces,
     input_valuations,
 )
-from .cd_diff import CdDiffResult, cddiff, compare_cd
+from .cd_diff import cddiff, compare_cd
 from .cd_lang import ClassDiagram, Multiplicity, parse_cd, print_cd
 from .cd_semantics import (
     ObjectModel,
@@ -29,7 +29,7 @@ from .cd_semantics import (
     print_om,
     universe_of,
 )
-from .cli import HistoryReport, HistoryRow, history_report, main, run
+from .cli import HistoryRow, history_report, main, run
 from .lexer import Diagnostic, ParseError
 from .render import (
     OutputFormat,
@@ -38,18 +38,16 @@ from .render import (
     render_om,
     render_trace,
 )
-from .verdict import Verdict, VerdictValue
+from .verdict import DiffResult, Verdict, VerdictValue
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActivityDiagram",
-    "AdDiffResult",
-    "CdDiffResult",
     "ClassDiagram",
     "Diagnostic",
+    "DiffResult",
     "DomainMismatchError",
-    "HistoryReport",
     "HistoryRow",
     "Multiplicity",
     "ObjectModel",

@@ -16,16 +16,16 @@ Ackerman & Shallit, "Efficient enumeration of words in regular languages"
 (TCS 2009): the backward layer ``reach[r]`` holds the pairs that reach an
 accepting pair in exactly r steps, and the walk for length L only steps into
 pairs of ``reach[L - depth - 1]``. Every step then leads to a witness, so a
-witness costs O(L·|Σ|) steps however many shorter traces A has. ``compare_ad``
-only asks whether a pair graph holds an accepting pair. Every witness, and
-the trace behind every difference ``compare_ad`` reports, is checked again by
-running it on the two config NFAs the search built. Unlike the bounded
-class-diagram search this is exact: the state spaces are finite.
+witness costs O(L·|Σ|) steps however many shorter traces A has. ``addiff``
+and ``compare_ad`` share one step per valuation, ``_witnesses``: build the
+pair graph, walk it, and check every trace found again by running it on the
+two config NFAs; ``compare_ad`` asks it for one witness per direction.
+Unlike the bounded class-diagram search this is exact: the state spaces are
+finite. ``determinize`` and ``difference_automaton`` return the graphs they
+explore as deterministic ``Nfa``s, complete for ``determinize``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ad_lang import ActivityDiagram
 from .ad_semantics import (
@@ -35,32 +35,7 @@ from .ad_semantics import (
     build_config_nfa,
     input_valuations,
 )
-from .verdict import Verdict
-
-DEFAULT_MAX_WITNESSES = 10
-
-
-@dataclass(frozen=True)
-class Dfa:
-    """A complete deterministic automaton.
-
-    ``transitions[state][i]`` is the successor on ``alphabet[i]``; the table
-    must be total and there are no silent moves by construction.
-    """
-
-    alphabet: tuple[str, ...]
-    transitions: tuple[tuple[int, ...], ...]
-    initial: int
-    accepting: frozenset[int]
-
-    def __post_init__(self):
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
-                raise ValueError("transition table is not total")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.transitions)
+from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
 
 def _explore(initial, successors, letters, stop):
@@ -107,6 +82,8 @@ def _walk(
     Returns (words, exhausted); exhausted is False exactly when some further
     word exists beyond ``max_words`` or ``max_len``.
     """
+    if not any(final):
+        return [], True
     preds: list[list[int]] = [[] for _ in rows]
     for sid, row in enumerate(rows):
         for tid in row:
@@ -166,9 +143,10 @@ def _words_of_length(rows, letters, reach, length: int):
         states.pop()
 
 
-def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Dfa:
+def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Nfa:
     """Subset construction over ``alphabet`` (the NFA's own by default),
-    completed with a sink so the result is total."""
+    completed with a sink: every state of the result has exactly one move
+    per letter and no silent move."""
     letters = tuple(sorted(alphabet if alphabet is not None else nfa.alphabet))
     runner = NfaRunner(nfa)
     order, rows = _explore(
@@ -177,8 +155,7 @@ def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Dfa:
         letters,
         _never,
     )
-    accepting = frozenset(i for i, s in enumerate(order) if runner.is_accepting(s))
-    return Dfa(letters, tuple(tuple(r) for r in rows), 0, accepting)
+    return _graph_nfa(rows, [runner.is_accepting(s) for s in order], letters)
 
 
 def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
@@ -187,7 +164,11 @@ def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
     It is the pair graph of ``a`` against ``b`` without the cut at accepting
     pairs (see the module docstring), so it is deterministic.
     """
-    rows, final, letters = _pair_graph(NfaRunner(a), NfaRunner(b), trimmed=False)
+    return _graph_nfa(*_pair_graph(NfaRunner(a), NfaRunner(b), trimmed=False))
+
+
+def _graph_nfa(rows: list[list[int]], final: list[bool], letters) -> Nfa:
+    """The graph that ``_explore`` spelled out as an ``Nfa`` from state 0."""
     return Nfa(
         n_states=len(rows),
         alphabet=frozenset(letters),
@@ -246,16 +227,19 @@ def _never(state) -> bool:
     return False
 
 
-def _self_check(a: NfaRunner, b: NfaRunner, trace: Trace) -> None:
-    if not a.accepts(trace.actions) or b.accepts(trace.actions):
-        raise RuntimeError(f"diff search produced an unsound witness: {trace}")
-
-
-@dataclass
-class AdDiffResult:
-    witnesses: list[Trace]
-    exhausted: bool
-    max_len: int | None
+def _witnesses(
+    a: NfaRunner, b: NfaRunner, valuation: dict[str, str], budget: int, max_len: int | None
+) -> tuple[list[Trace], bool]:
+    """Up to ``budget`` traces of ``a`` that ``b`` cannot produce under
+    ``valuation``, each re-run on both config NFAs, and whether the search
+    for them finished (see ``_walk``)."""
+    rows, final, letters = _pair_graph(a, b)
+    words, exhausted = _walk(rows, final, letters, budget, max_len)
+    traces = [Trace.make(valuation, w) for w in words]
+    for trace in traces:
+        if not a.accepts(trace.actions) or b.accepts(trace.actions):
+            raise RuntimeError(f"diff search produced an unsound witness: {trace}")
+    return traces, exhausted
 
 
 def addiff(
@@ -263,7 +247,7 @@ def addiff(
     ad2: ActivityDiagram,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
     max_len: int | None = None,
-) -> AdDiffResult:
+) -> DiffResult:
     """Prefix-minimal traces possible in ``ad1`` and impossible in ``ad2``.
 
     Valuations over the union of both input signatures are visited in order;
@@ -275,32 +259,27 @@ def addiff(
         raise ValueError("max_witnesses must be >= 1")
     if max_len is not None and max_len < 0:
         raise ValueError("max_len must be >= 0")
-    valuations = input_valuations(ad1.input_vars(), ad2.input_vars())
     witnesses: list[Trace] = []
     exhausted = True
-    for v in valuations:
+    for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         budget = max_witnesses - len(witnesses)
         if budget == 0:
             exhausted = False
             break
         a = NfaRunner(build_config_nfa(ad1, v))
         b = NfaRunner(build_config_nfa(ad2, v))
-        rows, final, letters = _pair_graph(a, b)
-        words, done = _walk(rows, final, letters, budget, max_len)
-        for w in words:
-            trace = Trace.make(v, w)
-            _self_check(a, b, trace)
-            witnesses.append(trace)
+        found, done = _witnesses(a, b, v, budget, max_len)
+        witnesses.extend(found)
         exhausted = exhausted and done
-    return AdDiffResult(witnesses, exhausted, max_len)
+    return DiffResult(witnesses, exhausted)
 
 
 def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
     """Relate two activity diagrams exactly.
 
-    A direction differs when some valuation's pair graph holds an accepting
-    pair. Valuations are visited in order until both directions differ, and
-    each valuation's two config NFAs serve both directions.
+    A direction differs when some valuation has a witness for it. Valuations
+    are visited in order until both directions differ, and each valuation's
+    two config NFAs serve both directions.
     """
     ads = (ad1, ad2)
     differs = [False, False]
@@ -313,11 +292,6 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
         for side in ((1, 0) if differs[0] else (0, 1)):
             runners[side] = NfaRunner(build_config_nfa(ads[side], v))
         for d, (a, b) in enumerate((runners, runners[::-1])):
-            if differs[d]:
-                continue
-            rows, final, letters = _pair_graph(a, b)
-            if any(final):
-                words, _ = _walk(rows, final, letters, 1, None)
-                _self_check(a, b, Trace.make(v, words[0]))
-                differs[d] = True
+            if not differs[d]:
+                differs[d] = bool(_witnesses(a, b, v, 1, None)[0])
     return Verdict.of(*differs, bounded=False)

@@ -397,14 +397,13 @@ def _resolve(name, raw_vars, raw_nodes, raw_edges) -> ActivityDiagram:
     for src_tok, guard, dst_tok in raw_edges:
         pos = (src_tok.line, src_tok.col)
         for tok in (src_tok, dst_tok):
-            if tok.text not in node_table and tok.text not in (START, END):
-                problems.append(Diagnostic(tok.line, tok.col, f"unknown node '{tok.text}'"))
-        for tok in (src_tok, dst_tok):
             if tok.text in (START, END) and tok.text not in node_table:
                 kind = NodeKind.INITIAL if tok.text == START else NodeKind.FINAL
                 node = Node(tok.text, kind, (), (tok.line, tok.col))
                 nodes.append(node)
                 node_table[tok.text] = node
+            elif tok.text not in node_table:
+                problems.append(Diagnostic(tok.line, tok.col, f"unknown node '{tok.text}'"))
         if guard is not None:
             _check_guard(guard, var_table, pos, problems)
         edges.append(Edge(src_tok.text, dst_tok.text, guard, pos))
@@ -468,6 +467,29 @@ def _check_guard(guard: Guard, var_table, pos, problems) -> None:
         _check_guard(guard.right, var_table, pos, problems)
 
 
+# Per node kind, the (direction, fewest, most) edge counts it must have, in
+# reporting order; None is no upper limit.
+_DEGREES = {
+    NodeKind.INITIAL: (("incoming", 0, 0), ("outgoing", 1, 1)),
+    NodeKind.FINAL: (("outgoing", 0, 0), ("incoming", 1, None)),
+    NodeKind.ACTION: (("outgoing", 1, 1),),
+    NodeKind.MERGE: (("outgoing", 1, 1),),
+    NodeKind.DECISION: (("incoming", 1, 1), ("outgoing", 2, None)),
+    NodeKind.FORK: (("incoming", 1, 1), ("outgoing", 2, None)),
+    NodeKind.JOIN: (("incoming", 2, None), ("outgoing", 1, 1)),
+}
+
+
+def _degree_message(direction: str, fewest: int, most: int | None, n: int) -> str:
+    if most == 0:
+        return f"cannot have {direction} edges"
+    if most == 1:
+        return f"must have exactly one {direction} edge, found {n}"
+    if fewest == 1:
+        return "is never reached by an edge"
+    return f"needs at least two {direction} edges, found {n}"
+
+
 def _check_structure(node_table: dict[str, Node], edges: list[Edge]) -> list[Diagnostic]:
     problems: list[Diagnostic] = []
     known_edges = [e for e in edges
@@ -490,48 +512,15 @@ def _check_structure(node_table: dict[str, Node], edges: list[Edge]) -> list[Dia
         problems.append(Diagnostic(1, 1, "no final node: nothing reaches 'end' and no 'final' is declared"))
 
     for node in node_table.values():
-        n_in = len(incoming[node.name])
-        n_out = len(outgoing[node.name])
-        kind = node.kind
-        where = node.pos if node.pos != (0, 0) else (1, 1)
-        if kind is NodeKind.INITIAL:
-            if n_in != 0:
-                problems.append(Diagnostic(*where, "'start' cannot have incoming edges"))
-            if n_out != 1:
-                problems.append(Diagnostic(*where, f"'start' must have exactly one outgoing edge, found {n_out}"))
-        elif kind is NodeKind.FINAL:
-            if n_out != 0:
-                problems.append(Diagnostic(*where, f"final node '{node.name}' cannot have outgoing edges"))
-            if n_in < 1:
-                problems.append(Diagnostic(*where, f"final node '{node.name}' is never reached by an edge"))
-        elif kind in (NodeKind.ACTION, NodeKind.MERGE):
-            if n_out != 1:
-                problems.append(Diagnostic(
-                    *where, f"{kind.value} node '{node.name}' must have exactly one outgoing edge, found {n_out}"))
-        elif kind is NodeKind.DECISION:
-            if n_in != 1:
-                problems.append(Diagnostic(
-                    *where, f"decision node '{node.name}' must have exactly one incoming edge, found {n_in}"))
-            if n_out < 2:
-                problems.append(Diagnostic(
-                    *where, f"decision node '{node.name}' needs at least two outgoing edges, found {n_out}"))
+        label = "'start'" if node.kind is NodeKind.INITIAL else f"{node.kind.value} node '{node.name}'"
+        for direction, fewest, most in _DEGREES[node.kind]:
+            n = len((incoming if direction == "incoming" else outgoing)[node.name])
+            if n < fewest or (most is not None and n > most):
+                problems.append(Diagnostic(*node.pos, f"{label} {_degree_message(direction, fewest, most, n)}"))
+        if node.kind is NodeKind.DECISION:
             for e in outgoing[node.name]:
                 if e.guard is None:
                     problems.append(Diagnostic(*e.pos, f"unguarded edge leaving decision node '{node.name}'"))
-        elif kind is NodeKind.FORK:
-            if n_in != 1:
-                problems.append(Diagnostic(
-                    *where, f"fork node '{node.name}' must have exactly one incoming edge, found {n_in}"))
-            if n_out < 2:
-                problems.append(Diagnostic(
-                    *where, f"fork node '{node.name}' needs at least two outgoing edges, found {n_out}"))
-        elif kind is NodeKind.JOIN:
-            if n_in < 2:
-                problems.append(Diagnostic(
-                    *where, f"join node '{node.name}' needs at least two incoming edges, found {n_in}"))
-            if n_out != 1:
-                problems.append(Diagnostic(
-                    *where, f"join node '{node.name}' must have exactly one outgoing edge, found {n_out}"))
 
     if START in node_table:
         reached = {START}
@@ -544,9 +533,7 @@ def _check_structure(node_table: dict[str, Node], edges: list[Edge]) -> list[Dia
                     frontier.append(e.dst)
         for name in sorted(node_table):
             if name not in reached:
-                node = node_table[name]
-                where = node.pos if node.pos != (0, 0) else (1, 1)
-                problems.append(Diagnostic(*where, f"node '{name}' is unreachable from 'start'"))
+                problems.append(Diagnostic(*node_table[name].pos, f"node '{name}' is unreachable from 'start'"))
     return problems
 
 

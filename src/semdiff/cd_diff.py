@@ -23,7 +23,6 @@ built into models.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -39,20 +38,12 @@ from .cd_semantics import (
     print_om,
     universe_of,
 )
-from .verdict import Verdict
+from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
 DEFAULT_BOUND = 3
-DEFAULT_MAX_WITNESSES = 10
 
 LinkSet = tuple[Link, ...]
 _DECIDE, _TAKE, _UNDO = range(3)
-
-
-@dataclass
-class CdDiffResult:
-    witnesses: list[ObjectModel]
-    exhausted: bool
-    bound: int
 
 
 def cddiff(
@@ -60,7 +51,7 @@ def cddiff(
     cd2: ClassDiagram,
     k: int = DEFAULT_BOUND,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
-) -> CdDiffResult:
+) -> DiffResult:
     """Object models instantiating ``cd1`` but not ``cd2``, up to bound ``k``.
 
     Witnesses come back sorted by total object count, then canonical text,
@@ -88,7 +79,7 @@ def cddiff(
         ok2, _ = is_instance(w, cd2)
         if not ok1 or ok2:
             raise RuntimeError(f"diff search produced an unsound witness:\n{print_om(w)}")
-    return CdDiffResult(witnesses, exhausted, k)
+    return DiffResult(witnesses, exhausted)
 
 
 def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> Verdict:

@@ -174,8 +174,7 @@ def _validate(cd: ClassDiagram, extend_pos: dict[str, tuple[int, int]]) -> list[
     declared = set(seen)
     for child, parent in cd.extends:
         if parent not in declared:
-            pos = extend_pos.get(child, (0, 0))
-            problems.append(_diag(pos, f"'{child}' extends unknown class '{parent}'"))
+            problems.append(_diag(extend_pos[child], f"'{child}' extends unknown class '{parent}'"))
     assoc_seen: set[str] = set()
     for a in cd.associations:
         if a.name in assoc_seen:
@@ -190,8 +189,7 @@ def _validate(cd: ClassDiagram, extend_pos: dict[str, tuple[int, int]]) -> list[
         seen_chain = {name}
         while hop is not None:
             if hop == name:
-                pos = extend_pos.get(name, seen[name].pos)
-                problems.append(_diag(pos, f"inheritance cycle through '{name}'"))
+                problems.append(_diag(extend_pos[name], f"inheritance cycle through '{name}'"))
                 break
             if hop in seen_chain:
                 break

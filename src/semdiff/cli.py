@@ -18,7 +18,7 @@ from pathlib import Path
 from .ad_diff import addiff, compare_ad
 from .ad_lang import parse_ad
 from .ad_semantics import DomainMismatchError, UnsafeMarkingError
-from .cd_diff import DEFAULT_BOUND, DEFAULT_MAX_WITNESSES, cddiff, compare_cd
+from .cd_diff import DEFAULT_BOUND, cddiff, compare_cd
 from .cd_lang import parse_cd
 from .cd_semantics import parse_om
 from .lexer import ParseError
@@ -30,7 +30,7 @@ from .render import (
     render_om,
     render_trace,
 )
-from .verdict import Verdict, VerdictValue
+from .verdict import DEFAULT_MAX_WITNESSES, Verdict, VerdictValue
 
 
 class CliError(Exception):
@@ -48,11 +48,6 @@ class HistoryRow:
     verdict: Verdict
     forward: int
     backward: int
-
-
-@dataclass(frozen=True)
-class HistoryReport:
-    rows: tuple[HistoryRow, ...]
 
 
 def _load(path: str, parser):
@@ -74,22 +69,19 @@ def _check(condition: bool, message: str) -> None:
 
 
 def history_report(
-    paths: list[str],
-    kind: str,
-    bound: int = DEFAULT_BOUND,
-    max_witnesses: int = DEFAULT_MAX_WITNESSES,
-) -> HistoryReport:
+    paths: list[str], kind: str, bound: int = DEFAULT_BOUND
+) -> tuple[HistoryRow, ...]:
     """Compare each consecutive pair of model files of one kind.
 
-    Witness counts are capped at ``max_witnesses`` per direction; the verdict
-    is derived from the two counts.
+    Witness counts are capped at ``DEFAULT_MAX_WITNESSES`` per direction; the
+    verdict is derived from the two counts.
     """
     _check(kind in ("cd", "ad"), f"unknown history kind '{kind}'")
     _check(len(paths) >= 2, "history needs at least two files")
     if kind == "cd":
-        parser, diff = parse_cd, lambda x, y: cddiff(x, y, bound, max_witnesses)
+        parser, diff = parse_cd, lambda x, y: cddiff(x, y, bound)
     else:
-        parser, diff = parse_ad, lambda x, y: addiff(x, y, max_witnesses)
+        parser, diff = parse_ad, addiff
     models = [_load(p, parser) for p in paths]
     rows = []
     for old_path, new_path, old, new in zip(paths, paths[1:], models, models[1:]):
@@ -99,7 +91,7 @@ def history_report(
         rows.append(
             HistoryRow(Path(old_path).name, Path(new_path).name, verdict, fwd, bwd)
         )
-    return HistoryReport(tuple(rows))
+    return tuple(rows)
 
 
 def _cmd_cd_diff(args, out, err) -> int:
@@ -129,7 +121,7 @@ def _cmd_ad_diff(args, out, err) -> int:
     ad2 = _load(args.right, parse_ad)
     result = addiff(ad1, ad2, args.max_witnesses, args.max_len)
     fmt = OutputFormat(args.format)
-    out.write(render_diff(result.witnesses, result.exhausted, result.max_len, fmt, ad1))
+    out.write(render_diff(result.witnesses, result.exhausted, args.max_len, fmt, ad1))
     return 1 if result.witnesses else 0
 
 
@@ -143,9 +135,9 @@ def _cmd_ad_compare(args, out, err) -> int:
 
 def _cmd_history(args, out, err) -> int:
     _check(args.bound >= 0, "--bound must be >= 0")
-    report = history_report(args.files, args.kind, args.bound)
-    out.write(render_history(report.rows, OutputFormat(args.format)))
-    clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in report.rows)
+    rows = history_report(args.files, args.kind, args.bound)
+    out.write(render_history(rows, OutputFormat(args.format)))
+    clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in rows)
     return 0 if clean else 1
 
 

@@ -1,9 +1,22 @@
-"""The four-valued verdict that relates two models of the same kind."""
+"""What both engines answer: a diff result for one direction, and the
+four-valued verdict that relates two models of the same kind."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+DEFAULT_MAX_WITNESSES = 10
+
+
+@dataclass
+class DiffResult:
+    """Witnesses of model A that model B rejects, in the engine's order;
+    ``exhausted`` is True only when no witness was cut off by a cap, a bound
+    or a length limit."""
+
+    witnesses: list
+    exhausted: bool
 
 
 class VerdictValue(Enum):

@@ -1,16 +1,16 @@
 """Test-only helpers: the README's model blocks, a structural DOT validator,
-word membership for the ``Dfa`` that ``determinize`` returns, the
-character-loop reference for ``tokenize``, the quadratic reference for
-``object_id_prefixes``, and the reference config-NFA builder that
-``build_config_nfa`` must agree with."""
+complement and word membership for the complete deterministic ``Nfa`` that
+``determinize`` returns, the character-loop reference for ``tokenize``, the
+quadratic reference for ``object_id_prefixes``, and the reference config-NFA
+builder that ``build_config_nfa`` must agree with."""
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
-from semdiff.ad_diff import Dfa
 from semdiff.ad_lang import (
     ActivityDiagram,
     Guard,
@@ -30,12 +30,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 MODEL_KEYWORDS = ("classdiagram", "activity", "objectmodel")
 
 
+def readme_blocks() -> list[str]:
+    """The text of each fenced README block."""
+    return re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)
+
+
 def model_blocks() -> list[tuple[str, str]]:
     """(keyword, text) of each fenced README block that starts with a model
     keyword."""
     blocks = []
-    for text in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
-                           re.DOTALL | re.MULTILINE):
+    for text in readme_blocks():
         words = text.split(maxsplit=1)
         if words and words[0] in MODEL_KEYWORDS:
             blocks.append((words[0], text))
@@ -84,18 +89,20 @@ def validate_dot(payload: str) -> None:
 # deterministic automata
 
 
-def dfa_complement(dfa: Dfa) -> Dfa:
-    flipped = frozenset(range(dfa.n_states)) - dfa.accepting
-    return Dfa(dfa.alphabet, dfa.transitions, dfa.initial, flipped)
+def dfa_complement(dfa: Nfa) -> Nfa:
+    """The complement of a complete deterministic automaton over its alphabet."""
+    return replace(dfa, accepting=frozenset(range(dfa.n_states)) - dfa.accepting)
 
 
-def dfa_accepts_word(dfa: Dfa, word) -> bool:
-    col = {a: i for i, a in enumerate(dfa.alphabet)}
+def dfa_accepts_word(dfa: Nfa, word) -> bool:
+    """Word membership for a deterministic automaton, read straight off its
+    transition triples; a letter without a move rejects."""
+    move = {(src, letter): dst for src, letter, dst in dfa.transitions}
     state = dfa.initial
     for letter in word:
-        if letter not in col:
+        if (state, letter) not in move:
             return False
-        state = dfa.transitions[state][col[letter]]
+        state = move[state, letter]
     return state in dfa.accepting
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,7 @@ from semdiff.ad_semantics import (
     input_valuations,
     nfa_words,
 )
-from semdiff.verdict import VerdictValue
+from semdiff.verdict import Verdict, VerdictValue
 
 
 def nfa_of(words, alphabet):
@@ -115,6 +116,24 @@ def test_difference_language_matches_word_enumeration():
         expected = sorted(set(nfa_words(a, 8)) - set(nfa_words(b, 8)))
         got = sorted(nfa_words(difference_automaton(a, b), 8))
         assert got == expected
+
+
+def test_determinize_gives_one_move_per_letter_and_no_silent_move(adv):
+    rng = random.Random(11)
+    nfas = [random_nfa(rng) for _ in range(100)]
+    nfas += [build_config_nfa(ad, v) for ad in adv for v in input_valuations(ad.input_vars(), ())]
+    for nfa in nfas:
+        runner = NfaRunner(nfa)
+        for wider in (None, nfa.alphabet | {"a", "z"}):
+            dfa = determinize(nfa, wider)
+            letters = wider or nfa.alphabet
+            assert dfa.alphabet == letters
+            # Exactly the (state, letter) keys, once each: EPSILON is no letter.
+            moves = Counter((src, letter) for src, letter, _ in dfa.transitions)
+            assert moves == Counter({(sid, x): 1 for sid in range(dfa.n_states) for x in letters})
+            for length in range(4):
+                for word in product(sorted(letters), repeat=length):
+                    assert dfa_accepts_word(dfa, word) == runner.accepts(word)
 
 
 def test_prefix_minimal_trims_at_first_accept():
@@ -230,7 +249,6 @@ def test_witness_budget_spans_valuations(adv):
 def test_length_cutoff_reports_unfinished_search(adv):
     result = addiff(adv[1], adv[2], max_len=5)
     assert result.witnesses == [] and not result.exhausted
-    assert result.max_len == 5
     at_the_edge = addiff(adv[1], adv[2], max_len=8)
     assert len(at_the_edge.witnesses) == 4 and at_the_edge.exhausted
 
@@ -338,6 +356,19 @@ def test_addiff_limits_cut_a_prefix_of_the_uncapped_answer():
                     assert full.exhausted and result.witnesses == full.witnesses
                 if len(full.witnesses) > cap:
                     assert not result.exhausted
+
+
+def test_compare_agrees_with_one_witness_per_direction(adv):
+    rng = random.Random(507)
+    pairs = [generators.random_ad_pair(rng, max_len=8) for _ in range(200)]
+    pairs += [(x, y) for x in adv for y in adv]
+    verdicts = Counter()
+    for x, y in pairs:
+        verdict = compare_ad(x, y)
+        forward, backward = addiff(x, y, 1).witnesses, addiff(y, x, 1).witnesses
+        assert verdict == Verdict.of(bool(forward), bool(backward), bounded=False)
+        verdicts[verdict.value] += 1
+    assert len(verdicts) == 4  # the sweep meets every verdict
 
 
 def count_config_builds(monkeypatch):

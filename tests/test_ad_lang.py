@@ -323,6 +323,42 @@ def test_structure_errors(source, fragment):
     ]
 
 
+@pytest.mark.parametrize("source, expected", [
+    (
+        "activity A { action a; start -> a; a -> start; a -> end; }",
+        ["1:21: action node 'a' must have exactly one outgoing edge, found 2",
+         "1:24: 'start' cannot have incoming edges"],
+    ),
+    (
+        "activity A { final f; action a; start -> a; a -> end; }",
+        ["1:20: final node 'f' is never reached by an edge",
+         "1:20: node 'f' is unreachable from 'start'"],
+    ),
+    (
+        "activity A { decision d; action a; action b; start -> a; a -> d; b -> d; d -[true]-> end; }",
+        ["1:23: decision node 'd' must have exactly one incoming edge, found 2",
+         "1:23: decision node 'd' needs at least two outgoing edges, found 1",
+         "1:43: node 'b' is unreachable from 'start'"],
+    ),
+    (
+        "activity A { fork f; join j; action a; start -> f; f -> a; a -> j; j -> end; j -> a; }",
+        ["1:19: fork node 'f' needs at least two outgoing edges, found 1",
+         "1:27: join node 'j' needs at least two incoming edges, found 1",
+         "1:27: join node 'j' must have exactly one outgoing edge, found 2"],
+    ),
+    (
+        "activity A { action a; start -> a; a -> a; end -> a; }",
+        ["1:44: final node 'end' cannot have outgoing edges",
+         "1:44: final node 'end' is never reached by an edge",
+         "1:44: node 'end' is unreachable from 'start'"],
+    ),
+])
+def test_edge_count_errors_keep_their_wording_order_and_position(source, expected):
+    with pytest.raises(ParseError) as err:
+        parse_ad(source)
+    assert [str(d) for d in err.value.diagnostics] == expected
+
+
 def test_every_diagnostic_is_positioned():
     with pytest.raises(ParseError) as err:
         parse_ad("activity A { action a; action a; start -> a; a -> end; }")

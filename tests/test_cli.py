@@ -170,18 +170,15 @@ def test_history_json():
 
 
 def test_history_mirror_swaps_refinement():
-    forward = history_report([fx("adv2.ad"), fx("adv3.ad")], "ad")
-    backward = history_report([fx("adv3.ad"), fx("adv2.ad")], "ad")
-    (f,) = forward.rows
-    (b,) = backward.rows
+    (f,) = history_report([fx("adv2.ad"), fx("adv3.ad")], "ad")
+    (b,) = history_report([fx("adv3.ad"), fx("adv2.ad")], "ad")
     assert str(f.verdict) == "RIGHT_REFINES_LEFT"
     assert str(b.verdict) == "LEFT_REFINES_RIGHT"
     assert (f.forward, f.backward) == (b.backward, b.forward)
 
 
 def test_history_palindrome_mirrors_rows():
-    report = history_report([fx("adv2.ad"), fx("adv3.ad"), fx("adv2.ad")], "ad")
-    first, second = report.rows
+    first, second = history_report([fx("adv2.ad"), fx("adv3.ad"), fx("adv2.ad")], "ad")
     assert str(first.verdict) == "RIGHT_REFINES_LEFT"
     assert str(second.verdict) == "LEFT_REFINES_RIGHT"
     assert (first.forward, first.backward) == (second.backward, second.forward)
