@@ -1,7 +1,7 @@
 """Semantic differencing of activity diagrams.
 
 For each input valuation both diagrams compile to finite NFAs, their config
-NFAs. The search runs on one graph, the pair graph: its states are the pairs
+NFAs. ``addiff`` searches one graph, the pair graph: its states are the pairs
 (A-subset, B-subset) of configurations that reading the same trace leads to
 in A and in B, built breadth-first over the union alphabet from the pair of
 initial closures. A pair accepts when its A-subset holds an accepting
@@ -16,10 +16,20 @@ Ackerman & Shallit, "Efficient enumeration of words in regular languages"
 (TCS 2009): the backward layer ``reach[r]`` holds the pairs that reach an
 accepting pair in exactly r steps, and the walk for length L only steps into
 pairs of ``reach[L - depth - 1]``. Every step then leads to a witness, so a
-witness costs O(L·|Σ|) steps however many shorter traces A has. ``addiff``
-and ``compare_ad`` share one step per valuation, ``_witnesses``: build the
-pair graph, walk it, and check every trace found again by running it on the
-two config NFAs; ``compare_ad`` asks it for one witness per direction.
+witness costs O(L·|Σ|) steps however many shorter traces A has.
+
+A verdict needs only whether each direction has a witness, so ``compare_ad``
+neither walks nor lists witnesses: per valuation it runs one breadth-first
+search of the joint pair graph. Its moves are the letters either side can
+read, so one side of a pair may be empty. A pair where A accepts and B does
+not decides the forward direction; one where B accepts and A does not
+decides the backward direction. An emptied side never accepts again, so the
+search drops pairs whose side is empty for every open direction, and it
+stops as soon as no direction is open. The word that first decided a
+direction, rebuilt from the search's parent links, is its shortest witness.
+``addiff`` and ``compare_ad`` both re-run every witness on the two config
+NFAs (``_checked``).
+
 Unlike the bounded class-diagram search this is exact: the state spaces are
 finite. ``determinize`` and ``difference_automaton`` return the graphs they
 explore as deterministic ``Nfa``s, complete for ``determinize``.
@@ -227,19 +237,67 @@ def _never(state) -> bool:
     return False
 
 
-def _witnesses(
-    a: NfaRunner, b: NfaRunner, valuation: dict[str, str], budget: int, max_len: int | None
-) -> tuple[list[Trace], bool]:
-    """Up to ``budget`` traces of ``a`` that ``b`` cannot produce under
-    ``valuation``, each re-run on both config NFAs, and whether the search
-    for them finished (see ``_walk``)."""
-    rows, final, letters = _pair_graph(a, b)
-    words, exhausted = _walk(rows, final, letters, budget, max_len)
+def _checked(a: NfaRunner, b: NfaRunner, valuation: dict[str, str], words) -> list[Trace]:
+    """``words`` as traces under ``valuation``, each re-run to confirm that
+    ``a`` accepts it and ``b`` does not."""
     traces = [Trace.make(valuation, w) for w in words]
     for trace in traces:
         if not a.accepts(trace.actions) or b.accepts(trace.actions):
             raise RuntimeError(f"diff search produced an unsound witness: {trace}")
-    return traces, exhausted
+    return traces
+
+
+_EMPTY: frozenset[int] = frozenset()
+
+
+def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, ...] | None]:
+    """Per direction, forward (``a`` accepts, ``b`` does not) and backward,
+    a shortest word that witnesses it, or None where there is none or the
+    direction is not ``wanted``; one breadth-first search of the joint pair
+    graph (see the module docstring).
+
+    Direction d needs side d non-empty, and a pair where exactly one side
+    accepts decides the direction of that side."""
+    todo = list(wanted)  # todo[d]: direction d is still open
+    words: list[tuple[str, ...] | None] = [None, None]
+    accepting_a, accepting_b = a.nfa.accepting, b.nfa.accepting
+
+    def settles(pair) -> bool:
+        """Decide the direction ``pair`` witnesses, if any; True once none is open."""
+        a_accepts = not pair[0].isdisjoint(accepting_a)
+        b_accepts = not pair[1].isdisjoint(accepting_b)
+        if a_accepts != b_accepts and todo[b_accepts]:  # b_accepts indexes the accepting side
+            todo[b_accepts] = False
+            words[b_accepts] = _word_to(pair, links)
+        return not any(todo)
+
+    start = (a.closure({a.nfa.initial}), b.closure({b.nfa.initial}))
+    links: dict = {start: None}  # pair -> (parent pair, letter)
+    queue = [start]
+    if settles(start):
+        return words
+    for pair in queue:
+        if not (todo[0] and pair[0] or todo[1] and pair[1]):
+            continue
+        succ_a = a.successors(pair[0]) if pair[0] else {}
+        succ_b = b.successors(pair[1]) if pair[1] else {}
+        for letter in {**succ_a, **succ_b}:
+            succ = (succ_a.get(letter, _EMPTY), succ_b.get(letter, _EMPTY))
+            if succ not in links and (todo[0] and succ[0] or todo[1] and succ[1]):
+                links[succ] = (pair, letter)
+                if settles(succ):
+                    return words
+                queue.append(succ)
+    return words
+
+
+def _word_to(pair, links) -> tuple[str, ...]:
+    """The letters on the ``links`` path from the first pair to ``pair``."""
+    word = []
+    while links[pair] is not None:
+        pair, letter = links[pair]
+        word.append(letter)
+    return tuple(reversed(word))
 
 
 def addiff(
@@ -268,8 +326,9 @@ def addiff(
             break
         a = NfaRunner(build_config_nfa(ad1, v))
         b = NfaRunner(build_config_nfa(ad2, v))
-        found, done = _witnesses(a, b, v, budget, max_len)
-        witnesses.extend(found)
+        rows, final, letters = _pair_graph(a, b)
+        words, done = _walk(rows, final, letters, budget, max_len)
+        witnesses.extend(_checked(a, b, v, words))
         exhausted = exhausted and done
     return DiffResult(witnesses, exhausted)
 
@@ -278,8 +337,8 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
     """Relate two activity diagrams exactly.
 
     A direction differs when some valuation has a witness for it. Valuations
-    are visited in order until both directions differ, and each valuation's
-    two config NFAs serve both directions.
+    are visited in order until both directions differ; each valuation's two
+    config NFAs serve one joint search for the directions still open.
     """
     ads = (ad1, ad2)
     differs = [False, False]
@@ -291,7 +350,9 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
         runners: list[NfaRunner | None] = [None, None]
         for side in ((1, 0) if differs[0] else (0, 1)):
             runners[side] = NfaRunner(build_config_nfa(ads[side], v))
+        words = _shortest_witnesses(*runners, [not d for d in differs])
         for d, (a, b) in enumerate((runners, runners[::-1])):
-            if not differs[d]:
-                differs[d] = bool(_witnesses(a, b, v, 1, None)[0])
+            if words[d] is not None:
+                _checked(a, b, v, [words[d]])
+                differs[d] = True
     return Verdict.of(*differs, bounded=False)

@@ -92,7 +92,7 @@ def parse_cd(text: str) -> ClassDiagram:
     cur.expect("{")
     classes: list[ClassDecl] = []
     extends: list[tuple[str, str]] = []
-    extend_pos: dict[str, tuple[int, int]] = {}
+    extend_pos: list[tuple[int, int]] = []  # the declaration of each extends pair
     associations: list[Association] = []
     while not cur.at("}"):
         if cur.peek().kind == EOF:
@@ -104,7 +104,7 @@ def parse_cd(text: str) -> ClassDiagram:
             classes.append(decl)
             if parent is not None:
                 extends.append((decl.name, parent))
-                extend_pos[decl.name] = decl.pos
+                extend_pos.append(decl.pos)
     cur.expect("}")
     cur.expect_eof()
     cd = ClassDiagram(name, tuple(classes), tuple(extends), tuple(associations))
@@ -163,7 +163,7 @@ def _parse_mult(cur: TokenCursor) -> Multiplicity:
     return Multiplicity(lo, hi)
 
 
-def _validate(cd: ClassDiagram, extend_pos: dict[str, tuple[int, int]]) -> list[Diagnostic]:
+def _validate(cd: ClassDiagram, extend_pos: list[tuple[int, int]]) -> list[Diagnostic]:
     problems: list[Diagnostic] = []
     seen: dict[str, ClassDecl] = {}
     for decl in cd.classes:
@@ -172,9 +172,9 @@ def _validate(cd: ClassDiagram, extend_pos: dict[str, tuple[int, int]]) -> list[
         else:
             seen[decl.name] = decl
     declared = set(seen)
-    for child, parent in cd.extends:
+    for (child, parent), pos in zip(cd.extends, extend_pos):
         if parent not in declared:
-            problems.append(_diag(extend_pos[child], f"'{child}' extends unknown class '{parent}'"))
+            problems.append(_diag(pos, f"'{child}' extends unknown class '{parent}'"))
     assoc_seen: set[str] = set()
     for a in cd.associations:
         if a.name in assoc_seen:
@@ -183,13 +183,15 @@ def _validate(cd: ClassDiagram, extend_pos: dict[str, tuple[int, int]]) -> list[
         for end in (a.left_class, a.right_class):
             if end not in declared:
                 problems.append(_diag(a.pos, f"association '{a.name}' references unknown class '{end}'"))
+    # A class declared twice keeps its last parent, and that declaration's position.
     parents = dict(cd.extends)
+    parent_pos = {child: pos for (child, _), pos in zip(cd.extends, extend_pos)}
     for name in sorted(declared):
         hop = parents.get(name)
         seen_chain = {name}
         while hop is not None:
             if hop == name:
-                problems.append(_diag(extend_pos[name], f"inheritance cycle through '{name}'"))
+                problems.append(_diag(parent_pos[name], f"inheritance cycle through '{name}'"))
                 break
             if hop in seen_chain:
                 break

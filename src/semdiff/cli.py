@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -229,7 +230,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        # argparse writes usage errors and --help to the sys streams.
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -417,6 +417,10 @@ def test_unsound_search_result_fails_the_self_check(monkeypatch):
     monkeypatch.setattr(ad_diff, "_walk", lambda *args: ([("x", "y")], True))
     with pytest.raises(RuntimeError, match="unsound witness"):
         addiff(par, seq)
+    # A joint search that claims that trace for every open direction.
+    monkeypatch.setattr(
+        ad_diff, "_shortest_witnesses",
+        lambda a, b, wanted: [("x", "y") if w else None for w in wanted])
     with pytest.raises(RuntimeError, match="unsound witness"):
         compare_ad(par, seq)
 
@@ -439,3 +443,60 @@ def test_compare_reports_the_unsafe_diagram_a_backward_search_meets_first():
         compare_ad(x, y)
     with pytest.raises(UnsafeMarkingError, match="'mY'"):
         compare_ad(y, x)
+
+
+def joint_search_pairs(adv):
+    """Fork widths 2..6, from 3 on also with a sequenced pair, diagrams
+    unsafe under one valuation, and the fixtures: every ordered pair of each
+    group."""
+    forks = [parse_ad(generators.fork_text(n, seq))
+             for n in range(2, 7) for seq in (False, True) if n > 2 or not seq]
+    unsafe = [generators.unsafe_when_p(name, idle) for name, idle in
+              (("X", ["x1", "z"]), ("Y", ["z"]), ("Z", ["x1"]))]
+    return [(x, y) for group in (forks, unsafe, adv) for x in group for y in group]
+
+
+def test_compare_matches_one_witness_per_direction_on_forks_and_unsafe_diagrams(adv):
+    verdicts = Counter()
+    for x, y in joint_search_pairs(adv):
+        try:
+            expected = Verdict.of(
+                bool(addiff(x, y, 1).witnesses), bool(addiff(y, x, 1).witnesses), bounded=False)
+        except UnsafeMarkingError:
+            # Some direction meets the unsafe valuation before a witness, so
+            # the joint search meets it too.
+            with pytest.raises(UnsafeMarkingError):
+                compare_ad(x, y)
+            verdicts["unsafe"] += 1
+            continue
+        assert compare_ad(x, y) == expected
+        verdicts[expected.value] += 1
+    assert len(verdicts) == 5  # every verdict, and some unsafe pair
+
+
+def test_compare_takes_no_more_successor_steps_than_two_one_witness_diffs(adv, monkeypatch):
+    calls = Counter()
+    real = NfaRunner.successors
+
+    def counting(runner, states):
+        calls["n"] += 1
+        return real(runner, states)
+
+    monkeypatch.setattr(NfaRunner, "successors", counting)
+
+    def steps(search, *pairs):
+        calls.clear()
+        for pair in pairs:
+            try:
+                search(*pair)
+            except UnsafeMarkingError:
+                pass
+        return calls["n"]
+
+    fewer = 0
+    for x, y in joint_search_pairs(adv):
+        joint = steps(compare_ad, (x, y))
+        separate = steps(lambda a, b: addiff(a, b, 1), (x, y), (y, x))
+        assert joint <= separate
+        fewer += joint < separate
+    assert fewer > 0

@@ -191,3 +191,11 @@ def test_print_rejects_multiple_parents():
     )
     with pytest.raises(ValueError, match="multiple parents"):
         print_cd(cd)
+
+
+def test_each_extends_declaration_keeps_its_own_position():
+    with pytest.raises(ParseError) as err:
+        parse_cd("classdiagram X {\n class A extends P;\n class A extends Q;\n}")
+    lines = {d.message: d.line for d in err.value.diagnostics}
+    assert lines["'A' extends unknown class 'P'"] == 2
+    assert lines["'A' extends unknown class 'Q'"] == 3

@@ -294,7 +294,23 @@ def test_unknown_commands_exit_two(capsys):
     assert go("bogus")[0] == 2
     assert go("cd", "bogus")[0] == 2
     assert go("cd", "diff", "only-one-file")[0] == 2
-    capsys.readouterr()  # swallow argparse usage noise
+    assert capsys.readouterr() == ("", "")  # usage went to the given streams
+
+
+def test_missing_argument_usage_goes_to_the_given_stderr(capsys):
+    code, out, err = go("cd", "diff")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: semdiff cd diff ")
+    assert "the following arguments are required: left, right" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = go("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: semdiff ")
+    assert "Semantic differencing of class and activity diagrams." in out
+    assert capsys.readouterr() == ("", "")
 
 
 def test_module_entry_point_runs():
