@@ -6,7 +6,7 @@ diagram the set of action traces it can execute. A diff is a set of concrete
 witnesses belonging to the first model's semantics and not the second's.
 """
 
-from .ad_diff import addiff, compare_ad, difference_automaton
+from .ad_diff import addiff, compare_ad
 from .ad_lang import ActivityDiagram, parse_ad, print_ad
 from .ad_semantics import (
     DomainMismatchError,
@@ -14,7 +14,6 @@ from .ad_semantics import (
     UnsafeMarkingError,
     accepts,
     build_config_nfa,
-    enumerate_traces,
     input_valuations,
 )
 from .cd_diff import cddiff, compare_cd
@@ -23,11 +22,9 @@ from .cd_semantics import (
     ObjectModel,
     Violation,
     ViolationKind,
-    enumerate_object_models,
     is_instance,
     parse_om,
     print_om,
-    universe_of,
 )
 from .cli import HistoryRow, history_report, main, run
 from .lexer import Diagnostic, ParseError
@@ -65,9 +62,6 @@ __all__ = [
     "cddiff",
     "compare_ad",
     "compare_cd",
-    "difference_automaton",
-    "enumerate_object_models",
-    "enumerate_traces",
     "history_report",
     "input_valuations",
     "is_instance",
@@ -83,5 +77,4 @@ __all__ = [
     "render_om",
     "render_trace",
     "run",
-    "universe_of",
 ]

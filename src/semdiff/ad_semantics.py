@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .ad_lang import START, ActivityDiagram, NodeKind, VarDecl, VarKind, compile_guard
 
@@ -78,12 +79,14 @@ class Nfa:
 
 def input_valuations(
     inputs_a: tuple[VarDecl, ...], inputs_b: tuple[VarDecl, ...]
-) -> list[dict[str, str]]:
-    """All valuations over the union of two input signatures.
+) -> Iterator[dict[str, str]]:
+    """All valuations over the union of two input signatures, each built
+    when it is read.
 
     Variables are ordered by name and each domain keeps declaration order
     (false before true for bool), the last variable cycling fastest. A name
-    shared by both signatures must carry the identical domain.
+    shared by both signatures must carry the identical domain; that is
+    checked by the call itself, before any valuation is read.
     """
     domains: dict[str, tuple[str, ...]] = {}
     for decl in tuple(inputs_a) + tuple(inputs_b):
@@ -96,7 +99,7 @@ def input_valuations(
             )
         domains.setdefault(decl.name, decl.domain)
     names = sorted(domains)
-    return [dict(zip(names, combo)) for combo in product(*(domains[n] for n in names))]
+    return (dict(zip(names, combo)) for combo in product(*(domains[n] for n in names)))
 
 
 def compile_ad(ad: ActivityDiagram):
@@ -257,37 +260,6 @@ class NfaRunner:
             if not states:
                 return False
         return self.is_accepting(states)
-
-
-def nfa_words(nfa: Nfa, max_len: int) -> list[tuple[str, ...]]:
-    """All accepted words up to ``max_len``, shortest first, then lexicographic."""
-    runner = NfaRunner(nfa)
-    letters = sorted(nfa.alphabet)
-    words: list[tuple[str, ...]] = []
-    frontier: list[tuple[tuple[str, ...], frozenset[int]]] = [
-        ((), runner.closure({nfa.initial}))
-    ]
-    for length in range(max_len + 1):
-        nxt: list[tuple[tuple[str, ...], frozenset[int]]] = []
-        for word, states in frontier:
-            if runner.is_accepting(states):
-                words.append(word)
-            if length == max_len:
-                continue
-            for letter in letters:
-                succ = runner.step(states, letter)
-                if succ:
-                    nxt.append((word + (letter,), succ))
-        frontier = nxt
-    return words
-
-
-def enumerate_traces(
-    ad: ActivityDiagram, valuation: dict[str, str], max_len: int
-) -> list[tuple[str, ...]]:
-    """Action sequences the diagram can produce under one valuation,
-    up to ``max_len`` actions, shortest first."""
-    return nfa_words(build_config_nfa(ad, valuation), max_len)
 
 
 def accepts(ad: ActivityDiagram, trace: Trace) -> bool:

@@ -3,8 +3,8 @@
 The diff of two diagrams is the set of object models that instantiate the
 first but not the second. The search is exhaustive up to a per-class instance
 bound k. It walks count vectors (how many objects each class gets) level by
-level, in the order of the brute-force enumerator, and decides each count
-vector per association instead of per model.
+level, fewest objects first, and decides each count vector per association
+instead of per model.
 
 Membership in the second diagram B splits into independent parts: B's
 object-level checks (declared, concrete and singleton classes), each
@@ -30,13 +30,11 @@ from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .cd_semantics import (
     Link,
     ObjectModel,
-    Universe,
     count_vectors,
     is_instance,
     object_id_prefixes,
     objects_for_counts,
     print_om,
-    universe_of,
 )
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
@@ -62,10 +60,10 @@ def cddiff(
         raise ValueError("bound k must be >= 0")
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be >= 1")
-    universe = universe_of(cd1, cd2)
+    classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     witnesses: list[ObjectModel] = []
     exhausted = True
-    levels = _witness_levels(cd1, cd2, universe, k)
+    levels = _witness_levels(cd1, cd2, classes, k)
     for total, max_total, level in levels:
         witnesses.extend(level)
         if len(witnesses) >= max_witnesses and total < max_total:
@@ -90,20 +88,21 @@ def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> 
 
 
 def _witness_levels(
-    cd1: ClassDiagram, cd2: ClassDiagram, universe: Universe, k: int
+    cd1: ClassDiagram, cd2: ClassDiagram, classes: tuple[str, ...], k: int
 ) -> Iterator[tuple[int, int, list[ObjectModel]]]:
-    """Yield (total, max_total, witnesses-at-total) in enumeration order."""
-    prefixes = object_id_prefixes(universe.classes)
+    """Yield (total, max_total, witnesses-at-total) over the sorted class
+    names of both diagrams, smallest total first."""
+    prefixes = object_id_prefixes(classes)
     decl1 = {c.name: c for c in cd1.classes}
     caps = [
         0 if decl1.get(c) is None or decl1[c].modifier is ClassModifier.ABSTRACT else k
-        for c in universe.classes
+        for c in classes
     ]
     max_total = sum(caps)
     for total in range(max_total + 1):
         level: list[tuple[str, ObjectModel]] = []
         for counts in count_vectors(caps, total):
-            objects = objects_for_counts(universe.classes, prefixes, counts)
+            objects = objects_for_counts(classes, prefixes, counts)
             if not _object_level_ok(objects, cd1):
                 continue
             for links in _rejected_link_choices(objects, cd1, cd2):

@@ -5,9 +5,10 @@ counts as an instance of a diagram when every object's class is declared and
 concrete, singleton counts hold, link ends respect the subclass closures of
 the association ends, and link counts stay inside the multiplicities.
 
-Object models live over a joint universe (the class and association names of
-the diagrams under comparison), so an object of a class one diagram does not
-declare simply falls outside that diagram's semantics.
+An object model may hold objects of any class name, so when two diagrams are
+compared, an object of a class that only the other diagram declares simply
+falls outside this one's semantics. The diff search labels objects with
+``object_id_prefixes`` and walks their counts with ``count_vectors``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import combinations
 from typing import Iterator
 
-from .cd_lang import ClassDiagram, ClassModifier, closures_of
+from .cd_lang import ClassDiagram, ClassModifier
 from .lexer import EOF, IDENT, Diagnostic, ParseError, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
@@ -178,41 +177,6 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
     return (not violations, violations)
 
 
-@dataclass(frozen=True)
-class Universe:
-    """The joint vocabulary two diagrams are compared over.
-
-    ``associations`` maps each association name to every endpoint declaration
-    it has across the diagrams (the same name may connect different classes in
-    different versions). Modifiers and multiplicities stay with each diagram;
-    membership is always judged per diagram by is_instance.
-    """
-
-    classes: tuple[str, ...]
-    extends: tuple[tuple[str, str], ...]
-    associations: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-
-    @cached_property
-    def closures(self) -> dict[str, frozenset[str]]:
-        """Each class's subclass closure under the joint extends relation."""
-        return closures_of(self.extends, self.classes)
-
-
-def universe_of(*cds: ClassDiagram) -> Universe:
-    classes: set[str] = set()
-    extends: set[tuple[str, str]] = set()
-    assoc_ends: dict[str, set[tuple[str, str]]] = {}
-    for cd in cds:
-        classes.update(c.name for c in cd.classes)
-        extends.update(cd.extends)
-        for a in cd.associations:
-            assoc_ends.setdefault(a.name, set()).add((a.left_class, a.right_class))
-    assocs = tuple(
-        (name, tuple(sorted(assoc_ends[name]))) for name in sorted(assoc_ends)
-    )
-    return Universe(tuple(sorted(classes)), tuple(sorted(extends)), assocs)
-
-
 def object_id_prefixes(classes: tuple[str, ...]) -> dict[str, str]:
     """Lowercased class names as object-id stems, falling back to the raw name
     when two classes collide case-insensitively.
@@ -252,27 +216,6 @@ def _digit_bases(stem: str) -> list[str]:
     return bases
 
 
-def compatible_pairs(universe: Universe, objects: dict[str, str]) -> list[Link]:
-    """All links the universe can justify over the given objects, sorted.
-
-    A pair fits an association if some declaration of that name covers both
-    ends through the joint subclass closure.
-    """
-    closures = universe.closures
-    by_class: dict[str, list[str]] = {}
-    for oid in sorted(objects):
-        by_class.setdefault(objects[oid], []).append(oid)
-    pairs: set[Link] = set()
-    for name, decls in universe.associations:
-        for left, right in decls:
-            sources = [o for c in closures.get(left, frozenset()) for o in by_class.get(c, ())]
-            targets = [o for c in closures.get(right, frozenset()) for o in by_class.get(c, ())]
-            for s in sources:
-                for t in targets:
-                    pairs.add((name, s, t))
-    return sorted(pairs)
-
-
 def count_vectors(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
     """All count tuples bounded by ``caps`` that sum to ``total``, in
     lexicographic order."""
@@ -310,30 +253,3 @@ def objects_for_counts(
         for i in range(1, n + 1):
             objects[f"{prefixes[cls]}{i}"] = cls
     return objects
-
-
-def enumerate_object_models(universe: Universe, k: int, name: str = "om") -> Iterator[ObjectModel]:
-    """Brute-force stream of every labeled object model within the bound.
-
-    Each class contributes at most ``k`` objects named stem1..stemj (so the
-    labeling is canonical), and links range over every subset of the pairs the
-    universe can justify. Models arrive sorted by total object count and then
-    by their canonical text. Complete up to isomorphism; isomorphic duplicates
-    with distinct labelings do occur and are intentional.
-    """
-    if k < 0:
-        raise ValueError("bound k must be >= 0")
-    prefixes = object_id_prefixes(universe.classes)
-    caps = [k] * len(universe.classes)
-    for total in range(sum(caps) + 1):
-        level: list[tuple[str, ObjectModel]] = []
-        for counts in count_vectors(caps, total):
-            objects = objects_for_counts(universe.classes, prefixes, counts)
-            pairs = compatible_pairs(universe, objects)
-            for r in range(len(pairs) + 1):
-                for chosen in combinations(pairs, r):
-                    om = ObjectModel(name, dict(objects), frozenset(chosen))
-                    level.append((print_om(om), om))
-        level.sort(key=lambda item: item[0])
-        for _, om in level:
-            yield om

@@ -11,15 +11,8 @@ from __future__ import annotations
 
 import random
 
-from semdiff import build_config_nfa, input_valuations, parse_ad, parse_cd, universe_of
-from semdiff.ad_semantics import Nfa, NfaRunner
-from semdiff.cd_semantics import (
-    ObjectModel,
-    compatible_pairs,
-    count_vectors,
-    object_id_prefixes,
-    objects_for_counts,
-)
+from oracles import compatible_pairs, populations, reference_words, vocabulary_of
+from semdiff import build_config_nfa, input_valuations, parse_ad, parse_cd
 
 CD_CLASS_POOL = ("A", "B", "C")
 MULT_POOL = ("*", "0..1", "1", "1..*", "0..2", "2")
@@ -51,18 +44,14 @@ def random_cd_text(rng: random.Random, name: str, max_classes: int = 3, max_asso
     return "\n".join(lines) + "\n"
 
 
-def enumeration_space(universe, k: int, cap: int) -> int:
-    """Size of the labeled-model space at bound ``k``, stopping early once it
-    exceeds ``cap`` (returns a value > cap in that case)."""
-    prefixes = object_id_prefixes(universe.classes)
-    caps = [k] * len(universe.classes)
+def enumeration_space(vocab, k: int, cap: int) -> int:
+    """Size of the oracle's labeled-model space at bound ``k``, stopping early
+    once it exceeds ``cap`` (returns a value > cap in that case)."""
     size = 0
-    for total in range(sum(caps) + 1):
-        for counts in count_vectors(caps, total):
-            objects = objects_for_counts(universe.classes, prefixes, counts)
-            size += 2 ** len(compatible_pairs(universe, objects))
-            if size > cap:
-                return size
+    for _, objects in populations(vocab, k):
+        size += 2 ** len(compatible_pairs(vocab, objects))
+        if size > cap:
+            return size
     return size
 
 
@@ -72,19 +61,8 @@ def random_cd_pair(rng: random.Random, k: int, space_cap: int = 30000):
     while True:
         cd1 = parse_cd(random_cd_text(rng, "g1"))
         cd2 = parse_cd(random_cd_text(rng, "g2"))
-        if enumeration_space(universe_of(cd1, cd2), k, space_cap) <= space_cap:
+        if enumeration_space(vocabulary_of(cd1, cd2), k, space_cap) <= space_cap:
             return cd1, cd2
-
-
-def random_om(rng: random.Random, universe, k: int) -> ObjectModel:
-    """A random labeled object model over the universe (not necessarily an
-    instance of anything)."""
-    prefixes = object_id_prefixes(universe.classes)
-    counts = tuple(rng.randint(0, k) for _ in universe.classes)
-    objects = objects_for_counts(universe.classes, prefixes, counts)
-    pairs = compatible_pairs(universe, objects)
-    links = frozenset(p for p in pairs if rng.random() < 0.4)
-    return ObjectModel("om", objects, links)
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +185,6 @@ def random_ad_text(rng: random.Random, name: str, max_vars: int = 2, budget: int
     return "\n".join(lines) + "\n"
 
 
-def capped_words(nfa: Nfa, max_len: int, cap: int) -> list[tuple[str, ...]] | None:
-    """All accepted words up to ``max_len``, or None once more than ``cap``
-    branches were expanded (used to resample oversized diagrams)."""
-    runner = NfaRunner(nfa)
-    words: list[tuple[str, ...]] = []
-    letters = sorted(nfa.alphabet)
-    level = [((), runner.closure({nfa.initial}))]
-    expanded = 0
-    for length in range(max_len + 1):
-        nxt = []
-        for word, states in level:
-            expanded += 1
-            if expanded > cap:
-                return None
-            if runner.is_accepting(states):
-                words.append(word)
-            if length == max_len:
-                continue
-            for letter in letters:
-                succ = runner.step(states, letter)
-                if succ:
-                    nxt.append((word + (letter,), succ))
-        level = nxt
-    return words
-
-
 def random_ad_pair(rng: random.Random, max_len: int, word_cap: int = 3000):
     """Two diagrams over the shared action pool, both with trace spaces small
     enough to enumerate up to ``max_len``."""
@@ -242,7 +194,7 @@ def random_ad_pair(rng: random.Random, max_len: int, word_cap: int = 3000):
         ok = True
         for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
             for ad in (ad1, ad2):
-                if capped_words(build_config_nfa(ad, v), max_len, word_cap) is None:
+                if reference_words(build_config_nfa(ad, v), max_len, word_cap) is None:
                     ok = False
                     break
             if not ok:

@@ -9,26 +9,19 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
+from semdiff import ad_diff, ad_semantics, cd_diff, cd_semantics
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import parse_ad, print_ad
-from semdiff.ad_semantics import (
-    Trace,
-    accepts,
-    enumerate_traces,
-    input_valuations,
-)
+from semdiff.ad_semantics import Trace, accepts, input_valuations
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd, print_cd
-from semdiff.cd_semantics import (
-    enumerate_object_models,
-    is_instance,
-    print_om,
-    universe_of,
-)
+from semdiff.cd_semantics import is_instance, print_om
 from semdiff.cli import run
 
 import generators
+import oracles
 from conftest import fixture_path, fixture_text
 
 UNBOUNDED = 10**9
@@ -101,20 +94,23 @@ def test_workflow_versions_compare_and_witness_as_expected(adv):
     assert time.monotonic() - started < 5.0
 
 
+def cd_matches_oracle(cd1, cd2, k):
+    expected = [
+        om
+        for om in oracles.reference_object_models(oracles.vocabulary_of(cd1, cd2), k)
+        if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
+    ]
+    result = cddiff(cd1, cd2, k, max_witnesses=UNBOUNDED)
+    return result.witnesses == expected and result.exhausted
+
+
 def test_class_diagram_search_matches_reference_enumeration():
     rng = random.Random(1203)
     mismatches = 0
     for _ in range(200):
         k = rng.choice((1, 1, 2))
         cd1, cd2 = generators.random_cd_pair(rng, k)
-        universe = universe_of(cd1, cd2)
-        expected = [
-            om
-            for om in enumerate_object_models(universe, k)
-            if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
-        ]
-        result = cddiff(cd1, cd2, k, max_witnesses=UNBOUNDED)
-        if result.witnesses != expected or not result.exhausted:
+        if not cd_matches_oracle(cd1, cd2, k):
             mismatches += 1
     assert mismatches == 0
 
@@ -122,8 +118,8 @@ def test_class_diagram_search_matches_reference_enumeration():
 def reference_trace_diff(ad1, ad2, max_len):
     witnesses = []
     for valuation in input_valuations(ad1.input_vars(), ad2.input_vars()):
-        ours = enumerate_traces(ad1, valuation, max_len)
-        theirs = set(enumerate_traces(ad2, valuation, max_len))
+        ours = oracles.reference_traces(ad1, valuation, max_len)
+        theirs = set(oracles.reference_traces(ad2, valuation, max_len))
         raw = {w for w in ours if w not in theirs}
         minimal = [
             w for w in ours
@@ -133,16 +129,47 @@ def reference_trace_diff(ad1, ad2, max_len):
     return witnesses
 
 
+def ad_matches_oracle(ad1, ad2, max_len):
+    expected = reference_trace_diff(ad1, ad2, max_len)
+    result = addiff(ad1, ad2, max_witnesses=UNBOUNDED, max_len=max_len)
+    return result.witnesses == expected
+
+
 def test_activity_diagram_search_matches_reference_enumeration():
     rng = random.Random(77)
     mismatches = 0
     for _ in range(200):
         ad1, ad2 = generators.random_ad_pair(rng, max_len=12)
-        expected = reference_trace_diff(ad1, ad2, 12)
-        result = addiff(ad1, ad2, max_witnesses=UNBOUNDED, max_len=12)
-        if result.witnesses != expected:
+        if not ad_matches_oracle(ad1, ad2, 12):
             mismatches += 1
     assert mismatches == 0
+
+
+def test_cd_oracle_catches_colliding_object_ids(monkeypatch):
+    # With plain lowercased stems, the eleventh object of A and the first of
+    # A1 are both a11. The oracle labels objects itself, so it must notice.
+    plain = parse_cd("classdiagram ids { class A; class A1; }")
+    single = parse_cd("classdiagram ids { class A; singleton class A1; }")
+    assert cd_matches_oracle(plain, single, 11)
+    for module in (cd_semantics, cd_diff):
+        monkeypatch.setattr(module, "object_id_prefixes", lambda classes: {c: c.lower() for c in classes})
+    assert not cd_matches_oracle(plain, single, 11)
+
+
+def test_ad_oracle_catches_a_dropped_transition(monkeypatch, adv):
+    # The oracle builds its config NFAs with the reference builder, so a
+    # builder that loses a transition must change some fixture pair's diff.
+    pairs = [(a, b) for a in adv for b in adv]
+    assert all(ad_matches_oracle(a, b, 12) for a, b in pairs)
+    build = ad_semantics.build_config_nfa
+
+    def lossy(ad, valuation):
+        nfa = build(ad, valuation)
+        return replace(nfa, transitions=nfa.transitions[:-1])
+
+    for module in (ad_semantics, ad_diff):
+        monkeypatch.setattr(module, "build_config_nfa", lossy)
+    assert not all(ad_matches_oracle(a, b, 12) for a, b in pairs)
 
 
 def test_diff_identities_hold_across_random_models():

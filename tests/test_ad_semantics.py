@@ -5,6 +5,7 @@ import pytest
 
 import generators
 from helpers import reference_build_config_nfa
+from oracles import reference_words
 from semdiff import ad_semantics
 from semdiff.ad_diff import addiff
 from semdiff.ad_lang import parse_ad, print_ad
@@ -14,9 +15,14 @@ from semdiff.ad_semantics import (
     UnsafeMarkingError,
     accepts,
     build_config_nfa,
-    enumerate_traces,
     input_valuations,
 )
+
+
+def engine_traces(ad, valuation, max_len):
+    """The words of the engine's config NFA, walked by the oracle."""
+    return reference_words(build_config_nfa(ad, valuation), max_len)
+
 
 INTERNAL_HIRE = (
     "register",
@@ -31,11 +37,11 @@ INTERNAL_HIRE = (
 
 def test_linear_diagram_has_one_trace():
     ad = parse_ad("activity A { start -> a; action a; a -> end; }")
-    assert enumerate_traces(ad, {}, 5) == [("a",)]
+    assert engine_traces(ad, {}, 5) == [("a",)]
 
 
 def test_fork_interleavings(adv):
-    traces = enumerate_traces(adv[0], {"isInternal": "true"}, 10)
+    traces = engine_traces(adv[0], {"isInternal": "true"}, 10)
     assert traces == [
         (
             "register",
@@ -51,7 +57,7 @@ def test_fork_interleavings(adv):
 
 
 def test_decision_selects_branch(adv):
-    traces = enumerate_traces(adv[0], {"isInternal": "false"}, 10)
+    traces = engine_traces(adv[0], {"isInternal": "false"}, 10)
     assert traces == [("register", "assignExternalProject", "authorizePayments")]
 
 
@@ -66,7 +72,7 @@ def test_merge_and_decision_loop():
         }
         """
     )
-    assert enumerate_traces(ad, {}, 4) == [
+    assert engine_traces(ad, {}, 4) == [
         ("a",),
         ("a", "a"),
         ("a", "a", "a"),
@@ -86,7 +92,7 @@ def test_run_stops_when_any_token_reaches_final():
     )
     # The first token to enter a final node ends the run, so the two actions
     # never both appear in one trace.
-    assert enumerate_traces(ad, {}, 5) == [("a",), ("b",)]
+    assert engine_traces(ad, {}, 5) == [("a",), ("b",)]
 
 
 def test_stuck_configuration_yields_no_traces():
@@ -101,8 +107,8 @@ def test_stuck_configuration_yields_no_traces():
         }
         """
     )
-    assert enumerate_traces(ad, {"p": "false"}, 5) == []
-    assert enumerate_traces(ad, {"p": "true"}, 5) == [("lead", "a1"), ("lead", "a2")]
+    assert engine_traces(ad, {"p": "false"}, 5) == []
+    assert engine_traces(ad, {"p": "true"}, 5) == [("lead", "a1"), ("lead", "a2")]
 
 
 def test_assignment_feeds_later_guard():
@@ -117,8 +123,8 @@ def test_assignment_feeds_later_guard():
     """
     with_assign = parse_ad(template.format(assign=" / flag := true"))
     without = parse_ad(template.format(assign=""))
-    assert enumerate_traces(with_assign, {}, 5) == [("prepare", "yes")]
-    assert enumerate_traces(without, {}, 5) == [("prepare", "no")]
+    assert engine_traces(with_assign, {}, 5) == [("prepare", "yes")]
+    assert engine_traces(without, {}, 5) == [("prepare", "no")]
 
 
 FORK_INTO_MERGE = parse_ad(
@@ -205,7 +211,7 @@ def test_addiff_compiles_each_diagram_once(monkeypatch):
     monkeypatch.setattr(ad_semantics, "compile_ad", counting)
     text = generators.decision_chain_text(8)
     a, b = parse_ad(text), parse_ad(text)
-    assert len(input_valuations(a.input_vars(), b.input_vars())) == 256
+    assert len(list(input_valuations(a.input_vars(), b.input_vars()))) == 256
     assert addiff(a, b).witnesses == []
     assert sorted(compiled) == sorted([id(a), id(b)])
     addiff(a, b)
@@ -250,7 +256,7 @@ def test_input_valuations_ordering():
         " start -> w; w -> d; d -[m == red && p]-> x; d -[m != red || !p]-> y;"
         " x -> end; y -> end; }"
     )
-    vals = input_valuations(a.input_vars(), b.input_vars())
+    vals = list(input_valuations(a.input_vars(), b.input_vars()))
     assert vals == [
         {"m": "red", "p": "false"},
         {"m": "red", "p": "true"},
@@ -258,11 +264,11 @@ def test_input_valuations_ordering():
         {"m": "green", "p": "true"},
     ]
     # The union signature is symmetric.
-    assert input_valuations(b.input_vars(), a.input_vars()) == vals
+    assert list(input_valuations(b.input_vars(), a.input_vars())) == vals
 
 
 def test_input_valuations_empty_signature():
-    assert input_valuations((), ()) == [{}]
+    assert list(input_valuations((), ())) == [{}]
 
 
 def test_shared_input_domains_must_agree():
@@ -279,8 +285,8 @@ def test_shared_input_domains_must_agree():
 
 
 def test_enumeration_is_deterministic(adv):
-    first = enumerate_traces(adv[1], {"isInternal": "true"}, 10)
-    second = enumerate_traces(adv[1], {"isInternal": "true"}, 10)
+    first = engine_traces(adv[1], {"isInternal": "true"}, 10)
+    second = engine_traces(adv[1], {"isInternal": "true"}, 10)
     assert first == second and len(first) > 1
 
 

@@ -3,10 +3,11 @@ import pytest
 from semdiff import cd_diff, cd_lang
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd
-from semdiff.cd_semantics import enumerate_object_models, is_instance, print_om, universe_of
+from semdiff.cd_semantics import is_instance, print_om
 from semdiff.verdict import VerdictValue
 
 from conftest import fixture_text
+from oracles import reference_object_models, vocabulary_of
 
 
 def texts(result):
@@ -240,7 +241,7 @@ EDGE_PAIRS = {
 def reference_diff(cd1, cd2, k):
     return [
         om
-        for om in enumerate_object_models(universe_of(cd1, cd2), k)
+        for om in reference_object_models(vocabulary_of(cd1, cd2), k)
         if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
     ]
 
