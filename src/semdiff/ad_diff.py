@@ -1,14 +1,19 @@
 """Semantic differencing of activity diagrams.
 
 For each input valuation both diagrams compile to finite NFAs, their config
-NFAs. ``addiff`` searches one graph, the pair graph: its states are the pairs
-(A-subset, B-subset) of configurations that reading the same trace leads to
-in A and in B, built breadth-first over the union alphabet from the pair of
-initial closures. A pair accepts when its A-subset holds an accepting
-configuration and its B-subset holds none, and the graph stops at accepting
-pairs, so every path to one spells a prefix-minimal trace of A that B cannot
-produce. B's subset is a function of the trace, so the pair graph is exactly
-the determinized product of A with the complement of B
+NFAs. A call keeps one ``ConfigTable`` per diagram, which every valuation
+extends with the configurations it reaches that the table lacks. The table
+sets the state values that no marked edge can read to None, so valuations
+that differ only in those share configurations, ε-closures and subset
+successors. Per valuation, ``addiff`` searches one graph, the pair graph:
+its states are the pairs (A-subset, B-subset) of configurations that
+reading the same trace leads to in A and in B, built breadth-first over the
+union alphabet from the pair of initial closures; each pair's successors
+are computed once per call. A pair accepts when its A-subset holds an
+accepting configuration and its B-subset holds none, and the graph stops at
+accepting pairs, so every path to one spells a prefix-minimal trace of A
+that B cannot produce. B's subset is a function of the trace, so the pair
+graph is exactly the determinized product of A with the complement of B
 (``difference_automaton``), built without materializing either.
 
 Witnesses come shortest first and lexicographic within a length, following
@@ -27,8 +32,9 @@ decides the backward direction. An emptied side never accepts again, so the
 search drops pairs whose side is empty for every open direction, and it
 stops as soon as no direction is open. The word that first decided a
 direction, rebuilt from the search's parent links, is its shortest witness.
-``addiff`` and ``compare_ad`` both re-run every witness on the two config
-NFAs (``_checked``).
+``addiff`` and ``compare_ad`` both re-run every witness on the two tables'
+per-configuration moves, one step at a time, without the subset and pair
+memos (``_checked``).
 
 Unlike the bounded class-diagram search this is exact: the state spaces are
 finite. ``determinize`` and ``difference_automaton`` return the graphs they
@@ -39,13 +45,15 @@ from __future__ import annotations
 
 from .ad_lang import ActivityDiagram
 from .ad_semantics import (
+    ConfigTable,
     Nfa,
     NfaRunner,
     Trace,
-    build_config_nfa,
     input_valuations,
 )
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 def _explore(initial, successors, letters, stop):
@@ -160,7 +168,7 @@ def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Nfa:
     letters = tuple(sorted(alphabet if alphabet is not None else nfa.alphabet))
     runner = NfaRunner(nfa)
     order, rows = _explore(
-        runner.closure({nfa.initial}),
+        runner.initial,
         lambda states: {letter: runner.step(states, letter) for letter in letters},
         letters,
         _never,
@@ -212,24 +220,29 @@ def prefix_minimal_words(
     return _walk(rows, final, letters, max_witnesses, max_len)
 
 
-def _pair_graph(a: NfaRunner, b: NfaRunner, trimmed: bool = True):
-    """The pair graph of ``a`` against ``b`` (see the module docstring) as
-    (successor rows, accepting flags, letters). Unless ``trimmed``, accepting
-    pairs keep their successors."""
-    letters = sorted(a.nfa.alphabet | b.nfa.alphabet)
+def _pair_graph(a: NfaRunner, b: NfaRunner, trimmed: bool = True, memo: dict | None = None):
+    """The pair graph of ``a`` against ``b`` (see the module docstring) from
+    their ``initial`` subsets, as (successor rows, accepting flags, letters).
+    Unless ``trimmed``, accepting pairs keep their successors. ``memo`` keeps
+    each pair's successors for the next graph over the same runners."""
+    letters = sorted(a.alphabet | b.alphabet)
+    memo = {} if memo is None else memo
 
     def successors(pair):
-        succ_b = b.successors(pair[1])
-        return {
-            letter: (succ_a, succ_b.get(letter, frozenset()))
-            for letter, succ_a in a.successors(pair[0]).items()
-        }
+        succ = memo.get(pair)
+        if succ is None:
+            succ_b = b.successors(pair[1])
+            succ = memo[pair] = {
+                letter: (succ_a, succ_b.get(letter, _EMPTY))
+                for letter, succ_a in a.successors(pair[0]).items()
+            }
+        return succ
 
     def accepting(pair):
         return a.is_accepting(pair[0]) and not b.is_accepting(pair[1])
 
-    initial = (a.closure({a.nfa.initial}), b.closure({b.nfa.initial}))
-    order, rows = _explore(initial, successors, letters, accepting if trimmed else _never)
+    order, rows = _explore((a.initial, b.initial), successors, letters,
+                           accepting if trimmed else _never)
     return rows, [accepting(pair) for pair in order], letters
 
 
@@ -238,16 +251,14 @@ def _never(state) -> bool:
 
 
 def _checked(a: NfaRunner, b: NfaRunner, valuation: dict[str, str], words) -> list[Trace]:
-    """``words`` as traces under ``valuation``, each re-run to confirm that
-    ``a`` accepts it and ``b`` does not."""
+    """``words`` as traces under ``valuation``, each re-run from the
+    runners' ``initial`` subsets to confirm that ``a`` accepts it and ``b``
+    does not."""
     traces = [Trace.make(valuation, w) for w in words]
     for trace in traces:
         if not a.accepts(trace.actions) or b.accepts(trace.actions):
             raise RuntimeError(f"diff search produced an unsound witness: {trace}")
     return traces
-
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, ...] | None]:
@@ -260,7 +271,7 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, .
     accepts decides the direction of that side."""
     todo = list(wanted)  # todo[d]: direction d is still open
     words: list[tuple[str, ...] | None] = [None, None]
-    accepting_a, accepting_b = a.nfa.accepting, b.nfa.accepting
+    accepting_a, accepting_b = a.accepting, b.accepting
 
     def settles(pair) -> bool:
         """Decide the direction ``pair`` witnesses, if any; True once none is open."""
@@ -271,7 +282,7 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, .
             words[b_accepts] = _word_to(pair, links)
         return not any(todo)
 
-    start = (a.closure({a.nfa.initial}), b.closure({b.nfa.initial}))
+    start = (a.initial, b.initial)
     links: dict = {start: None}  # pair -> (parent pair, letter)
     queue = [start]
     if settles(start):
@@ -319,14 +330,16 @@ def addiff(
         raise ValueError("max_len must be >= 0")
     witnesses: list[Trace] = []
     exhausted = True
+    a, b = ConfigTable(ad1), ConfigTable(ad2)
+    pairs: dict = {}
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         budget = max_witnesses - len(witnesses)
         if budget == 0:
             exhausted = False
             break
-        a = NfaRunner(build_config_nfa(ad1, v))
-        b = NfaRunner(build_config_nfa(ad2, v))
-        rows, final, letters = _pair_graph(a, b)
+        a.start(v)
+        b.start(v)
+        rows, final, letters = _pair_graph(a, b, memo=pairs)
         words, done = _walk(rows, final, letters, budget, max_len)
         witnesses.extend(_checked(a, b, v, words))
         exhausted = exhausted and done
@@ -337,21 +350,20 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
     """Relate two activity diagrams exactly.
 
     A direction differs when some valuation has a witness for it. Valuations
-    are visited in order until both directions differ; each valuation's two
-    config NFAs serve one joint search for the directions still open.
+    are visited in order until both directions differ; each valuation serves
+    one joint search for the directions still open.
     """
-    ads = (ad1, ad2)
+    tables = (ConfigTable(ad1), ConfigTable(ad2))
     differs = [False, False]
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         if all(differs):
             break
-        # Build in the order a forward search, then a backward one, would, so
+        # Start in the order a forward search, then a backward one, would, so
         # that of two unsafe diagrams the same one is reported.
-        runners: list[NfaRunner | None] = [None, None]
         for side in ((1, 0) if differs[0] else (0, 1)):
-            runners[side] = NfaRunner(build_config_nfa(ads[side], v))
-        words = _shortest_witnesses(*runners, [not d for d in differs])
-        for d, (a, b) in enumerate((runners, runners[::-1])):
+            tables[side].start(v)
+        words = _shortest_witnesses(*tables, [not d for d in differs])
+        for d, (a, b) in enumerate((tables, tables[::-1])):
             if words[d] is not None:
                 _checked(a, b, v, [words[d]])
                 differs[d] = True

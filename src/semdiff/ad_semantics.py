@@ -11,15 +11,32 @@ the set of action traces for one input valuation.
 Each diagram is compiled once into tables (``compile_ad``, cached on the
 diagram): a marking is an int with bit i for edge i, a state a tuple of
 values in sorted variable order, and guards are closures over that tuple.
+One firing loop, ``_play``, plays the game for ``build_config_nfa`` and for
+``ConfigTable``, which keeps the configurations of many valuations of one
+diagram in one automaton. There a value that no marked edge can read before
+it is written is set to None, so valuations that differ only in such
+values share configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
-from .ad_lang import START, ActivityDiagram, NodeKind, VarDecl, VarKind, compile_guard
+from .ad_lang import (
+    START,
+    ActivityDiagram,
+    GuardAnd,
+    GuardCmp,
+    GuardNot,
+    GuardOr,
+    GuardVar,
+    NodeKind,
+    VarDecl,
+    VarKind,
+    compile_guard,
+)
 
 EPSILON = None
 
@@ -103,12 +120,17 @@ def input_valuations(
 
 
 def compile_ad(ad: ActivityDiagram):
-    """The tables ``build_config_nfa`` plays the token game on, cached as
-    ``ad.compiled``: (variable names in slot order, start edge bit, mask of
-    the edges entering a final node, destination node of each edge, firings
-    of each node in edge order). A firing is (label, consumed edges, marked
-    edges, guard or None, assignments), an assignment (target slot, source
-    slot or -1, literal)."""
+    """The tables the token game is played on, cached as ``ad.compiled``:
+    (variable names in slot order, start edge bit, mask of the edges
+    entering a final node, destination node of each edge, firings of each
+    node in edge order, per edge the mask of the slots a token there may
+    read). A firing is (label, consumed edges, marked edges, guard or None,
+    assignments, mask of the slots they write), an assignment (target slot,
+    source slot or -1, literal).
+
+    A token may read a slot when some path from its edge reads the slot, in
+    a guard or as an assignment source, before an assignment writes it. The
+    per-edge masks are the least fixpoint of that rule."""
     var_names = tuple(sorted(v.name for v in ad.variables))
     slots = {name: i for i, name in enumerate(var_names)}
     node_index = {n.name: i for i, n in enumerate(ad.nodes)}
@@ -117,37 +139,71 @@ def compile_ad(ad: ActivityDiagram):
         outs[node_index[e.src]].append(i)
         ins[node_index[e.dst]].append(i)
     edge_dst = tuple(node_index[e.dst] for e in ad.edges)
+    node_assigns = [tuple((slots[a.target], slots[a.source] if a.source_is_var else -1, a.source)
+                          for a in node.assignments) for node in ad.nodes]
+
+    # A token reads the guards on the edges leaving its node, then what the
+    # tokens on those edges may read, less what the node's assignments write
+    # (taken last to first, as one may read an earlier one's target). When
+    # an edge's mask grows, the edges into its source node are revisited.
+    reads = [_guard_reads(e.guard, slots) for e in ad.edges]
+    edge_live = [0] * len(ad.edges)
+    todo = list(range(len(ad.edges)))
+    while todo:
+        i = todo.pop()
+        n = edge_dst[i]
+        live = 0
+        for o in outs[n]:
+            live |= edge_live[o] | reads[o]
+        for target, source, _ in reversed(node_assigns[n]):
+            live &= ~(1 << target)
+            if source >= 0:
+                live |= 1 << source
+        if live != edge_live[i]:
+            edge_live[i] = live
+            todo += ins[node_index[ad.edges[i].src]]
+
     firings = []
-    for node, node_ins, node_outs in zip(ad.nodes, ins, outs):
+    for node, node_ins, node_outs, assigns in zip(ad.nodes, ins, outs, node_assigns):
         emit = sum(1 << o for o in node_outs)
         if node.kind in (NodeKind.ACTION, NodeKind.MERGE):
             label = node.name if node.kind is NodeKind.ACTION else EPSILON
-            assigns = tuple((slots[a.target], slots[a.source] if a.source_is_var else -1, a.source)
-                            for a in node.assignments)
-            rules = [(label, 1 << i, emit, None, assigns) for i in node_ins]
+            written = sum(1 << target for target, _, _ in assigns)
+            rules = [(label, 1 << i, emit, None, assigns, written) for i in node_ins]
         elif node.kind is NodeKind.DECISION:
-            rules = [(EPSILON, 1 << node_ins[0], 1 << o, compile_guard(ad.edges[o].guard, slots), ())
-                     for o in node_outs]
+            rules = [(EPSILON, 1 << node_ins[0], 1 << o, compile_guard(ad.edges[o].guard, slots),
+                      (), 0) for o in node_outs]
         elif node.kind is NodeKind.FORK:
-            rules = [(EPSILON, 1 << node_ins[0], emit, None, ())]
+            rules = [(EPSILON, 1 << node_ins[0], emit, None, (), 0)]
         elif node.kind is NodeKind.JOIN:
-            rules = [(EPSILON, sum(1 << i for i in node_ins), emit, None, ())]
+            rules = [(EPSILON, sum(1 << i for i in node_ins), emit, None, (), 0)]
         else:  # initial and final nodes never fire
             rules = []
         firings.append(tuple(rules))
     final_mask = sum(1 << i for i, n in enumerate(edge_dst) if ad.nodes[n].kind is NodeKind.FINAL)
-    return var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings)
+    return (var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings),
+            tuple(edge_live))
 
 
-def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
-    """Explore every configuration reachable under one input valuation.
+def _guard_reads(guard, slots: dict[str, int]) -> int:
+    """The mask of the slots ``guard`` (or None) reads."""
+    mask = 0
+    todo = [guard] if guard is not None else []
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (GuardVar, GuardCmp)):
+            mask |= 1 << slots[g.var]
+        elif isinstance(g, GuardNot):
+            todo.append(g.inner)
+        elif isinstance(g, (GuardAnd, GuardOr)):
+            todo += (g.left, g.right)
+    return mask
 
-    ``valuation`` must cover the diagram's input variables; extra variables
-    are ignored. Raises UnsafeMarkingError if any firing would double-mark an
-    edge. Configurations are numbered breadth-first, and the firings of each
-    are tried in node order, then edge order.
-    """
-    var_names, start_bit, final_mask, edge_dst, firings = ad.compiled
+
+def _initial_state(ad: ActivityDiagram, valuation: dict[str, str]) -> tuple[str, ...]:
+    """The state a run under ``valuation`` starts in, checked against the
+    input domains."""
+    var_names = ad.compiled[0]
     state0: list[str | None] = [None] * len(var_names)
     for v in ad.variables:
         value = v.initial
@@ -159,45 +215,104 @@ def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
                 raise ValueError(
                     f"value '{value}' is outside the domain of input '{v.name}'")
         state0[var_names.index(v.name)] = value
+    return tuple(state0)
 
-    initial = (start_bit, tuple(state0))
-    index = {initial: 0}
-    configs = [initial]
-    transitions: list[tuple[int, str | None, int]] = []
-    accepting: list[int] = []
-    for cur_id, (marking, state) in enumerate(configs):
-        if marking & final_mask:
-            # A token has entered a final node: the run stops here and any
-            # other tokens are discarded.
-            accepting.append(cur_id)
-            continue
-        # Only the nodes that a marked edge enters can fire.
-        for n in sorted({edge_dst[i] for i in _edges(marking)}):
-            for label, consume, emit, guard, assigns in firings[n]:
-                if marking & consume != consume or guard is not None and not guard(state):
-                    continue
-                rest = marking ^ consume
-                if rest & emit:
-                    edge = ad.edges[next(_edges(rest & emit))]
-                    raise UnsafeMarkingError(ad.nodes[n].name, (edge.src, edge.dst), Config(
-                        frozenset(_edges(marking)), tuple(zip(var_names, state))))
-                nxt = (rest | emit, _assign(state, assigns) if assigns else state)
-                nxt_id = index.get(nxt)
-                if nxt_id is None:
-                    nxt_id = index[nxt] = len(configs)
-                    configs.append(nxt)
-                transitions.append((cur_id, label, nxt_id))
+
+def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
+    """Explore every configuration reachable under one input valuation.
+
+    ``valuation`` must cover the diagram's input variables; extra variables
+    are ignored. Raises UnsafeMarkingError if any firing would double-mark an
+    edge. Configurations are numbered breadth-first, and the firings of each
+    are tried in node order, then edge order.
+    """
+    initial = (ad.compiled[1], _initial_state(ad, valuation))
+    configs, rows, accepting = [initial], [], set()
+    _play(ad, configs, {initial: 0}, rows, accepting)
     return Nfa(
         n_states=len(configs),
         alphabet=ad.action_names(),
-        transitions=tuple(transitions),
+        transitions=tuple((src, label, dst) for src, row in enumerate(rows) for label, dst in row),
         initial=0,
         accepting=frozenset(accepting),
     )
 
 
-def _edges(mask: int):
-    """The edge indices in a bitmask, lowest first."""
+def _play(ad: ActivityDiagram, configs: list, index: dict, rows: list, accepting: set,
+          live_of: dict | None = None) -> None:
+    """The token game: fire each configuration of ``configs`` from
+    ``len(rows)`` on, in order, appending its moves to ``rows`` as a list of
+    (label, target id) and the configurations they reach that ``index``
+    lacks to ``configs`` and ``index``; accepting ones go to ``accepting``.
+
+    With ``live_of``, a cache of ``_live`` per marking, each reached state
+    has the slots that no marked edge may read set to None, as the
+    configurations already in ``configs`` must have.
+    """
+    var_names, _, final_mask, edge_dst, firings, edge_live = ad.compiled
+    # The iterator reads the configurations appended while it runs.
+    for marking, state in islice(configs, len(rows), None):
+        row: list = []
+        rows.append(row)
+        if marking & final_mask:
+            # A token has entered a final node: the run stops here and any
+            # other tokens are discarded.
+            accepting.add(len(rows) - 1)
+            continue
+        if live_of is not None:
+            live = live_of[marking]
+        # Only the nodes that a marked edge enters can fire.
+        if marking & (marking - 1):
+            nodes = sorted({edge_dst[i] for i in _bits(marking)})
+        else:
+            nodes = (edge_dst[marking.bit_length() - 1],)
+        for n in nodes:
+            for label, consume, emit, guard, assigns, written in firings[n]:
+                if marking & consume != consume or guard is not None and not guard(state):
+                    continue
+                rest = marking ^ consume
+                if rest & emit:
+                    edge = ad.edges[next(_bits(rest & emit))]
+                    raise UnsafeMarkingError(ad.nodes[n].name, (edge.src, edge.dst), Config(
+                        frozenset(_bits(marking)), tuple(zip(var_names, state))))
+                nxt_marking = rest | emit
+                nxt_state = _assign(state, assigns) if assigns else state
+                if live_of is not None:
+                    # Only the slots live before the firing or written by it
+                    # can hold a value.
+                    dead = (live | written) & ~_live(live_of, edge_live, nxt_marking)
+                    if dead:
+                        nxt_state = _cleared(nxt_state, dead)
+                nxt = (nxt_marking, nxt_state)
+                nxt_id = index.get(nxt)
+                if nxt_id is None:
+                    nxt_id = index[nxt] = len(configs)
+                    configs.append(nxt)
+                row.append((label, nxt_id))
+
+
+def _live(live_of: dict, edge_live: tuple[int, ...], marking: int) -> int:
+    """The mask of the slots some edge of ``marking`` may read, kept in
+    ``live_of``."""
+    live = live_of.get(marking)
+    if live is None:
+        live = 0
+        for i in _bits(marking):
+            live |= edge_live[i]
+        live_of[marking] = live
+    return live
+
+
+def _cleared(state: tuple, mask: int) -> tuple:
+    """``state`` with the slots in ``mask`` set to None."""
+    out = list(state)
+    for i in _bits(mask):
+        out[i] = None
+    return tuple(out)
+
+
+def _bits(mask: int):
+    """The set bit positions of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -213,53 +328,124 @@ def _assign(state: tuple[str, ...], assigns) -> tuple[str, ...]:
 
 
 class NfaRunner:
-    """Index over an Nfa for closure/step queries."""
+    """Subset queries over an automaton's moves, kept per state as a list of
+    (label, target); each state's ε-closure and each subset's successors are
+    computed once. ``initial`` is the closure of the initial state."""
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
-        self.eps: dict[int, list[int]] = {}
-        self.moves: dict[int, dict[str, list[int]]] = {}
+        self.alphabet = nfa.alphabet
+        self.rows: list[list[tuple[str | None, int]]] = [[] for _ in range(nfa.n_states)]
         for src, label, dst in nfa.transitions:
-            if label is EPSILON:
-                self.eps.setdefault(src, []).append(dst)
-            else:
-                self.moves.setdefault(src, {}).setdefault(label, []).append(dst)
+            self.rows[src].append((label, dst))
+        self.accepting = nfa.accepting
+        self._closures: dict[int, frozenset[int]] = {}
+        self._successors: dict[frozenset[int], dict[str, frozenset[int]]] = {}
+        self.initial = self.closure((nfa.initial,))
 
     def closure(self, states) -> frozenset[int]:
-        out = set(states)
-        todo = list(states)
-        while todo:
-            s = todo.pop()
-            for t in self.eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    todo.append(t)
-        return frozenset(out)
-
-    def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
+        """The states that silent moves lead to from ``states``, them included."""
+        if len(states) == 1:
+            (s,) = states
+            return self._closure_of(s)
         out: set[int] = set()
         for s in states:
-            out.update(self.moves.get(s, {}).get(letter, ()))
-        return self.closure(out)
+            out |= self._closure_of(s)
+        return frozenset(out)
+
+    def _closure_of(self, state: int) -> frozenset[int]:
+        closure = self._closures.get(state)
+        if closure is None:
+            out = {state}
+            todo = [state]
+            rows = self.rows
+            while todo:
+                for label, t in rows[todo.pop()]:
+                    if label is EPSILON and t not in out:
+                        out.add(t)
+                        todo.append(t)
+            closure = self._closures[state] = frozenset(out)
+        return closure
+
+    def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
+        """The closure of the states one ``letter`` move leads to."""
+        rows = self.rows
+        return self.closure({t for s in states for label, t in rows[s] if label == letter})
 
     def successors(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
         """``step(states, letter)`` for each letter where it is not empty."""
-        out: dict[str, set[int]] = {}
+        succ = self._successors.get(states)
+        if succ is None:
+            succ = self._successors[states] = self._successors_of(states)
+        return succ
+
+    def _successors_of(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
+        targets: dict[str, set[int]] = {}
+        rows = self.rows
         for s in states:
-            for letter, targets in self.moves.get(s, {}).items():
-                out.setdefault(letter, set()).update(targets)
-        return {letter: self.closure(targets) for letter, targets in out.items()}
+            for label, t in rows[s]:
+                if label is not EPSILON:
+                    targets.setdefault(label, set()).add(t)
+        return {letter: self.closure(ts) for letter, ts in targets.items()}
 
     def is_accepting(self, states: frozenset[int]) -> bool:
-        return bool(states & self.nfa.accepting)
+        return not self.accepting.isdisjoint(states)
 
     def accepts(self, word) -> bool:
-        states = self.closure({self.nfa.initial})
+        """Whether ``word`` leads from ``initial`` to an accepting state,
+        taken one ``step`` at a time."""
+        states = self.initial
         for letter in word:
             states = self.step(states, letter)
             if not states:
                 return False
         return self.is_accepting(states)
+
+
+class ConfigTable(NfaRunner):
+    """The configuration NFAs of one diagram under several valuations, as one
+    ``NfaRunner`` that every valuation extends.
+
+    State values that no marked edge can read are set to None, so valuations
+    that differ only in those share configurations, their closures and their
+    subsets. That keeps each valuation's language: a firing reads only the
+    slots its consumed edges may read, and it writes every slot that its
+    marked edges may read and its consumed ones may not.
+    """
+
+    def __init__(self, ad: ActivityDiagram):
+        self.ad = ad
+        self.alphabet = ad.action_names()
+        self.rows = []
+        self.accepting = set()
+        self._closures = {}
+        self._successors = {}
+        self.configs: list[tuple[int, tuple]] = []
+        self.index: dict[tuple[int, tuple], int] = {}
+        self.live_of: dict[int, int] | None = {} if ad.variables else None
+
+    def start(self, valuation: dict[str, str]) -> None:
+        """Set ``initial`` to the initial closure under ``valuation``, after
+        exploring every configuration the valuation reaches that the table
+        lacks. An unsafe firing raises the UnsafeMarkingError of
+        ``build_config_nfa``, which shows the whole state."""
+        _, start_bit, _, _, _, edge_live = self.ad.compiled
+        state = _initial_state(self.ad, valuation)
+        if self.live_of is not None:
+            dead = ((1 << len(state)) - 1) & ~_live(self.live_of, edge_live, start_bit)
+            if dead:
+                state = _cleared(state, dead)
+        initial = (start_bit, state)
+        cid = self.index.get(initial)
+        if cid is None:
+            cid = self.index[initial] = len(self.configs)
+            self.configs.append(initial)
+            try:
+                _play(self.ad, self.configs, self.index, self.rows, self.accepting, self.live_of)
+            except UnsafeMarkingError:
+                build_config_nfa(self.ad, valuation)
+                raise
+        self.initial = self.closure((cid,))
 
 
 def accepts(ad: ActivityDiagram, trace: Trace) -> bool:

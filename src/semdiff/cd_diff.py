@@ -56,42 +56,60 @@ def cddiff(
     truncated at ``max_witnesses``. ``exhausted`` is only true when every
     canonical model within the bound was covered and nothing was cut off.
     """
-    if k < 0:
-        raise ValueError("bound k must be >= 0")
+    _check_bound(k)
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be >= 1")
-    classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     witnesses: list[ObjectModel] = []
     exhausted = True
-    levels = _witness_levels(cd1, cd2, classes, k)
-    for total, max_total, level in levels:
-        witnesses.extend(level)
+    for total, max_total, level in _witness_levels(cd1, cd2, k):
+        witnesses.extend(sorted(level, key=print_om))
         if len(witnesses) >= max_witnesses and total < max_total:
             exhausted = False
             break
     if len(witnesses) > max_witnesses:
         witnesses = witnesses[:max_witnesses]
         exhausted = False
+    _check_witnesses(witnesses, cd1, cd2)
+    return DiffResult(witnesses, exhausted)
+
+
+def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> Verdict:
+    """Relate two diagrams up to bound k by probing both diff directions.
+
+    A direction differs as soon as its search meets one witness, which is
+    self-checked as ``cddiff`` checks its own; no level is sorted or printed.
+    """
+    _check_bound(k)
+    differs = []
+    for a, b in ((cd1, cd2), (cd2, cd1)):
+        first = next((om for _, _, level in _witness_levels(a, b, k) for om in level), None)
+        if first is not None:
+            _check_witnesses([first], a, b)
+        differs.append(first is not None)
+    return Verdict.of(*differs, bounded=True)
+
+
+def _check_bound(k: int) -> None:
+    if k < 0:
+        raise ValueError("bound k must be >= 0")
+
+
+def _check_witnesses(witnesses: list[ObjectModel], cd1: ClassDiagram, cd2: ClassDiagram) -> None:
+    """Confirm that each witness instantiates ``cd1`` and not ``cd2``."""
     for w in witnesses:
         ok1, _ = is_instance(w, cd1)
         ok2, _ = is_instance(w, cd2)
         if not ok1 or ok2:
             raise RuntimeError(f"diff search produced an unsound witness:\n{print_om(w)}")
-    return DiffResult(witnesses, exhausted)
-
-
-def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> Verdict:
-    """Relate two diagrams up to bound k by probing both diff directions."""
-    forward = cddiff(cd1, cd2, k, 1).witnesses
-    backward = cddiff(cd2, cd1, k, 1).witnesses
-    return Verdict.of(bool(forward), bool(backward), bounded=True)
 
 
 def _witness_levels(
-    cd1: ClassDiagram, cd2: ClassDiagram, classes: tuple[str, ...], k: int
-) -> Iterator[tuple[int, int, list[ObjectModel]]]:
-    """Yield (total, max_total, witnesses-at-total) over the sorted class
-    names of both diagrams, smallest total first."""
+    cd1: ClassDiagram, cd2: ClassDiagram, k: int
+) -> Iterator[tuple[int, int, Iterator[ObjectModel]]]:
+    """Yield (total, max_total, witnesses at total, in search order) over the
+    sorted class names of both diagrams, smallest total first. Each level's
+    witnesses are built as they are read."""
+    classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     prefixes = object_id_prefixes(classes)
     decl1 = {c.name: c for c in cd1.classes}
     caps = [
@@ -99,17 +117,17 @@ def _witness_levels(
         for c in classes
     ]
     max_total = sum(caps)
-    for total in range(max_total + 1):
-        level: list[tuple[str, ObjectModel]] = []
+
+    def level(total: int) -> Iterator[ObjectModel]:
         for counts in count_vectors(caps, total):
             objects = objects_for_counts(classes, prefixes, counts)
             if not _object_level_ok(objects, cd1):
                 continue
             for links in _rejected_link_choices(objects, cd1, cd2):
-                om = ObjectModel("om", dict(objects), links)
-                level.append((print_om(om), om))
-        level.sort(key=lambda item: item[0])
-        yield total, max_total, [om for _, om in level]
+                yield ObjectModel("om", dict(objects), links)
+
+    for total in range(max_total + 1):
+        yield total, max_total, level(total)
 
 
 def _rejected_link_choices(

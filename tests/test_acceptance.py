@@ -9,9 +9,8 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
-from semdiff import ad_diff, ad_semantics, cd_diff, cd_semantics
+from semdiff import ad_semantics, cd_diff, cd_semantics
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import parse_ad, print_ad
 from semdiff.ad_semantics import Trace, accepts, input_valuations
@@ -158,17 +157,20 @@ def test_cd_oracle_catches_colliding_object_ids(monkeypatch):
 
 def test_ad_oracle_catches_a_dropped_transition(monkeypatch, adv):
     # The oracle builds its config NFAs with the reference builder, so a
-    # builder that loses a transition must change some fixture pair's diff.
+    # firing loop that loses a transition must change some fixture pair's
+    # diff. The loop fills the search's configuration tables and
+    # build_config_nfa alike.
     pairs = [(a, b) for a in adv for b in adv]
     assert all(ad_matches_oracle(a, b, 12) for a, b in pairs)
-    build = ad_semantics.build_config_nfa
+    play = ad_semantics._play
 
-    def lossy(ad, valuation):
-        nfa = build(ad, valuation)
-        return replace(nfa, transitions=nfa.transitions[:-1])
+    def lossy(ad, configs, index, rows, *rest):
+        first = len(rows)
+        play(ad, configs, index, rows, *rest)
+        fired = [row for row in rows[first:] if row]
+        fired[-1].pop()
 
-    for module in (ad_semantics, ad_diff):
-        monkeypatch.setattr(module, "build_config_nfa", lossy)
+    monkeypatch.setattr(ad_semantics, "_play", lossy)
     assert not all(ad_matches_oracle(a, b, 12) for a, b in pairs)
 
 

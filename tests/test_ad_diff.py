@@ -17,6 +17,7 @@ from semdiff.ad_diff import (
 )
 from semdiff.ad_lang import parse_ad
 from semdiff.ad_semantics import (
+    ConfigTable,
     Nfa,
     NfaRunner,
     Trace,
@@ -371,38 +372,65 @@ def test_compare_agrees_with_one_witness_per_direction(adv):
     assert len(verdicts) == 4  # the sweep meets every verdict
 
 
-def count_config_builds(monkeypatch):
-    built = Counter()
-    real = ad_semantics.build_config_nfa
+def record_exploration(monkeypatch):
+    """How often the shared firing loop explored each configuration of each
+    diagram, and how often ``ConfigTable.start`` started each diagram under
+    each valuation."""
+    explored, started = Counter(), Counter()
+    play, start = ad_semantics._play, ConfigTable.start
 
-    def counting(ad, valuation):
-        built[id(ad), tuple(sorted(valuation.items()))] += 1
-        return real(ad, valuation)
+    def recording_play(ad, configs, index, rows, *rest):
+        first = len(rows)
+        play(ad, configs, index, rows, *rest)
+        explored.update((id(ad), config) for config in configs[first:])
 
-    monkeypatch.setattr(ad_semantics, "build_config_nfa", counting)
-    monkeypatch.setattr(ad_diff, "build_config_nfa", counting)
-    return built
+    def recording_start(table, valuation):
+        started[id(table.ad), tuple(sorted(valuation.items()))] += 1
+        start(table, valuation)
+
+    monkeypatch.setattr(ad_semantics, "_play", recording_play)
+    monkeypatch.setattr(ConfigTable, "start", recording_start)
+    return explored, started
 
 
-def test_each_visited_valuation_builds_each_config_nfa_once(adv, monkeypatch):
-    built = count_config_builds(monkeypatch)
+def test_each_configuration_is_explored_once_per_call_for_visited_valuations(adv, monkeypatch):
+    explored, started = record_exploration(monkeypatch)
     valuations = [tuple(sorted(v.items())) for v in input_valuations(
         adv[1].input_vars(), adv[2].input_vars())]
     assert len(valuations) == 2
-    # The self-check of the four witnesses reuses the search's automata.
     assert len(addiff(adv[1], adv[2]).witnesses) == 4
-    assert built == Counter({(id(ad), v): 1 for ad in adv[1:3] for v in valuations})
+    assert started == Counter({(id(ad), v): 1 for ad in adv[1:3] for v in valuations})
+    assert explored and max(explored.values()) == 1
 
     # The only witness of the first valuation fills the budget: one valuation.
-    built.clear()
+    explored.clear()
+    started.clear()
     assert len(addiff(adv[2], adv[3], max_witnesses=1).witnesses) == 1
-    assert built == Counter({(id(ad), valuations[0]): 1 for ad in adv[2:4]})
+    assert started == Counter({(id(ad), valuations[0]): 1 for ad in adv[2:4]})
+    assert explored and max(explored.values()) == 1
 
     for pair in ((adv[1], adv[2]), (adv[2], adv[1]), (adv[2], adv[3])):
-        built.clear()
+        explored.clear()
+        started.clear()
         compare_ad(*pair)
-        assert built and max(built.values()) == 1
-        assert sum(built.values()) <= 2 * len(valuations)
+        assert started and max(started.values()) == 1
+        assert sum(started.values()) <= 2 * len(valuations)
+        assert explored and max(explored.values()) == 1
+
+
+def test_valuations_share_configurations_once_their_inputs_are_read(monkeypatch):
+    # On a chain of 8 decisions, input i is dead once decision i has fired,
+    # so the 256 valuations share what follows: at most a third of the
+    # configurations that one build per valuation holds.
+    plain = parse_ad(generators.decision_chain_text(8))
+    valuations = list(input_valuations(plain.input_vars(), ()))
+    assert sum(build_config_nfa(plain, v).n_states for v in valuations) == 6400
+    explored, _ = record_exploration(monkeypatch)
+    swapped = parse_ad(generators.decision_chain_text(8).replace("d3 -[b3]-> y3", "d3 -[!b3]-> y3")
+                       .replace("d3 -[!b3]-> n3", "d3 -[b3]-> n3"))
+    assert len(addiff(plain, swapped, 300).witnesses) == 256
+    configs = Counter(ad for ad, _ in explored)
+    assert configs == Counter({id(plain): 1531, id(swapped): 1531})
 
 
 def test_unsound_search_result_fails_the_self_check(monkeypatch):
@@ -475,14 +503,16 @@ def test_compare_matches_one_witness_per_direction_on_forks_and_unsafe_diagrams(
 
 
 def test_compare_takes_no_more_successor_steps_than_two_one_witness_diffs(adv, monkeypatch):
+    # Each table computes a subset's successors once, however often the
+    # search asks for them.
     calls = Counter()
-    real = NfaRunner.successors
+    real = NfaRunner._successors_of
 
     def counting(runner, states):
         calls["n"] += 1
         return real(runner, states)
 
-    monkeypatch.setattr(NfaRunner, "successors", counting)
+    monkeypatch.setattr(NfaRunner, "_successors_of", counting)
 
     def steps(search, *pairs):
         calls.clear()

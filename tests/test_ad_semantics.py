@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 
 import pytest
 
@@ -7,10 +8,12 @@ import generators
 from helpers import reference_build_config_nfa
 from oracles import reference_words
 from semdiff import ad_semantics
-from semdiff.ad_diff import addiff
+from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import parse_ad, print_ad
 from semdiff.ad_semantics import (
+    ConfigTable,
     DomainMismatchError,
+    NfaRunner,
     Trace,
     UnsafeMarkingError,
     accepts,
@@ -187,6 +190,115 @@ def test_unsafe_marking_error_matches_the_reference_builder(ad, valuation):
     assert ours.value.node == ref.value.node
     assert ours.value.edge == ref.value.edge
     assert ours.value.config == ref.value.config
+
+
+def same_language(a, b) -> bool:
+    """Whether two runners accept the same words from their ``initial``
+    subsets: no pair of subsets that one word leads to has exactly one
+    side accepting."""
+    empty = frozenset()
+    start = (a.initial, b.initial)
+    seen = {start}
+    todo = [start]
+    while todo:
+        sa, sb = todo.pop()
+        if a.is_accepting(sa) != b.is_accepting(sb):
+            return False
+        succ_a = a.successors(sa) if sa else {}
+        succ_b = b.successors(sb) if sb else {}
+        for letter in {**succ_a, **succ_b}:
+            pair = (succ_a.get(letter, empty), succ_b.get(letter, empty))
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
+
+
+# A fork whose left branch assigns the local that a decision on the right
+# branch reads, from an input or a literal: the two race.
+RACING_FORK = """
+activity R {
+  input p: bool; input q: {lo, hi}; local x: bool; local y: {lo, hi} = hi;
+  fork f; join j; decision d; merge m;
+  action w / x := p, y := q; action v / x := true; action r; action yes; action no; action z;
+  start -> f; f -> w; f -> r; w -> v; v -> j; r -> d;
+  d -[x || y == lo]-> yes; d -[!x]-> no; yes -> m; no -> m; m -> j; j -> z; z -> end;
+}
+"""
+
+
+def test_shared_tables_keep_each_valuations_language(adv):
+    rng = random.Random(1313)
+    diagrams = [ad for _ in range(100) for ad in generators.random_ad_pair(rng, max_len=8)]
+    diagrams += adv
+    diagrams += [parse_ad(generators.decision_chain_text(n, True)) for n in (1, 2, 3, 4)]
+    diagrams.append(parse_ad(RACING_FORK))
+    compared = shared = 0
+    for ad in diagrams:
+        table = ConfigTable(ad)
+        for v in input_valuations(ad.input_vars(), ()):
+            explored = len(table.configs)
+            table.start(v)
+            built = NfaRunner(build_config_nfa(ad, v))
+            shared += len(table.configs) - explored < built.nfa.n_states
+            assert same_language(table, built), (print_ad(ad), v)
+            compared += 1
+    assert compared > len(diagrams) and shared > 0
+
+
+def test_the_racing_fork_projects_a_variable_only_once_no_branch_reads_it():
+    ad = parse_ad(RACING_FORK)
+    table = ConfigTable(ad)
+    for v in input_valuations(ad.input_vars(), ()):
+        table.start(v)
+    var_names, edge_live = ad.compiled[0], ad.compiled[5]
+    assert var_names == ("p", "q", "x", "y")
+    # A configuration keeps a value exactly where a marked edge may read it.
+    for marking, state in table.configs:
+        live = 0
+        for i in range(len(ad.edges)):
+            if marking >> i & 1:
+                live |= edge_live[i]
+        assert [value is not None for value in state] == [bool(live >> i & 1) for i in range(4)]
+    states = {state for _, state in table.configs}
+    # Before w fires, its sources and the guard's x and y are all live.
+    assert ("true", "lo", "false", "hi") in states
+    # Once both branches are past their reads and writes, nothing is.
+    assert (None, None, None, None) in states
+
+
+def test_liveness_reaches_back_along_a_long_chain_quickly():
+    # A guard at the end of 5000 actions keeps its variable live on every
+    # edge before it. Revisiting every edge until nothing changes would take
+    # one pass per action, several seconds here.
+    n = 5000
+    lines = ["activity L { local x: bool; decision d; action y; action z; start -> a0;"]
+    lines += [f"action a{i}; a{i} -> {f'a{i + 1}' if i + 1 < n else 'd'};" for i in range(n)]
+    lines.append("d -[x]-> y; d -[!x]-> z; y -> end; z -> end; }")
+    ad = parse_ad("\n".join(lines))
+    started = time.monotonic()
+    edge_live = ad.compiled[5]
+    assert time.monotonic() - started < 2.0
+    guarded = {i for i, e in enumerate(ad.edges) if e.dst == "d" or e.dst.startswith("a")}
+    assert len(guarded) == n + 1
+    assert all(edge_live[i] == 1 for i in guarded)
+    assert all(edge_live[i] == 0 for i in range(len(ad.edges)) if i not in guarded)
+
+
+def test_unsafe_marking_errors_read_the_same_through_every_entry():
+    x, y = generators.unsafe_when_p("X", ["x1", "z"]), generators.unsafe_when_p("Y", ["z"])
+    texts = {}
+    for name, ad in (("X", x), ("Y", y)):
+        with pytest.raises(UnsafeMarkingError) as err:
+            build_config_nfa(ad, {"p": "true"})
+        texts[name] = str(err.value)
+    assert texts["Y"] == ("firing 'mY' would mark the edge mY -> c twice in configuration"
+                          " <edges [7, 8]; p=true>")
+    for search, left, right, reported in ((addiff, x, y, "X"), (addiff, y, x, "Y"),
+                                          (compare_ad, x, y, "Y"), (compare_ad, y, x, "Y")):
+        with pytest.raises(UnsafeMarkingError) as err:
+            search(left, right)
+        assert str(err.value) == texts[reported]
 
 
 def test_missing_inputs_name_the_first_declared_one():

@@ -6,7 +6,8 @@ fails the tests instead."""
 from pathlib import Path
 
 import semdiff
-from semdiff import ad_diff, ad_semantics
+from semdiff import ad_semantics
+from semdiff.ad_semantics import Trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -15,19 +16,22 @@ def test_tracer_finds_every_hook_and_counts_through_them(monkeypatch, adv):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    originals = (ad_diff.build_config_nfa, ad_semantics.NfaRunner.step, semdiff.addiff)
+    originals = (ad_semantics.build_config_nfa, ad_semantics.NfaRunner.step, semdiff.addiff)
     tracer = tracing.Tracer()
     tracer.reset()
     tracer.install()
     try:
         semdiff.addiff(adv[1], adv[2])
         semdiff.compare_ad(adv[2], adv[3])
+        # The searches keep their configurations in tables of their own;
+        # membership builds one config NFA per call.
+        for value in ("false", "true"):
+            semdiff.accepts(adv[1], Trace.make({"isInternal": value}, ("register",)))
     finally:
         tracer.uninstall()
     values = tracer.finish()
-    # addiff builds both diagrams for each of the two valuations; compare_ad
-    # finds both directions differing in the first valuation.
-    assert values["ad_semantics.config_nfas"] == 6
+    assert values["ad_semantics.config_nfas"] == 2
+    assert values["ad_semantics.config_states"] > 0
     assert values["ad_diff.addiff_ms"] > 0
     assert values["ad_semantics.subset_steps"] > 0
-    assert (ad_diff.build_config_nfa, ad_semantics.NfaRunner.step, semdiff.addiff) == originals
+    assert (ad_semantics.build_config_nfa, ad_semantics.NfaRunner.step, semdiff.addiff) == originals

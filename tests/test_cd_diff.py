@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
+import generators
 from semdiff import cd_diff, cd_lang
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd
 from semdiff.cd_semantics import is_instance, print_om
-from semdiff.verdict import VerdictValue
+from semdiff.verdict import Verdict, VerdictValue
 
 from conftest import fixture_text
 from oracles import reference_object_models, vocabulary_of
@@ -181,6 +184,46 @@ def test_parameter_validation(cd1v1):
         cddiff(cd1v1, cd1v1, -1)
     with pytest.raises(ValueError):
         cddiff(cd1v1, cd1v1, 1, max_witnesses=0)
+    with pytest.raises(ValueError):
+        compare_cd(cd1v1, cd1v1, -1)
+
+
+def test_compare_stops_at_the_first_witness_of_each_direction(monkeypatch):
+    # At k=4 the first level holding a witness of the forward direction has
+    # 169 models; a verdict needs one, checked but neither printed nor sorted.
+    loose = parse_cd("classdiagram C { class A; association r [*] A -- A [*]; }")
+    tight = parse_cd("classdiagram C { class A; association r [*] A -- A [0..2]; }")
+    printed, checked = [], []
+
+    def counting_print(om):
+        printed.append(om)
+        return print_om(om)
+
+    def counting_check(om, cd):
+        checked.append(cd)
+        return is_instance(om, cd)
+
+    monkeypatch.setattr(cd_diff, "print_om", counting_print)
+    monkeypatch.setattr(cd_diff, "is_instance", counting_check)
+    assert compare_cd(loose, tight, 4).value is VerdictValue.RIGHT_REFINES_LEFT
+    assert len(printed) <= 1
+    assert checked == [loose, tight]
+    printed.clear()
+    assert len(cddiff(loose, tight, 4, max_witnesses=1).witnesses) == 1
+    assert len(printed) == 169
+
+
+def test_compare_agrees_with_one_witness_per_direction():
+    rng = random.Random(1301)
+    verdicts = set()
+    for _ in range(120):
+        k = rng.choice((1, 2, 2, 3))
+        cd1, cd2 = generators.random_cd_pair(rng, k)
+        expected = Verdict.of(bool(cddiff(cd1, cd2, k, 1).witnesses),
+                              bool(cddiff(cd2, cd1, k, 1).witnesses), bounded=True)
+        assert compare_cd(cd1, cd2, k) == expected
+        verdicts.add(expected.value)
+    assert len(verdicts) == 4
 
 
 def test_verdict_str():
