@@ -5,23 +5,26 @@ NFAs. A call keeps one ``ConfigTable`` per diagram, which every valuation
 extends with the configurations it reaches that the table lacks. The table
 sets the state values that no marked edge can read to None, so valuations
 that differ only in those share configurations, ε-closures and subset
-successors. Per valuation, ``addiff`` searches one graph, the pair graph:
-its states are the pairs (A-subset, B-subset) of configurations that
-reading the same trace leads to in A and in B, built breadth-first over the
-union alphabet from the pair of initial closures; each pair's successors
-are computed once per call. A pair accepts when its A-subset holds an
-accepting configuration and its B-subset holds none, and the graph stops at
-accepting pairs, so every path to one spells a prefix-minimal trace of A
-that B cannot produce. B's subset is a function of the trace, so the pair
-graph is exactly the determinized product of A with the complement of B
+successors. ``addiff`` searches one graph per call, the pair graph: its
+states are the pairs (A-subset, B-subset) of configurations that reading
+the same trace leads to in A and in B. Each valuation interns the pair of
+its initial closures and explores, breadth-first, only the pairs the graph
+lacks; a pair's successors depend only on the pair, so every valuation
+after the first reuses the pairs, and the facts about them, that earlier
+ones found. A pair accepts when its A-subset holds an accepting
+configuration and its B-subset holds none, and the graph stops at accepting
+pairs, so every path to one spells a prefix-minimal trace of A that B
+cannot produce. B's subset is a function of the trace, so the pair graph is
+exactly the determinized product of A with the complement of B
 (``difference_automaton``), built without materializing either.
 
 Witnesses come shortest first and lexicographic within a length, following
 Ackerman & Shallit, "Efficient enumeration of words in regular languages"
-(TCS 2009): the backward layer ``reach[r]`` holds the pairs that reach an
-accepting pair in exactly r steps, and the walk for length L only steps into
-pairs of ``reach[L - depth - 1]``. Every step then leads to a witness, so a
-witness costs O(L·|Σ|) steps however many shorter traces A has.
+(TCS 2009): the walk for length L steps at depth d only into pairs with an
+accepting pair exactly L - d - 1 steps away. Every step then leads to a
+witness, so a witness costs O(L·k) steps, k the largest out-degree, however
+many shorter traces A has. Whether a pair reaches an accepting pair at all
+(liveness), and in exactly r steps, is kept per pair for the whole call.
 
 A verdict needs only whether each direction has a witness, so ``compare_ad``
 neither walks nor lists witnesses: per valuation it runs one breadth-first
@@ -54,126 +57,176 @@ from .ad_semantics import (
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
 _EMPTY: frozenset[int] = frozenset()
+_NOTHING = Nfa(n_states=1, alphabet=frozenset(), transitions=(), initial=0, accepting=frozenset())
 
 
-def _explore(initial, successors, letters, stop):
-    """Breadth-first walk of the deterministic graph that ``successors``
-    spells out.
+class _PairGraph:
+    """The pair graph of ``a`` against ``b`` (see the module docstring), kept
+    and extended by every start pair that ``add`` interns.
 
-    ``successors(state)`` maps letters to successor states, omitting letters
-    without one; states where ``stop`` holds get no successors. Returns the
-    states in discovery order (the initial one has id 0) and per state its
-    successor ids by letter index (-1 where there is none).
+    Pairs are numbered in discovery order. Per pair id the graph keeps its
+    successors as (letter, id) in letter order, whether it accepts, whether
+    some accepting pair is reachable from it (live), and two bitmasks: bit r
+    of ``hits`` when an accepting pair is exactly r steps away, of ``misses``
+    when it is known not to be. None of these facts changes once the pair is
+    explored, as a pair's successors depend only on the pair. Unless
+    ``trimmed`` is False, accepting pairs have no successors.
     """
-    index = {initial: 0}
-    order = [initial]
-    rows: list[list[int]] = []
-    for state in order:
-        row: list[int] = []
-        if not stop(state):
-            succs = successors(state)
-            for letter in letters:
-                succ = succs.get(letter)
-                if succ is None:
-                    row.append(-1)
+
+    def __init__(self, a: NfaRunner, b: NfaRunner, trimmed: bool = True):
+        self.a, self.b, self.trimmed = a, b, trimmed
+        self.index: dict = {}
+        self.rows: list[list[tuple[str, int]]] = []
+        self.final: list[bool] = []
+        self.live: list[bool] = []
+        self.hits: list[int] = []
+        self.misses: list[int] = []
+
+    def add(self, states_a: frozenset[int], states_b: frozenset[int]) -> int:
+        """The id of the pair (``states_a``, ``states_b``), after exploring
+        breadth-first the pairs it reaches that the graph lacks and deciding
+        their liveness."""
+        pid = self.index.get((states_a, states_b))
+        if pid is not None:
+            return pid
+        a, b, index, rows, final = self.a, self.b, self.index, self.rows, self.final
+        first = len(rows)
+        new = [(states_a, states_b)]
+        index[new[0]] = first
+        for x, y in new:  # the loop reads the pairs appended while it runs
+            accepting = a.is_accepting(x) and not b.is_accepting(y)
+            final.append(accepting)
+            self.hits.append(int(accepting))  # bit 0: the pair itself accepts
+            self.misses.append(int(not accepting))
+            row = []
+            if not (accepting and self.trimmed):
+                succ_b = b.successors(y)
+                for letter, succ_a in sorted(a.successors(x).items()):
+                    succ = (succ_a, succ_b.get(letter, _EMPTY))
+                    sid = index.get(succ)
+                    if sid is None:
+                        sid = index[succ] = first + len(new)
+                        new.append(succ)
+                    row.append((letter, sid))
+            rows.append(row)
+
+        # A new pair is live when it accepts or has a live successor. An old
+        # successor's liveness is final, as all it reaches is old; among the
+        # new pairs liveness spreads backward.
+        live = self.live
+        preds: list[list[int]] = [[] for _ in new]
+        todo = []
+        for pid in range(first, len(rows)):
+            alive = final[pid]
+            for _, sid in rows[pid]:
+                if sid >= first:
+                    preds[sid - first].append(pid)
+                elif live[sid]:
+                    alive = True
+            live.append(alive)
+            if alive:
+                todo.append(pid)
+        while todo:
+            for back in preds[todo.pop() - first]:
+                if not live[back]:
+                    live[back] = True
+                    todo.append(back)
+        return first
+
+    def words(
+        self, start: int, max_words: int | None, max_len: int | None
+    ) -> tuple[list[tuple[str, ...]], bool]:
+        """Words spelling a path from pair ``start`` to an accepting pair,
+        shortest first, then lexicographic.
+
+        The graph must be trimmed, so no word is a prefix of another. Returns
+        (words, exhausted); exhausted is False exactly when some further word
+        exists beyond ``max_words`` or ``max_len``.
+        """
+        rows, final, live = self.rows, self.final, self.live
+        words: list[tuple[str, ...]] = []
+        frontier = {start} if live[start] else set()  # live pairs ending a path of this length
+        length = 0
+        while frontier:
+            if any(final[pid] for pid in frontier):
+                for word in self._words_of(start, length):
+                    if max_words is not None and len(words) >= max_words:
+                        return words, False
+                    words.append(word)
+            frontier = {sid for pid in frontier for _, sid in rows[pid] if live[sid]}
+            if frontier and length == max_len:
+                return words, False
+            length += 1
+        return words, True
+
+    def _words_of(self, start: int, length: int):
+        """The words of paths of exactly ``length`` steps from pair ``start``
+        to an accepting pair, in letter order; ``start`` must have one. Each
+        step goes to a pair with an accepting pair exactly as far as the
+        letters left, so every step leads to a word."""
+        rows = self.rows
+        pids = [start]
+        letters: list[str] = []
+        chosen: list[int] = []  # row position taken at each depth
+        i = 0
+        while True:
+            depth = len(chosen)
+            if depth == length:
+                yield tuple(letters)
+            else:
+                row = rows[pids[-1]]
+                while i < len(row) and not self._reaches(row[i][1], length - depth - 1):
+                    i += 1
+                if i < len(row):
+                    letter, sid = row[i]
+                    chosen.append(i)
+                    letters.append(letter)
+                    pids.append(sid)
+                    i = 0
                     continue
-                succ_id = index.get(succ)
-                if succ_id is None:
-                    succ_id = index[succ] = len(order)
-                    order.append(succ)
-                row.append(succ_id)
-        rows.append(row)
-    return order, rows
+            if not chosen:
+                return
+            i = chosen.pop() + 1
+            letters.pop()
+            pids.pop()
 
-
-def _walk(
-    rows: list[list[int]],
-    final: list[bool],
-    letters,
-    max_words: int | None,
-    max_len: int | None,
-) -> tuple[list[tuple[str, ...]], bool]:
-    """Words spelling a path from state 0 to a final state, shortest first,
-    then lexicographic.
-
-    Final states must have no successors, so no word is a prefix of another.
-    Returns (words, exhausted); exhausted is False exactly when some further
-    word exists beyond ``max_words`` or ``max_len``.
-    """
-    if not any(final):
-        return [], True
-    preds: list[list[int]] = [[] for _ in rows]
-    for sid, row in enumerate(rows):
-        for tid in row:
-            if tid >= 0:
-                preds[tid].append(sid)
-    reach = [{sid for sid, f in enumerate(final) if f}]
-    live = set(reach[0])
-    todo = list(live)
-    while todo:
-        for back in preds[todo.pop()]:
-            if back not in live:
-                live.add(back)
-                todo.append(back)
-
-    words: list[tuple[str, ...]] = []
-    frontier = {0} & live  # live states at the end of some path of this length
-    length = 0
-    while frontier:
-        if any(final[sid] for sid in frontier):
-            while len(reach) < length:
-                reach.append({back for sid in reach[-1] for back in preds[sid]})
-            for word in _words_of_length(rows, letters, reach, length):
-                if max_words is not None and len(words) >= max_words:
-                    return words, False
-                words.append(word)
-        frontier = {tid for sid in frontier for tid in rows[sid] if tid in live}
-        if frontier and length == max_len:
-            return words, False
-        length += 1
-    return words, True
-
-
-def _words_of_length(rows, letters, reach, length: int):
-    """Paths of exactly ``length`` steps from state 0 to a final state, in
-    letter order; ``reach[r]`` must hold the states with such a path of r
-    steps, for r < ``length``, and state 0 must have one of ``length``."""
-    states = [0]
-    chosen: list[int] = []  # letter index taken at each depth
-    i = 0
-    while True:
-        depth = len(chosen)
-        if depth == length:
-            yield tuple(letters[c] for c in chosen)
-        else:
-            row = rows[states[-1]]
-            viable = reach[length - depth - 1]
-            while i < len(row) and row[i] not in viable:
-                i += 1
-            if i < len(row):
-                chosen.append(i)
-                states.append(row[i])
-                i = 0
+    def _reaches(self, pid: int, steps: int) -> bool:
+        """Whether an accepting pair is exactly ``steps`` steps from pair
+        ``pid``, decided depth first on an explicit stack and kept in
+        ``hits`` and ``misses`` for every pair and length the search met."""
+        rows, hits, misses = self.rows, self.hits, self.misses
+        stack = [(pid, steps, 0)]  # (pair, steps, position of the next successor to try)
+        while stack:
+            p, r, i = stack.pop()
+            if not self.live[p] or (hits[p] | misses[p]) >> r & 1:
                 continue
-        if not chosen:
-            return
-        i = chosen.pop() + 1
-        states.pop()
+            row = rows[p]
+            # Skip the successors known to miss at r - 1; stop at one known
+            # to hit, or at one not yet known, which is decided first.
+            while i < len(row):
+                sid = row[i][1]
+                if not self.live[sid] or misses[sid] >> (r - 1) & 1:
+                    i += 1
+                elif hits[sid] >> (r - 1) & 1:
+                    hits[p] |= 1 << r
+                    break
+                else:
+                    stack.append((p, r, i))
+                    stack.append((sid, r - 1, 0))
+                    break
+            else:
+                misses[p] |= 1 << r
+        return self.live[pid] and bool(hits[pid] >> steps & 1)
 
 
 def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Nfa:
     """Subset construction over ``alphabet`` (the NFA's own by default),
     completed with a sink: every state of the result has exactly one move
     per letter and no silent move."""
-    letters = tuple(sorted(alphabet if alphabet is not None else nfa.alphabet))
-    runner = NfaRunner(nfa)
-    order, rows = _explore(
-        runner.initial,
-        lambda states: {letter: runner.step(states, letter) for letter in letters},
-        letters,
-        _never,
-    )
-    return _graph_nfa(rows, [runner.is_accepting(s) for s in order], letters)
+    a, b = NfaRunner(nfa), NfaRunner(_NOTHING)
+    graph = _PairGraph(a, b, trimmed=False)
+    graph.add(a.initial, b.initial)
+    return _graph_nfa(graph, alphabet if alphabet is not None else nfa.alphabet, complete=True)
 
 
 def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
@@ -182,22 +235,30 @@ def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
     It is the pair graph of ``a`` against ``b`` without the cut at accepting
     pairs (see the module docstring), so it is deterministic.
     """
-    return _graph_nfa(*_pair_graph(NfaRunner(a), NfaRunner(b), trimmed=False))
+    a, b = NfaRunner(a), NfaRunner(b)
+    graph = _PairGraph(a, b, trimmed=False)
+    graph.add(a.initial, b.initial)
+    return _graph_nfa(graph, a.alphabet | b.alphabet)
 
 
-def _graph_nfa(rows: list[list[int]], final: list[bool], letters) -> Nfa:
-    """The graph that ``_explore`` spelled out as an ``Nfa`` from state 0."""
+def _graph_nfa(graph: _PairGraph, alphabet: frozenset[str], complete: bool = False) -> Nfa:
+    """``graph`` as an ``Nfa`` over ``alphabet`` from its first pair. When
+    ``complete``, every missing move goes to a sink, added last."""
+    transitions = []
+    n_states = sink = len(graph.rows)
+    for sid, row in enumerate(graph.rows):
+        moves = dict(row)
+        for letter in sorted(alphabet) if complete else moves:
+            transitions.append((sid, letter, moves.get(letter, sink)))
+    if any(tid == sink for _, _, tid in transitions):
+        n_states += 1
+        transitions += [(sink, letter, sink) for letter in sorted(alphabet)]
     return Nfa(
-        n_states=len(rows),
-        alphabet=frozenset(letters),
-        transitions=tuple(
-            (sid, letter, tid)
-            for sid, row in enumerate(rows)
-            for letter, tid in zip(letters, row)
-            if tid >= 0
-        ),
+        n_states=n_states,
+        alphabet=frozenset(alphabet),
+        transitions=tuple(transitions),
         initial=0,
-        accepting=frozenset(sid for sid, f in enumerate(final) if f),
+        accepting=frozenset(sid for sid, f in enumerate(graph.final) if f),
     )
 
 
@@ -214,40 +275,9 @@ def prefix_minimal_words(
     prefix-minimal words is finite. Returns (words, exhausted); exhausted is
     False when the word list was cut off by either limit.
     """
-    nothing = Nfa(n_states=1, alphabet=frozenset(), transitions=(), initial=0,
-                  accepting=frozenset())
-    rows, final, letters = _pair_graph(NfaRunner(nfa), NfaRunner(nothing))
-    return _walk(rows, final, letters, max_witnesses, max_len)
-
-
-def _pair_graph(a: NfaRunner, b: NfaRunner, trimmed: bool = True, memo: dict | None = None):
-    """The pair graph of ``a`` against ``b`` (see the module docstring) from
-    their ``initial`` subsets, as (successor rows, accepting flags, letters).
-    Unless ``trimmed``, accepting pairs keep their successors. ``memo`` keeps
-    each pair's successors for the next graph over the same runners."""
-    letters = sorted(a.alphabet | b.alphabet)
-    memo = {} if memo is None else memo
-
-    def successors(pair):
-        succ = memo.get(pair)
-        if succ is None:
-            succ_b = b.successors(pair[1])
-            succ = memo[pair] = {
-                letter: (succ_a, succ_b.get(letter, _EMPTY))
-                for letter, succ_a in a.successors(pair[0]).items()
-            }
-        return succ
-
-    def accepting(pair):
-        return a.is_accepting(pair[0]) and not b.is_accepting(pair[1])
-
-    order, rows = _explore((a.initial, b.initial), successors, letters,
-                           accepting if trimmed else _never)
-    return rows, [accepting(pair) for pair in order], letters
-
-
-def _never(state) -> bool:
-    return False
+    a, b = NfaRunner(nfa), NfaRunner(_NOTHING)
+    graph = _PairGraph(a, b)
+    return graph.words(graph.add(a.initial, b.initial), max_witnesses, max_len)
 
 
 def _checked(a: NfaRunner, b: NfaRunner, valuation: dict[str, str], words) -> list[Trace]:
@@ -331,7 +361,7 @@ def addiff(
     witnesses: list[Trace] = []
     exhausted = True
     a, b = ConfigTable(ad1), ConfigTable(ad2)
-    pairs: dict = {}
+    graph = _PairGraph(a, b)
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         budget = max_witnesses - len(witnesses)
         if budget == 0:
@@ -339,8 +369,7 @@ def addiff(
             break
         a.start(v)
         b.start(v)
-        rows, final, letters = _pair_graph(a, b, memo=pairs)
-        words, done = _walk(rows, final, letters, budget, max_len)
+        words, done = graph.words(graph.add(a.initial, b.initial), budget, max_len)
         witnesses.extend(_checked(a, b, v, words))
         exhausted = exhausted and done
     return DiffResult(witnesses, exhausted)

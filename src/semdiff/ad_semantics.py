@@ -124,9 +124,9 @@ def compile_ad(ad: ActivityDiagram):
     (variable names in slot order, start edge bit, mask of the edges
     entering a final node, destination node of each edge, firings of each
     node in edge order, per edge the mask of the slots a token there may
-    read). A firing is (label, consumed edges, marked edges, guard or None,
-    assignments, mask of the slots they write), an assignment (target slot,
-    source slot or -1, literal).
+    read, the slot of each variable name). A firing is (label, consumed
+    edges, marked edges, guard or None, assignments, mask of the slots they
+    write), an assignment (target slot, source slot or -1, literal).
 
     A token may read a slot when some path from its edge reads the slot, in
     a guard or as an assignment source, before an assignment writes it. The
@@ -182,7 +182,7 @@ def compile_ad(ad: ActivityDiagram):
         firings.append(tuple(rules))
     final_mask = sum(1 << i for i, n in enumerate(edge_dst) if ad.nodes[n].kind is NodeKind.FINAL)
     return (var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings),
-            tuple(edge_live))
+            tuple(edge_live), slots)
 
 
 def _guard_reads(guard, slots: dict[str, int]) -> int:
@@ -203,8 +203,8 @@ def _guard_reads(guard, slots: dict[str, int]) -> int:
 def _initial_state(ad: ActivityDiagram, valuation: dict[str, str]) -> tuple[str, ...]:
     """The state a run under ``valuation`` starts in, checked against the
     input domains."""
-    var_names = ad.compiled[0]
-    state0: list[str | None] = [None] * len(var_names)
+    slots = ad.compiled[6]
+    state0: list[str | None] = [None] * len(slots)
     for v in ad.variables:
         value = v.initial
         if v.kind is VarKind.INPUT:
@@ -214,7 +214,7 @@ def _initial_state(ad: ActivityDiagram, valuation: dict[str, str]) -> tuple[str,
             if value not in v.domain:
                 raise ValueError(
                     f"value '{value}' is outside the domain of input '{v.name}'")
-        state0[var_names.index(v.name)] = value
+        state0[slots[v.name]] = value
     return tuple(state0)
 
 
@@ -249,7 +249,7 @@ def _play(ad: ActivityDiagram, configs: list, index: dict, rows: list, accepting
     has the slots that no marked edge may read set to None, as the
     configurations already in ``configs`` must have.
     """
-    var_names, _, final_mask, edge_dst, firings, edge_live = ad.compiled
+    var_names, _, final_mask, edge_dst, firings, edge_live, _ = ad.compiled
     # The iterator reads the configurations appended while it runs.
     for marking, state in islice(configs, len(rows), None):
         row: list = []
@@ -429,7 +429,7 @@ class ConfigTable(NfaRunner):
         exploring every configuration the valuation reaches that the table
         lacks. An unsafe firing raises the UnsafeMarkingError of
         ``build_config_nfa``, which shows the whole state."""
-        _, start_bit, _, _, _, edge_live = self.ad.compiled
+        _, start_bit, _, _, _, edge_live, _ = self.ad.compiled
         state = _initial_state(self.ad, valuation)
         if self.live_of is not None:
             dead = ((1 << len(state)) - 1) & ~_live(self.live_of, edge_live, start_bit)

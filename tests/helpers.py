@@ -1,8 +1,9 @@
 """Test-only helpers: the README's model blocks, a structural DOT validator,
 complement and word membership for the complete deterministic ``Nfa`` that
 ``determinize`` returns, the character-loop reference for ``tokenize``, the
-quadratic reference for ``object_id_prefixes``, and the reference config-NFA
-builder that ``build_config_nfa`` must agree with."""
+quadratic reference for ``object_id_prefixes``, the reference config-NFA
+builder that ``build_config_nfa`` must agree with, and ``addiff`` with
+nothing shared between valuations."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+from semdiff import ad_diff
 from semdiff.ad_lang import (
     ActivityDiagram,
     Guard,
@@ -23,8 +25,17 @@ from semdiff.ad_lang import (
     NodeKind,
     VarKind,
 )
-from semdiff.ad_semantics import EPSILON, Config, Nfa, UnsafeMarkingError
+from semdiff.ad_semantics import (
+    EPSILON,
+    Config,
+    ConfigTable,
+    Nfa,
+    Trace,
+    UnsafeMarkingError,
+    input_valuations,
+)
 from semdiff.lexer import EOF, IDENT, NAT, SYM, Diagnostic, ParseError, Token
+from semdiff.verdict import DiffResult
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODEL_KEYWORDS = ("classdiagram", "activity", "objectmodel")
@@ -321,3 +332,31 @@ def eval_guard(guard: Guard, state: dict[str, str]) -> bool:
     if isinstance(guard, GuardOr):
         return eval_guard(guard.left, state) or eval_guard(guard.right, state)
     raise TypeError(f"not a guard: {guard!r}")
+
+
+# ---------------------------------------------------------------------------
+# activity-diagram diff
+
+
+def reference_addiff(ad1: ActivityDiagram, ad2: ActivityDiagram, max_witnesses: int,
+                     max_len: int | None = None) -> tuple[DiffResult, int]:
+    """``addiff`` with fresh configuration tables and a fresh pair graph for
+    every valuation, so that no valuation reuses another's pairs, liveness or
+    reachability. Returns the result and the number of pairs the graphs
+    held, summed over the valuations."""
+    witnesses: list[Trace] = []
+    exhausted, pairs = True, 0
+    for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
+        budget = max_witnesses - len(witnesses)
+        if budget == 0:
+            exhausted = False
+            break
+        a, b = ConfigTable(ad1), ConfigTable(ad2)
+        a.start(v)
+        b.start(v)
+        graph = ad_diff._PairGraph(a, b)
+        words, done = graph.words(graph.add(a.initial, b.initial), budget, max_len)
+        pairs += len(graph.rows)
+        witnesses += [Trace.make(v, w) for w in words]
+        exhausted = exhausted and done
+    return DiffResult(witnesses, exhausted), pairs

@@ -1,11 +1,12 @@
 import random
+import time
 from collections import Counter
 from itertools import product
 
 import pytest
 
 import generators
-from helpers import dfa_accepts_word, dfa_complement
+from helpers import dfa_accepts_word, dfa_complement, reference_addiff
 from oracles import reference_words
 from semdiff import ad_diff, ad_semantics
 from semdiff.ad_diff import (
@@ -26,7 +27,7 @@ from semdiff.ad_semantics import (
     build_config_nfa,
     input_valuations,
 )
-from semdiff.verdict import Verdict, VerdictValue
+from semdiff.verdict import DiffResult, Verdict, VerdictValue
 
 
 def nfa_of(words, alphabet):
@@ -254,6 +255,19 @@ def test_length_cutoff_reports_unfinished_search(adv):
     assert len(at_the_edge.witnesses) == 4 and at_the_edge.exhausted
 
 
+def test_a_length_cutoff_ignores_paths_that_lead_to_no_witness():
+    # After c both diagrams run alike, so the path c e f, longer than the
+    # witness a b, can never become one.
+    a = parse_ad("activity A { decision d; action a; action b; action c; action e; action f;"
+                 " start -> d; d -[true]-> a; a -> b; b -> end;"
+                 " d -[true]-> c; c -> e; e -> f; f -> end; }")
+    b = parse_ad("activity B { action c; action e; action f;"
+                 " start -> c; c -> e; e -> f; f -> end; }")
+    assert addiff(a, b, max_len=1) == DiffResult([], False)
+    for max_len in (2, 3, None):
+        assert addiff(a, b, max_len=max_len) == DiffResult([Trace((), ("a", "b"))], True)
+
+
 def test_valuations_group_in_order():
     a = parse_ad(
         """
@@ -301,18 +315,17 @@ def test_traces_round_trip_through_make(adv):
         assert Trace.make(trace.inputs_dict(), trace.actions) == trace
 
 
-def paths_by_length(rows, final, upto):
-    """How many paths of each length up to ``upto`` lead from state 0 to a
-    final state of a successor table."""
+def paths_by_length(graph, start, upto):
+    """How many paths of each length up to ``upto`` lead from pair ``start``
+    of a pair graph to an accepting pair."""
     counts = []
-    paths = Counter({0: 1})
+    paths = Counter({start: 1})
     for _ in range(upto + 1):
-        counts.append(sum(n for sid, n in paths.items() if final[sid]))
+        counts.append(sum(n for pid, n in paths.items() if graph.final[pid]))
         step = Counter()
-        for sid, n in paths.items():
-            for tid in rows[sid]:
-                if tid >= 0:
-                    step[tid] += n
+        for pid, n in paths.items():
+            for _, sid in graph.rows[pid]:
+                step[sid] += n
         paths = step
     return counts
 
@@ -322,26 +335,111 @@ def test_walk_limits_cut_a_prefix_and_exhausted_means_nothing_more():
     infinite = 0
     for _ in range(30):
         ad1, ad2 = generators.random_ad_pair(rng, max_len=8)
+        # One graph for every valuation of the pair, as in ``addiff``.
+        a, b = ConfigTable(ad1), ConfigTable(ad2)
+        graph = ad_diff._PairGraph(a, b)
         for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
-            a = NfaRunner(build_config_nfa(ad1, v))
-            b = NfaRunner(build_config_nfa(ad2, v))
-            rows, final, letters = ad_diff._pair_graph(a, b)
-            reference, _ = ad_diff._walk(rows, final, letters, 50, None)
+            a.start(v)
+            b.start(v)
+            start = graph.add(a.initial, b.initial)
+            reference, _ = graph.words(start, 50, None)
             # A word beyond a list is, if there is one, pumped down to at most
-            # len(rows) letters past the list's longest word or max_len.
-            top = max([8] + [len(w) for w in reference[:7]]) + len(rows)
-            counts = paths_by_length(rows, final, top)
+            # len(graph.rows) letters past the list's longest word or max_len.
+            top = max([8] + [len(w) for w in reference[:7]]) + len(graph.rows)
+            counts = paths_by_length(graph, start, top)
             infinite += counts[-1] > 0
             for max_len in (None, 0, 1, 2, 3, 5, 8):
-                uncapped, _ = ad_diff._walk(rows, final, letters, 50, max_len)
+                uncapped, _ = graph.words(start, 50, max_len)
                 for cap in (1, 2, 3, 7):
-                    words, exhausted = ad_diff._walk(rows, final, letters, cap, max_len)
+                    words, exhausted = graph.words(start, cap, max_len)
                     assert words == uncapped[:cap]
                     for w in words:
                         assert a.accepts(w) and not b.accepts(w)
-                    upto = max([max_len or 0] + [len(w) for w in words]) + len(rows)
+                    upto = max([max_len or 0] + [len(w) for w in words]) + len(graph.rows)
                     assert exhausted == (sum(counts[: upto + 1]) == len(words))
     assert infinite > 0  # loops gave some valuation an infinite difference
+
+
+def has_cycle(ad):
+    """Whether the diagram's edges form a cycle: a topological sort of its
+    nodes leaves some out."""
+    indegree = Counter(e.dst for e in ad.edges)
+    todo = [n.name for n in ad.nodes if not indegree[n.name]]
+    for name in todo:
+        for e in ad.edges:
+            if e.src == name:
+                indegree[e.dst] -= 1
+                if not indegree[e.dst]:
+                    todo.append(e.dst)
+    return len(todo) < len(ad.nodes)
+
+
+def test_one_pair_graph_per_call_answers_as_a_fresh_graph_per_valuation():
+    rng = random.Random(508)
+    loops = 0
+    for _ in range(200):
+        ad1, ad2 = generators.random_ad_pair(rng, max_len=8)
+        loops += has_cycle(ad1) or has_cycle(ad2)
+        for x, y in ((ad1, ad2), (ad2, ad1)):
+            for max_len in (None, 0, 2, 6):
+                for cap in (1, 3, 50):
+                    assert addiff(x, y, cap, max_len) == reference_addiff(x, y, cap, max_len)[0]
+    assert loops > 0
+
+
+def chain_pair():
+    """The 8-input decision chain and a copy whose fourth decision is
+    swapped: every one of the 256 valuations has one witness."""
+    text = generators.decision_chain_text(8)
+    swapped = text.replace("d3 -[b3]-> y3", "d3 -[!b3]-> y3").replace("d3 -[!b3]-> n3", "d3 -[b3]-> n3")
+    return parse_ad(text), parse_ad(swapped)
+
+
+def test_each_pair_is_expanded_once_per_call(monkeypatch):
+    plain, swapped = chain_pair()
+    # A fresh graph per valuation holds 2304 pairs over the 256 valuations.
+    fresh, visits = reference_addiff(plain, swapped, 300)
+    assert len(fresh.witnesses) == 256 and visits == 2304
+    graphs, expanded = [], Counter()
+    add = ad_diff._PairGraph.add
+
+    def recording_add(graph, states_a, states_b):
+        before = len(graph.rows)
+        pid = add(graph, states_a, states_b)
+        graphs.append(graph)
+        expanded[id(graph)] += len(graph.rows) - before
+        return pid
+
+    monkeypatch.setattr(ad_diff._PairGraph, "add", recording_add)
+    seen = []
+    for _ in range(2):
+        graphs.clear()
+        expanded.clear()
+        assert addiff(plain, swapped, 300) == fresh
+        (graph,) = set(graphs)  # one graph for the call, one start per valuation
+        assert len(graphs) == 256 and graph not in seen
+        assert expanded == Counter({id(graph): 766})
+        assert len(graph.index) == len(graph.rows) == 766
+        seen.append(graph)
+
+
+def test_a_long_sequence_over_a_large_alphabet_diffs_quickly():
+    # 8000 actions in a row: each pair has one successor, so the graph,
+    # its liveness and the walk are linear, and nothing recurses per letter.
+    n = 8000
+    names = [f"a{i}" for i in range(n)]
+
+    def sequence(name, order):
+        edges = " ".join(f"{x} -> {y};" for x, y in zip(["start"] + order, order + ["end"]))
+        return parse_ad(f"activity {name} {{ {' '.join(f'action {a};' for a in names)} {edges} }}")
+
+    plain = sequence("P", names)
+    swapped = sequence("S", names[:-2] + [names[-1], names[-2]])
+    for other, expected in ((swapped, [tuple(names)]), (plain, [])):
+        started = time.monotonic()
+        result = addiff(plain, other)
+        assert time.monotonic() - started < 2.0
+        assert [t.actions for t in result.witnesses] == expected and result.exhausted
 
 
 def test_addiff_limits_cut_a_prefix_of_the_uncapped_answer():
@@ -442,7 +540,7 @@ def test_unsound_search_result_fails_the_self_check(monkeypatch):
     assert [t.actions for t in addiff(par, seq).witnesses] == [("y", "x")]
     assert compare_ad(par, seq).value is VerdictValue.RIGHT_REFINES_LEFT
     # A kernel that returns a trace both diagrams allow.
-    monkeypatch.setattr(ad_diff, "_walk", lambda *args: ([("x", "y")], True))
+    monkeypatch.setattr(ad_diff._PairGraph, "words", lambda *args: ([("x", "y")], True))
     with pytest.raises(RuntimeError, match="unsound witness"):
         addiff(par, seq)
     # A joint search that claims that trace for every open direction.
