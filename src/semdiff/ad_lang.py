@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 from .lexer import EOF, IDENT, Diagnostic, ParseError, Token, TokenCursor, tokenize
 
@@ -89,25 +89,31 @@ class GuardOr:
 Guard = GuardLit | GuardVar | GuardCmp | GuardNot | GuardAnd | GuardOr
 
 
-# Deeper guards are rejected by the parser, which keeps the recursive guard
-# functions below (and the dataclasses' own hash and equality) well inside
-# Python's recursion limit.
+# Deeper guards are rejected by the parser, which keeps compile_guard and
+# print_guard, the two recursive guard functions (and the dataclasses' own
+# hash and equality), well inside Python's recursion limit.
 MAX_GUARD_DEPTH = 100
 
 
-def _guard_height(guard: Guard) -> int:
-    """Levels of the guard tree, counted without recursion."""
-    height = 0
+def _guard_terms(guard: Guard) -> Iterator[tuple[Guard, int]]:
+    """Each subterm of ``guard`` with its level, ``guard`` itself at level 1,
+    parents before children and left before right, walked without recursion.
+    Every guard traversal but compile_guard and print_guard, which build
+    their values bottom-up, is this walk."""
     todo = [(guard, 1)]
     while todo:
-        g, h = todo.pop()
-        height = max(height, h)
+        g, level = todo.pop()
+        yield g, level
         if isinstance(g, GuardNot):
-            todo.append((g.inner, h + 1))
+            todo.append((g.inner, level + 1))
         elif isinstance(g, (GuardAnd, GuardOr)):
-            todo.append((g.left, h + 1))
-            todo.append((g.right, h + 1))
-    return height
+            todo += ((g.right, level + 1), (g.left, level + 1))
+
+
+def guard_variables(guard: Guard) -> frozenset[str]:
+    """The names of the variables ``guard`` reads."""
+    return frozenset(g.var for g, _ in _guard_terms(guard)
+                     if isinstance(g, (GuardVar, GuardCmp)))
 
 
 def compile_guard(guard: Guard, slots: dict[str, int]) -> Callable[[tuple[str, ...]], bool]:
@@ -289,7 +295,7 @@ def _parse_edge(cur: TokenCursor):
     if cur.eat("-["):
         guard_tok = cur.peek()
         guard = _parse_guard(cur, 0)
-        if _guard_height(guard) > MAX_GUARD_DEPTH:
+        if max(level for _, level in _guard_terms(guard)) > MAX_GUARD_DEPTH:
             cur.fail(f"guard nested more than {MAX_GUARD_DEPTH} levels deep", guard_tok)
         cur.expect("]->")
     else:
@@ -440,31 +446,18 @@ def _resolve_assign(target_tok, source_tok, var_table, problems) -> Assign | Non
 
 
 def _check_guard(guard: Guard, var_table, pos, problems) -> None:
-    if isinstance(guard, GuardLit):
-        return
-    if isinstance(guard, GuardVar):
-        decl = var_table.get(guard.var)
+    for g, _ in _guard_terms(guard):
+        if not isinstance(g, (GuardVar, GuardCmp)):
+            continue
+        decl = var_table.get(g.var)
         if decl is None:
-            problems.append(Diagnostic(*pos, f"guard references undeclared variable '{guard.var}'"))
-        elif not decl.is_bool():
+            problems.append(Diagnostic(*pos, f"guard references undeclared variable '{g.var}'"))
+        elif isinstance(g, GuardVar) and not decl.is_bool():
             problems.append(Diagnostic(
-                *pos, f"guard uses non-bool variable '{guard.var}' as a condition"))
-        return
-    if isinstance(guard, GuardCmp):
-        decl = var_table.get(guard.var)
-        if decl is None:
-            problems.append(Diagnostic(*pos, f"guard references undeclared variable '{guard.var}'"))
-        elif guard.value not in decl.domain:
+                *pos, f"guard uses non-bool variable '{g.var}' as a condition"))
+        elif isinstance(g, GuardCmp) and g.value not in decl.domain:
             problems.append(Diagnostic(
-                *pos, f"guard compares '{guard.var}' with '{guard.value}',"
-                      f" which is outside its domain"))
-        return
-    if isinstance(guard, GuardNot):
-        _check_guard(guard.inner, var_table, pos, problems)
-        return
-    if isinstance(guard, (GuardAnd, GuardOr)):
-        _check_guard(guard.left, var_table, pos, problems)
-        _check_guard(guard.right, var_table, pos, problems)
+                *pos, f"guard compares '{g.var}' with '{g.value}', which is outside its domain"))
 
 
 # Per node kind, the (direction, fewest, most) edge counts it must have, in

@@ -27,15 +27,11 @@ from typing import Iterator
 from .ad_lang import (
     START,
     ActivityDiagram,
-    GuardAnd,
-    GuardCmp,
-    GuardNot,
-    GuardOr,
-    GuardVar,
     NodeKind,
     VarDecl,
     VarKind,
     compile_guard,
+    guard_variables,
 )
 
 EPSILON = None
@@ -146,7 +142,8 @@ def compile_ad(ad: ActivityDiagram):
     # tokens on those edges may read, less what the node's assignments write
     # (taken last to first, as one may read an earlier one's target). When
     # an edge's mask grows, the edges into its source node are revisited.
-    reads = [_guard_reads(e.guard, slots) for e in ad.edges]
+    reads = [0 if e.guard is None else sum(1 << slots[v] for v in guard_variables(e.guard))
+             for e in ad.edges]
     edge_live = [0] * len(ad.edges)
     todo = list(range(len(ad.edges)))
     while todo:
@@ -183,21 +180,6 @@ def compile_ad(ad: ActivityDiagram):
     final_mask = sum(1 << i for i, n in enumerate(edge_dst) if ad.nodes[n].kind is NodeKind.FINAL)
     return (var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings),
             tuple(edge_live), slots)
-
-
-def _guard_reads(guard, slots: dict[str, int]) -> int:
-    """The mask of the slots ``guard`` (or None) reads."""
-    mask = 0
-    todo = [guard] if guard is not None else []
-    while todo:
-        g = todo.pop()
-        if isinstance(g, (GuardVar, GuardCmp)):
-            mask |= 1 << slots[g.var]
-        elif isinstance(g, GuardNot):
-            todo.append(g.inner)
-        elif isinstance(g, (GuardAnd, GuardOr)):
-            todo += (g.left, g.right)
-    return mask
 
 
 def _initial_state(ad: ActivityDiagram, valuation: dict[str, str]) -> tuple[str, ...]:
@@ -333,7 +315,6 @@ class NfaRunner:
     computed once. ``initial`` is the closure of the initial state."""
 
     def __init__(self, nfa: Nfa):
-        self.nfa = nfa
         self.alphabet = nfa.alphabet
         self.rows: list[list[tuple[str | None, int]]] = [[] for _ in range(nfa.n_states)]
         for src, label, dst in nfa.transitions:

@@ -22,7 +22,7 @@ from .ad_semantics import DomainMismatchError, UnsafeMarkingError
 from .cd_diff import DEFAULT_BOUND, cddiff, compare_cd
 from .cd_lang import parse_cd
 from .cd_semantics import parse_om
-from .lexer import ParseError
+from .lexer import Diagnostic, ParseError
 from .render import (
     OutputFormat,
     parse_trace,
@@ -52,16 +52,29 @@ class HistoryRow:
 
 
 def _load(path: str, parser):
-    """``parser`` applied to the file at ``path``; read and parse errors
-    become messages that start with the path."""
+    """``parser`` applied to the text of the file at ``path``; read, decode
+    and parse errors become messages that start with the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError([f"{path}: {exc.strerror or exc}"]) from exc
     try:
-        return parser(text)
+        return parser(_decode(data))
     except ParseError as exc:
         raise CliError([f"{path}:{d}" for d in exc.diagnostics]) from exc
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text with newlines translated as ``open`` does; the
+    first byte that is not UTF-8 is a ParseError at its line and column."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _decode(data[:exc.start])
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(Diagnostic(
+            line, col, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _check(condition: bool, message: str) -> None:

@@ -233,6 +233,9 @@ def guard_error_cases():
         ("d -[ghost]-> b;", "undeclared variable 'ghost'"),
         ("d -[mode]-> b;", "non-bool variable 'mode'"),
         ("d -[mode == sideways]-> b;", "outside its domain"),
+        ("d -[!(true && (false || ghost))]-> b;", "undeclared variable 'ghost'"),
+        ("d -[(true || !(mode)) && true]-> b;", "non-bool variable 'mode'"),
+        ("d -[!!(false || mode != sideways)]-> b;", "outside its domain"),
     ]
 
 
@@ -251,6 +254,27 @@ def test_guard_errors(edge, fragment):
     with pytest.raises(ParseError) as err:
         parse_ad(source)
     assert any(fragment in d.message for d in err.value.diagnostics)
+
+
+def test_guard_errors_come_left_to_right_through_every_operator():
+    source = """activity A {
+  input mode: {on, off};
+  input p: bool;
+  action a; action b; decision d;
+  start -> d;
+  d -[!(ghost || mode) && (p || !(mode == sideways || nobody))]-> a;
+  d -[true]-> b;
+  a -> end; b -> end;
+}
+"""
+    with pytest.raises(ParseError) as err:
+        parse_ad(source)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "6:3: guard references undeclared variable 'ghost'",
+        "6:3: guard uses non-bool variable 'mode' as a condition",
+        "6:3: guard compares 'mode' with 'sideways', which is outside its domain",
+        "6:3: guard references undeclared variable 'nobody'",
+    ]
 
 
 def structure_cases():

@@ -9,7 +9,7 @@ from helpers import reference_build_config_nfa
 from oracles import reference_words
 from semdiff import ad_semantics
 from semdiff.ad_diff import addiff, compare_ad
-from semdiff.ad_lang import parse_ad, print_ad
+from semdiff.ad_lang import guard_variables, parse_ad, print_ad
 from semdiff.ad_semantics import (
     ConfigTable,
     DomainMismatchError,
@@ -239,9 +239,9 @@ def test_shared_tables_keep_each_valuations_language(adv):
         for v in input_valuations(ad.input_vars(), ()):
             explored = len(table.configs)
             table.start(v)
-            built = NfaRunner(build_config_nfa(ad, v))
-            shared += len(table.configs) - explored < built.nfa.n_states
-            assert same_language(table, built), (print_ad(ad), v)
+            nfa = build_config_nfa(ad, v)
+            shared += len(table.configs) - explored < nfa.n_states
+            assert same_language(table, NfaRunner(nfa)), (print_ad(ad), v)
             compared += 1
     assert compared > len(diagrams) and shared > 0
 
@@ -265,6 +265,24 @@ def test_the_racing_fork_projects_a_variable_only_once_no_branch_reads_it():
     assert ("true", "lo", "false", "hi") in states
     # Once both branches are past their reads and writes, nothing is.
     assert (None, None, None, None) in states
+
+
+def test_a_nested_guard_makes_its_three_variables_live_before_the_decision():
+    ad = parse_ad("""activity N {
+  input p: bool; local q: bool; input u: bool; input x: {lo, hi}; local z: bool = true;
+  action a; action b; decision d;
+  start -> d;
+  d -[!(x == hi && (p || !(q))) || !!(p && x != lo)]-> a;
+  d -[true]-> b;
+  a -> end; b -> end;
+}
+""")
+    guard = next(e.guard for e in ad.edges if e.dst == "a")
+    assert guard_variables(guard) == {"p", "q", "x"}
+    var_names, edge_live = ad.compiled[0], ad.compiled[5]
+    assert var_names == ("p", "q", "u", "x", "z")
+    # Only the token entering the decision reads; slots p, q and x.
+    assert edge_live == tuple(0b01011 if e.dst == "d" else 0 for e in ad.edges)
 
 
 def test_liveness_reaches_back_along_a_long_chain_quickly():

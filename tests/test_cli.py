@@ -262,6 +262,31 @@ def test_deeply_nested_guard_exits_two_with_position(tmp_path):
     assert err == f"{ad_file}:7:107: guard nested more than 100 levels deep\n"
 
 
+# Files with the byte 0xff at '@', and where that byte is in characters:
+# CRLF, CR and LF all end a line, as ``open`` reads them.
+NOT_UTF8 = {
+    "bad.cd": ("classdiagram C {\r\n  class \u00e9t\u00e9@;\r\n}\r\n", "2:12"),
+    "bad.ad": ("activity A {\n  // r\u00e9sum\u00e9 @\n  start -> end;\n}\n", "2:13"),
+    "bad.om": ("objectmodel om {\r  x@: A;\r}\r", "2:4"),
+}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("cd", "compare", "{}", fx("cd1v1.cd")), "bad.cd"),
+    (("ad", "diff", fx("adv1.ad"), "{}"), "bad.ad"),
+    (("history", "cd", fx("cd1v1.cd"), "{}", fx("cd1v2.cd")), "bad.cd"),
+    (("render", "om", "{}"), "bad.om"),
+], ids=["cd-compare", "ad-diff", "history", "render-om"])
+def test_a_byte_that_is_not_utf8_is_a_positioned_error(tmp_path, argv, name):
+    text, position = NOT_UTF8[name]
+    path = tmp_path / name
+    before, after = text.split("@")
+    path.write_bytes(before.encode("utf-8") + b"\xff" + after.encode("utf-8"))
+    code, out, err = go(*(arg.format(path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"{path}:{position}: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 def _self_association(tmp_path, name, mult):
     path = tmp_path / name
     path.write_text(f"classdiagram C {{\n  class A;\n  association r [{mult}] A -- A [*];\n}}\n")

@@ -2,6 +2,7 @@
 ``ParseError``, and the command line answers them with exit code 0, 1 or 2."""
 
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -60,6 +61,29 @@ def mutated(draw, texts):
     return text
 
 
+# Byte sequences that are not UTF-8 wherever they are spliced into UTF-8.
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@st.composite
+def encoded(draw, texts):
+    """A mutated text as UTF-8 bytes; in about one draw in four, with a
+    sequence that is not UTF-8 spliced in."""
+    data = draw(mutated(texts)).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from(NOT_UTF8)) + data[i:]
+    return data
+
+
+def is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 @settings(max_examples=500, deadline=None)
 @given(mutated(ALL_TEXTS))
 def test_parsers_return_a_model_or_raise_parse_error(text):
@@ -71,13 +95,13 @@ def test_parsers_return_a_model_or_raise_parse_error(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cd=mutated(CD_TEXTS), ad=mutated(AD_TEXTS), cd_other=st.sampled_from(CD_FILES),
+@given(cd=encoded(CD_TEXTS), ad=encoded(AD_TEXTS), cd_other=st.sampled_from(CD_FILES),
        ad_other=st.sampled_from(AD_FILES))
 def test_cli_answers_mutated_files_with_an_exit_code(cd, ad, cd_other, ad_other):
     with tempfile.TemporaryDirectory() as tmp:
         cd_path, ad_path = f"{tmp}/m.cd", f"{tmp}/m.ad"
-        Path(cd_path).write_text(cd, encoding="utf-8")
-        Path(ad_path).write_text(ad, encoding="utf-8")
+        Path(cd_path).write_bytes(cd)
+        Path(ad_path).write_bytes(ad)
         cd_other, ad_other = fixture_path(cd_other), fixture_path(ad_other)
         for argv in (
             ["cd", "diff", cd_path, cd_other, "--bound", "1"],
@@ -89,4 +113,10 @@ def test_cli_answers_mutated_files_with_an_exit_code(cd, ad, cd_other, ad_other)
             ["history", "cd", cd_other, cd_path, "--bound", "1"],
             ["history", "ad", ad_other, ad_path],
         ):
-            assert run(argv, io.StringIO(), io.StringIO()) in (0, 1, 2), argv
+            out, err = io.StringIO(), io.StringIO()
+            code = run(argv, out, err)
+            assert code in (0, 1, 2), argv
+            path, data = (cd_path, cd) if cd_path in argv else (ad_path, ad)
+            if not is_utf8(data):
+                assert (code, out.getvalue()) == (2, ""), argv
+                assert re.match(rf"{re.escape(path)}:\d+:\d+: byte 0x", err.getvalue()), argv
