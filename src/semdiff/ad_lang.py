@@ -9,12 +9,11 @@ decision nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator
 
-from .lexer import EOF, IDENT, Diagnostic, ParseError, Token, TokenCursor, tokenize
+from .lexer import EOF, IDENT, Diagnostic, ParseError, Record, Token, TokenCursor, tokenize
 
 BOOL_DOMAIN = ("false", "true")
 
@@ -37,13 +36,14 @@ class NodeKind(Enum):
     JOIN = "join"
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
+    _uncompared = ("pos",)
+
     name: str
     kind: VarKind
     domain: tuple[str, ...]
     initial: str | None = None  # locals only; resolved to a concrete value
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
     def is_bool(self) -> bool:
         return self.domain == BOOL_DOMAIN
@@ -52,36 +52,30 @@ class VarDecl:
 # --- guards ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuardLit:
+class GuardLit(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class GuardVar:
+class GuardVar(Record):
     var: str
 
 
-@dataclass(frozen=True)
-class GuardCmp:
+class GuardCmp(Record):
     var: str
     op: str  # "==" or "!="
     value: str
 
 
-@dataclass(frozen=True)
-class GuardNot:
+class GuardNot(Record):
     inner: "Guard"
 
 
-@dataclass(frozen=True)
-class GuardAnd:
+class GuardAnd(Record):
     left: "Guard"
     right: "Guard"
 
 
-@dataclass(frozen=True)
-class GuardOr:
+class GuardOr(Record):
     left: "Guard"
     right: "Guard"
 
@@ -90,8 +84,8 @@ Guard = GuardLit | GuardVar | GuardCmp | GuardNot | GuardAnd | GuardOr
 
 
 # Deeper guards are rejected by the parser, which keeps compile_guard and
-# print_guard, the two recursive guard functions (and the dataclasses' own
-# hash and equality), well inside Python's recursion limit.
+# print_guard, the two recursive guard functions (and the records' own
+# hash, equality and repr), well inside Python's recursion limit.
 MAX_GUARD_DEPTH = 100
 
 
@@ -164,31 +158,31 @@ def print_guard(guard: Guard, _parent: int = 0) -> str:
 # --- nodes and edges --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
     target: str
     source: str
     source_is_var: bool = False
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
+    _uncompared = ("pos",)
+
     name: str
     kind: NodeKind
     assignments: tuple[Assign, ...] = ()
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
+    _uncompared = ("pos",)
+
     src: str
     dst: str
     guard: Guard | None = None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class ActivityDiagram:
+class ActivityDiagram(Record):
     name: str
     variables: tuple[VarDecl, ...]
     nodes: tuple[Node, ...]

@@ -20,9 +20,8 @@ values share configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterator
+from collections.abc import Iterator
+from itertools import product
 
 from .ad_lang import (
     START,
@@ -33,6 +32,7 @@ from .ad_lang import (
     compile_guard,
     guard_variables,
 )
+from .lexer import Record
 
 EPSILON = None
 
@@ -54,8 +54,7 @@ class DomainMismatchError(ValueError):
     """Two diagrams share an input variable name with different domains."""
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     marking: frozenset[int]  # indices into the diagram's edge tuple
     state: tuple[tuple[str, str], ...]  # sorted (variable, value)
 
@@ -64,8 +63,7 @@ class Config:
         return f"<edges {sorted(self.marking)}; {vals}>"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """One witness run: the input values it started from plus the actions."""
 
     inputs: tuple[tuple[str, str], ...]
@@ -79,8 +77,7 @@ class Trace:
         return dict(self.inputs)
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     """A plain nondeterministic automaton; EPSILON (None) labels silent moves."""
 
     n_states: int
@@ -232,8 +229,10 @@ def _play(ad: ActivityDiagram, configs: list, index: dict, rows: list, accepting
     configurations already in ``configs`` must have.
     """
     var_names, _, final_mask, edge_dst, firings, edge_live, _ = ad.compiled
-    # The iterator reads the configurations appended while it runs.
-    for marking, state in islice(configs, len(rows), None):
+    # Index from len(rows): each call reads only the configurations not yet
+    # fired, the ones it appends itself included.
+    while len(rows) < len(configs):
+        marking, state = configs[len(rows)]
         row: list = []
         rows.append(row)
         if marking & final_mask:

@@ -23,8 +23,8 @@ built into models.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .cd_semantics import (

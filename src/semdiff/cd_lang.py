@@ -6,11 +6,10 @@ via ``extends``, and named binary associations whose ends carry multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .lexer import EOF, Diagnostic, ParseError, TokenCursor, tokenize
+from .lexer import EOF, Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 UNBOUNDED = None
 
@@ -21,8 +20,7 @@ class ClassModifier(Enum):
     SINGLETON = "singleton"
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(Record):
     """An inclusive instance-count range; ``max=None`` means unbounded."""
 
     min: int
@@ -44,31 +42,32 @@ class Multiplicity:
 MANY = Multiplicity(0, UNBOUNDED)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(Record):
+    _uncompared = ("pos",)
+
     name: str
     modifier: ClassModifier = ClassModifier.CONCRETE
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(Record):
     """``association name [left_mult] left -- right [right_mult];``
 
     The multiplicity written at one end bounds how many objects of that end
     each object of the opposite end may link to.
     """
 
+    _uncompared = ("pos",)
+
     name: str
     left_class: str
     left_mult: Multiplicity
     right_class: str
     right_mult: Multiplicity
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class ClassDiagram:
+class ClassDiagram(Record):
     name: str
     classes: tuple[ClassDecl, ...]
     extends: tuple[tuple[str, str], ...]  # (child, parent) pairs

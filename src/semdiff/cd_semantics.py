@@ -14,18 +14,16 @@ falls outside this one's semantics. The diff search labels objects with
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 from .cd_lang import ClassDiagram, ClassModifier
-from .lexer import EOF, IDENT, Diagnostic, ParseError, TokenCursor, tokenize
+from .lexer import EOF, IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
 
 
-@dataclass
-class ObjectModel:
+class ObjectModel(Record, frozen=False):
     name: str
     objects: dict[str, str]  # object id -> class name
     links: frozenset[Link]
@@ -40,8 +38,7 @@ class ViolationKind(Enum):
     MULTIPLICITY = "MULTIPLICITY"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: ViolationKind
     subject: str
     detail: str

@@ -8,13 +8,10 @@ to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from .ad_diff import addiff, compare_ad
 from .ad_lang import parse_ad
@@ -22,7 +19,7 @@ from .ad_semantics import DomainMismatchError, UnsafeMarkingError
 from .cd_diff import DEFAULT_BOUND, cddiff, compare_cd
 from .cd_lang import parse_cd
 from .cd_semantics import parse_om
-from .lexer import Diagnostic, ParseError
+from .lexer import Diagnostic, ParseError, Record
 from .render import (
     OutputFormat,
     parse_trace,
@@ -42,8 +39,7 @@ class CliError(Exception):
         self.messages = list(messages)
 
 
-@dataclass(frozen=True)
-class HistoryRow:
+class HistoryRow(Record):
     from_file: str
     to_file: str
     verdict: Verdict
@@ -55,7 +51,8 @@ def _load(path: str, parser):
     """``parser`` applied to the text of the file at ``path``; read, decode
     and parse errors become messages that start with the path."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise CliError([f"{path}: {exc.strerror or exc}"]) from exc
     try:
@@ -102,9 +99,8 @@ def history_report(
         fwd = len(diff(old, new).witnesses)
         bwd = len(diff(new, old).witnesses)
         verdict = Verdict.of(fwd > 0, bwd > 0, bounded=kind == "cd")
-        rows.append(
-            HistoryRow(Path(old_path).name, Path(new_path).name, verdict, fwd, bwd)
-        )
+        rows.append(HistoryRow(
+            os.path.basename(old_path), os.path.basename(new_path), verdict, fwd, bwd))
     return tuple(rows)
 
 
@@ -173,6 +169,8 @@ def _add_format(parser, choices=("text", "dot", "json")) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: only a command line needs it
+
     parser = argparse.ArgumentParser(
         prog="semdiff", description="Semantic differencing of class and activity diagrams."
     )

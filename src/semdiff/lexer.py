@@ -1,14 +1,68 @@
-"""Tokenizer and diagnostics shared by the textual model languages."""
+"""Tokenizer and diagnostics shared by the textual model languages, and the
+record base class of every semdiff value type."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """A value type whose fields are its class's own annotations, in order.
+
+    A class attribute of a field's name is that field's default, and the
+    names in ``_uncompared`` are left out of ``==`` and ``hash``. Each
+    subclass gets ``__init__``, ``__eq__``, ``__repr__`` and, unless declared
+    with ``frozen=False``, ``__hash__`` and a ``__setattr__`` that raises
+    ``AttributeError``; the four methods behave as ``dataclasses`` writes
+    them, without importing it. A mutable record is unhashable.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
+        params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in defaults else f for f in fields)
+        # Set through object.__setattr__ (frozen) or plain assignment, never
+        # through self.__dict__, which costs CPython its inline attribute values.
+        sets = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
+        compared = [f for f in fields if f not in cls._uncompared]
+        mine = "".join(f"self.{f}," for f in compared)
+        theirs = "".join(f"other.{f}," for f in compared)
+        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        source = (
+            f"def __init__(self, {params}):\n"
+            + "".join(f"    {s}\n" for s in sets)
+            + "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n"
+            "def __repr__(self):\n"
+            f"    return self.__class__.__qualname__ + f\"({shown})\"\n"
+        )
+        namespace = {"_set": object.__setattr__, **defaults}
+        exec(source, namespace)
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            setattr(cls, name, namespace[name])
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        else:
+            cls.__hash__ = None
+
+
+class Diagnostic(Record):
     """A parse or validation problem, positioned within the source text."""
 
     line: int
@@ -54,11 +108,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(namedtuple("Token", "kind text line col")):
+    __slots__ = ()
 
     def describe(self) -> str:
         return "end of input" if self.kind == EOF else f"'{self.text}'"

@@ -3,14 +3,14 @@ four-valued verdict that relates two models of the same kind."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .lexer import Record
 
 DEFAULT_MAX_WITNESSES = 10
 
 
-@dataclass
-class DiffResult:
+class DiffResult(Record, frozen=False):
     """Witnesses of model A that model B rejects, in the engine's order;
     ``exhausted`` is True only when no witness was cut off by a cap, a bound
     or a length limit."""
@@ -26,8 +26,7 @@ class VerdictValue(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Four-valued comparison outcome; ``bounded`` records whether it only
     holds up to a search bound (class diagrams) or exactly (activity
     diagrams)."""

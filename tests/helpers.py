@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from semdiff import ad_diff
@@ -102,7 +101,8 @@ def validate_dot(payload: str) -> None:
 
 def dfa_complement(dfa: Nfa) -> Nfa:
     """The complement of a complete deterministic automaton over its alphabet."""
-    return replace(dfa, accepting=frozenset(range(dfa.n_states)) - dfa.accepting)
+    return Nfa(dfa.n_states, dfa.alphabet, dfa.transitions, dfa.initial,
+               frozenset(range(dfa.n_states)) - dfa.accepting)
 
 
 def dfa_accepts_word(dfa: Nfa, word) -> bool:

@@ -314,6 +314,37 @@ def test_a_diagram_with_many_variables_starts_quickly():
     assert time.monotonic() - started < 2.0
 
 
+class ReadCountingList(list):
+    """A list that counts the items read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        i = 0
+        while i < len(self):  # sees the items appended while it runs
+            self.reads += 1
+            yield super().__getitem__(i)
+            i += 1
+
+
+def test_each_start_reads_only_the_configurations_it_fires():
+    # Stepping over the table's configurations to reach the new ones made
+    # every start pay for the whole table: the 13-input chain's self-compare
+    # took 4.7 s instead of 1.1 s on a 2-core machine.
+    ad = parse_ad(generators.decision_chain_text(6))
+    table = ConfigTable(ad)
+    table.configs = ReadCountingList()
+    for v in input_valuations(ad.input_vars(), ()):
+        reads, fired = table.configs.reads, len(table.rows)
+        table.start(v)
+        assert table.configs.reads - reads == len(table.rows) - fired
+    assert len(table.rows) == len(table.configs) > 64
+
+
 def test_unsafe_marking_errors_read_the_same_through_every_entry():
     x, y = generators.unsafe_when_p("X", ["x1", "z"]), generators.unsafe_when_p("Y", ["z"])
     texts = {}

@@ -4,10 +4,15 @@ No module imports a ``_``-prefixed name from a sibling, and the command-line
 front end leaves every choice of output format to ``render``: it imports no
 per-format renderer and names no ``OutputFormat`` member. The test oracles
 take only data types and ``print_om`` from ``semdiff``, and the package's
-public names are pinned.
+public names are pinned. ``import semdiff`` loads every module of the package
+and none of the costly standard modules, which only a command line needs.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,28 @@ def test_public_names_are_pinned_and_resolve():
     for name in semdiff.__all__:
         assert name in dir(semdiff)
         assert getattr(semdiff, name) is not None
+
+
+# Modules that ``import semdiff`` must not load; ``dataclasses`` alone brings
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+COSTLY_MODULES = ["argparse", "dataclasses", "inspect", "pathlib", "typing"]
+# The modules the benchmark's tracer finds in ``sys.modules`` by name.
+TRACED_MODULES = ["lexer", "cd_lang", "ad_lang", "cd_semantics", "cd_diff", "ad_semantics",
+                  "ad_diff", "render", "cli"]
+FOOTPRINT = """
+import io, json, sys
+import semdiff
+after_import = sorted(sys.modules)
+code = semdiff.run(["--help"], io.StringIO(), io.StringIO())
+print(json.dumps([after_import, "argparse" in sys.modules, code]))
+"""
+
+
+def test_import_loads_every_module_but_no_costly_standard_one():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT], env=env,
+                          capture_output=True, text=True, check=True)
+    after_import, argparse_after_help, code = json.loads(proc.stdout)
+    assert [m for m in COSTLY_MODULES if m in after_import] == []
+    assert [m for m in TRACED_MODULES if f"semdiff.{m}" not in after_import] == []
+    assert argparse_after_help and code == 0
