@@ -37,8 +37,6 @@ class NodeKind(Enum):
 
 
 class VarDecl(Record):
-    _uncompared = ("pos",)
-
     name: str
     kind: VarKind
     domain: tuple[str, ...]
@@ -165,8 +163,6 @@ class Assign(Record):
 
 
 class Node(Record):
-    _uncompared = ("pos",)
-
     name: str
     kind: NodeKind
     assignments: tuple[Assign, ...] = ()
@@ -174,7 +170,6 @@ class Node(Record):
 
 
 class Edge(Record):
-    _uncompared = ("pos",)
 
     src: str
     dst: str

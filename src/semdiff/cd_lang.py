@@ -43,8 +43,6 @@ MANY = Multiplicity(0, UNBOUNDED)
 
 
 class ClassDecl(Record):
-    _uncompared = ("pos",)
-
     name: str
     modifier: ClassModifier = ClassModifier.CONCRETE
     pos: tuple[int, int] = (0, 0)
@@ -56,8 +54,6 @@ class Association(Record):
     The multiplicity written at one end bounds how many objects of that end
     each object of the opposite end may link to.
     """
-
-    _uncompared = ("pos",)
 
     name: str
     left_class: str

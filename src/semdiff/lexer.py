@@ -18,15 +18,14 @@ def _frozen_delattr(self, name):
 class Record:
     """A value type whose fields are its class's own annotations, in order.
 
-    A class attribute of a field's name is that field's default, and the
-    names in ``_uncompared`` are left out of ``==`` and ``hash``. Each
-    subclass gets ``__init__``, ``__eq__``, ``__repr__`` and, unless declared
-    with ``frozen=False``, ``__hash__`` and a ``__setattr__`` that raises
-    ``AttributeError``; the four methods behave as ``dataclasses`` writes
-    them, without importing it. A mutable record is unhashable.
+    A class attribute of a field's name is that field's default. A field
+    named ``pos`` is a source position and is never compared: ``==`` and
+    ``hash`` leave it out. Each subclass gets ``__init__``, ``__eq__``,
+    ``__repr__`` and, unless declared with ``frozen=False``, ``__hash__`` and
+    a ``__setattr__`` that raises ``AttributeError``; the four methods behave
+    as ``dataclasses`` writes them, without importing it. A mutable record is
+    unhashable.
     """
-
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -36,7 +35,7 @@ class Record:
         # Set through object.__setattr__ (frozen) or plain assignment, never
         # through self.__dict__, which costs CPython its inline attribute values.
         sets = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
-        compared = [f for f in fields if f not in cls._uncompared]
+        compared = [f for f in fields if f != "pos"]
         mine = "".join(f"self.{f}," for f in compared)
         theirs = "".join(f"other.{f}," for f in compared)
         shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)

@@ -244,6 +244,12 @@ def test_usage_and_input_errors_exit_two(argv, fragment):
     assert fragment in err
 
 
+def test_an_empty_path_is_a_missing_file():
+    code, out, err = go("cd", "compare", "", fx("cd1v1.cd"))
+    assert (code, out) == (2, "")
+    assert err == ": No such file or directory\n"
+
+
 def test_parse_errors_carry_file_positions():
     code, out, err = go("cd", "diff", fx("adv1.ad"), fx("cd1v1.cd"))
     assert code == 2
