@@ -200,14 +200,7 @@ class ActivityDiagram(Record):
         return {k: v for k, v in self.__dict__.items() if k != "compiled"}
 
 
-_NODE_KEYWORDS = {
-    "action": NodeKind.ACTION,
-    "decision": NodeKind.DECISION,
-    "merge": NodeKind.MERGE,
-    "fork": NodeKind.FORK,
-    "join": NodeKind.JOIN,
-    "final": NodeKind.FINAL,
-}
+_NODE_KEYWORDS = {k.value: k for k in NodeKind if k is not NodeKind.INITIAL}
 
 
 def parse_ad(text: str) -> ActivityDiagram:
@@ -241,7 +234,7 @@ def parse_ad(text: str) -> ActivityDiagram:
 
 
 def _parse_vardecl(cur: TokenCursor):
-    kind = VarKind.INPUT if cur.advance().text == "input" else VarKind.LOCAL
+    kind = VarKind(cur.advance().text)
     name_tok = cur.expect_ident("a variable name")
     cur.expect(":")
     if cur.eat("bool"):

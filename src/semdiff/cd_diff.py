@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from itertools import product
+from itertools import chain, combinations, product
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .cd_semantics import (
@@ -41,7 +41,6 @@ from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 DEFAULT_BOUND = 3
 
 LinkSet = tuple[Link, ...]
-_DECIDE, _TAKE, _UNDO = range(3)
 
 
 def cddiff(
@@ -268,50 +267,41 @@ def _assoc_link_sets(
 ) -> list[LinkSet]:
     """Every link set for one association that satisfies the owning diagram.
 
-    Sources and targets are the objects inside the end closures; out-counts
-    must land in the right-end multiplicity and in-counts in the left-end one.
-    Upper bounds prune during generation, lower bounds filter at the leaves.
-    The walk over the object pairs keeps its own stack, so its depth does not
-    grow with the number of pairs.
+    Sources and targets are the objects inside the end closures. Each source
+    in turn picks as many targets as the right-end multiplicity admits, among
+    those still below the left-end maximum; a full assignment is kept when
+    every target has reached the left-end minimum. The walk keeps one lazy
+    pick iterator per source on its own stack, so its depth does not grow with
+    the population and no source's picks are listed in full.
     """
-    left_members = closures.get(a.left_class, frozenset())
-    right_members = closures.get(a.right_class, frozenset())
-    sources = sorted(o for o, c in objects.items() if c in left_members)
-    targets = sorted(o for o, c in objects.items() if c in right_members)
-    pairs = [(s, t) for s in sources for t in targets]
-    out_max = a.right_mult.max
-    in_max = a.left_mult.max
-    out_counts = {s: 0 for s in sources}
-    in_counts = {t: 0 for t in targets}
+    sources = sorted(o for o, c in objects.items() if c in closures[a.left_class])
+    targets = sorted(o for o, c in objects.items() if c in closures[a.right_class])
+    out_mult, in_mult = a.right_mult, a.left_mult
+    if not sources:
+        return [()] if not targets or in_mult.admits(0) else []
+    in_counts = dict.fromkeys(targets, 0)
+
+    def picks(s: str) -> Iterator[LinkSet]:
+        free = [(a.name, s, t) for t in targets if in_mult.max is None or in_counts[t] < in_mult.max]
+        most = len(free) if out_mult.max is None else min(out_mult.max, len(free))
+        return chain.from_iterable(combinations(free, d) for d in range(out_mult.min, most + 1))
+
     results: list[LinkSet] = []
-    chosen: list[Link] = []
-    # (step, i): decide pair i (leave it out first, then take it), take pair i
-    # and decide the next, or undo taking pair i.
-    todo = [(_DECIDE, 0)]
-    while todo:
-        step, i = todo.pop()
-        if step == _UNDO:
-            chosen.pop()
-            s, t = pairs[i]
-            out_counts[s] -= 1
-            in_counts[t] -= 1
-        elif step == _TAKE:
-            s, t = pairs[i]
-            out_counts[s] += 1
+    chosen: list[LinkSet] = []  # chosen[i]: the links sources[i] picked
+    stack = [picks(sources[0])]  # stack[i]: the picks sources[i] has yet to try
+    while stack:
+        if len(chosen) == len(stack):  # take back the top source's last pick
+            for _, _, t in chosen.pop():
+                in_counts[t] -= 1
+        pick = next(stack[-1], None)
+        if pick is None:
+            stack.pop()
+            continue
+        for _, _, t in pick:
             in_counts[t] += 1
-            chosen.append((a.name, s, t))
-            todo.append((_UNDO, i))
-            todo.append((_DECIDE, i + 1))
-        elif i == len(pairs):
-            if all(a.right_mult.admits(out_counts[s]) for s in sources) and all(
-                a.left_mult.admits(in_counts[t]) for t in targets
-            ):
-                results.append(tuple(chosen))
-        else:
-            s, t = pairs[i]
-            if (out_max is None or out_counts[s] < out_max) and (
-                in_max is None or in_counts[t] < in_max
-            ):
-                todo.append((_TAKE, i))
-            todo.append((_DECIDE, i + 1))
+        chosen.append(pick)
+        if len(chosen) < len(sources):
+            stack.append(picks(sources[len(chosen)]))
+        elif all(n >= in_mult.min for n in in_counts.values()):
+            results.append(tuple(chain.from_iterable(chosen)))
     return results

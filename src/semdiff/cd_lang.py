@@ -75,6 +75,10 @@ class ClassDiagram(Record):
         return closures_of(self.extends, tuple(c.name for c in self.classes))
 
 
+# The keywords written before ``class``; a concrete class has none.
+_MODIFIERS = {m.value: m for m in ClassModifier if m is not ClassModifier.CONCRETE}
+
+
 def parse_cd(text: str) -> ClassDiagram:
     """Parse and validate class-diagram text.
 
@@ -111,11 +115,7 @@ def parse_cd(text: str) -> ClassDiagram:
 
 def _parse_classdecl(cur: TokenCursor) -> tuple[ClassDecl, str | None]:
     tok = cur.peek()
-    modifier = ClassModifier.CONCRETE
-    if cur.eat("abstract"):
-        modifier = ClassModifier.ABSTRACT
-    elif cur.eat("singleton"):
-        modifier = ClassModifier.SINGLETON
+    modifier = _MODIFIERS[cur.advance().text] if tok.text in _MODIFIERS else ClassModifier.CONCRETE
     cur.expect("class")
     name = cur.expect_ident("a class name").text
     parent = None
@@ -163,21 +163,21 @@ def _validate(cd: ClassDiagram, extend_pos: list[tuple[int, int]]) -> list[Diagn
     seen: dict[str, ClassDecl] = {}
     for decl in cd.classes:
         if decl.name in seen:
-            problems.append(_diag(decl.pos, f"duplicate class name '{decl.name}'"))
+            problems.append(Diagnostic(*decl.pos, f"duplicate class name '{decl.name}'"))
         else:
             seen[decl.name] = decl
     declared = set(seen)
     for (child, parent), pos in zip(cd.extends, extend_pos):
         if parent not in declared:
-            problems.append(_diag(pos, f"'{child}' extends unknown class '{parent}'"))
+            problems.append(Diagnostic(*pos, f"'{child}' extends unknown class '{parent}'"))
     assoc_seen: set[str] = set()
     for a in cd.associations:
         if a.name in assoc_seen:
-            problems.append(_diag(a.pos, f"duplicate association name '{a.name}'"))
+            problems.append(Diagnostic(*a.pos, f"duplicate association name '{a.name}'"))
         assoc_seen.add(a.name)
         for end in (a.left_class, a.right_class):
             if end not in declared:
-                problems.append(_diag(a.pos, f"association '{a.name}' references unknown class '{end}'"))
+                problems.append(Diagnostic(*a.pos, f"association '{a.name}' references unknown class '{end}'"))
     # A class declared twice keeps its last parent, and that declaration's position.
     parents = dict(cd.extends)
     parent_pos = {child: pos for (child, _), pos in zip(cd.extends, extend_pos)}
@@ -186,17 +186,13 @@ def _validate(cd: ClassDiagram, extend_pos: list[tuple[int, int]]) -> list[Diagn
         seen_chain = {name}
         while hop is not None:
             if hop == name:
-                problems.append(_diag(parent_pos[name], f"inheritance cycle through '{name}'"))
+                problems.append(Diagnostic(*parent_pos[name], f"inheritance cycle through '{name}'"))
                 break
             if hop in seen_chain:
                 break
             seen_chain.add(hop)
             hop = parents.get(hop)
     return problems
-
-
-def _diag(pos: tuple[int, int], message: str) -> Diagnostic:
-    return Diagnostic(pos[0], pos[1], message)
 
 
 def print_cd(cd: ClassDiagram) -> str:
@@ -206,11 +202,7 @@ def print_cd(cd: ClassDiagram) -> str:
         parents.setdefault(child, []).append(parent)
     lines = [f"classdiagram {cd.name} {{"]
     for decl in cd.classes:
-        prefix = ""
-        if decl.modifier is ClassModifier.ABSTRACT:
-            prefix = "abstract "
-        elif decl.modifier is ClassModifier.SINGLETON:
-            prefix = "singleton "
+        prefix = "" if decl.modifier is ClassModifier.CONCRETE else f"{decl.modifier.value} "
         sup = parents.get(decl.name, [])
         if len(sup) > 1:
             raise ValueError(f"class '{decl.name}' has multiple parents; not printable")
@@ -225,6 +217,13 @@ def print_cd(cd: ClassDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Closures(dict):
+    """Subclass closures by class name; a class that is not a root has none."""
+
+    def __missing__(self, name: str) -> frozenset[str]:
+        return frozenset()
+
+
 def closures_of(
     extends: tuple[tuple[str, str], ...], roots: tuple[str, ...]
 ) -> dict[str, frozenset[str]]:
@@ -232,7 +231,7 @@ def closures_of(
     children: dict[str, list[str]] = {}
     for child, parent in extends:
         children.setdefault(parent, []).append(child)
-    closures = {}
+    closures = _Closures()
     for root in roots:
         out = {root}
         todo = [root]

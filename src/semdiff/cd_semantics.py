@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 
-from .cd_lang import ClassDiagram, ClassModifier
+from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .lexer import EOF, IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
@@ -130,48 +130,43 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
                 ViolationKind.SINGLETON_COUNT, decl.name,
                 f"singleton class '{decl.name}' has {n} instances, expected exactly 1"))
 
-    assocs = {a.name: a for a in cd.associations}
+    ends = {a.name: _ends(a) for a in cd.associations}
     for assoc, src, dst in sorted(om.links):
-        a = assocs.get(assoc)
-        if a is None:
+        if assoc not in ends:
             violations.append(Violation(
                 ViolationKind.UNKNOWN_ASSOCIATION, assoc,
                 f"link uses association '{assoc}' not declared in '{cd.name}'"))
             continue
-        if om.objects[src] not in closures.get(a.left_class, frozenset()):
-            violations.append(Violation(
-                ViolationKind.BAD_ENDPOINT, src,
-                f"'{src}' is not a '{a.left_class}' (or subclass), required at the"
-                f" left end of '{assoc}'"))
-        if om.objects[dst] not in closures.get(a.right_class, frozenset()):
-            violations.append(Violation(
-                ViolationKind.BAD_ENDPOINT, dst,
-                f"'{dst}' is not a '{a.right_class}' (or subclass), required at the"
-                f" right end of '{assoc}'"))
+        for oid, (side, end_class, _, _) in zip((src, dst), ends[assoc]):
+            if om.objects[oid] not in closures[end_class]:
+                violations.append(Violation(
+                    ViolationKind.BAD_ENDPOINT, oid,
+                    f"'{oid}' is not a '{end_class}' (or subclass), required at the"
+                    f" {side} end of '{assoc}'"))
 
-    out_counts = Counter((assoc, src) for assoc, src, _ in om.links)
-    in_counts = Counter((assoc, dst) for assoc, _, dst in om.links)
+    degrees = Counter((assoc, "outgoing", src) for assoc, src, _ in om.links)
+    degrees.update((assoc, "incoming", dst) for assoc, _, dst in om.links)
     for a in sorted(cd.associations, key=lambda x: x.name):
-        left_members = closures.get(a.left_class, frozenset())
-        right_members = closures.get(a.right_class, frozenset())
+        a_ends = _ends(a)
         for oid in sorted(om.objects):
-            cls = om.objects[oid]
-            if cls in left_members:
-                n = out_counts[(a.name, oid)]
-                if not a.right_mult.admits(n):
-                    violations.append(Violation(
-                        ViolationKind.MULTIPLICITY, oid,
-                        f"'{oid}' has {n} outgoing '{a.name}' links,"
-                        f" allowed {a.right_mult}"))
-            if cls in right_members:
-                n = in_counts[(a.name, oid)]
-                if not a.left_mult.admits(n):
-                    violations.append(Violation(
-                        ViolationKind.MULTIPLICITY, oid,
-                        f"'{oid}' has {n} incoming '{a.name}' links,"
-                        f" allowed {a.left_mult}"))
+            for _, end_class, direction, mult in a_ends:
+                if om.objects[oid] in closures[end_class]:
+                    n = degrees[a.name, direction, oid]
+                    if not mult.admits(n):
+                        violations.append(Violation(
+                            ViolationKind.MULTIPLICITY, oid,
+                            f"'{oid}' has {n} {direction} '{a.name}' links, allowed {mult}"))
 
     return (not violations, violations)
+
+
+def _ends(a: Association) -> tuple[tuple[str, str, str, Multiplicity], ...]:
+    """Each end of ``a``, left first: its side, its class, the direction of its
+    objects' links, and the opposite multiplicity, which bounds their number."""
+    return (
+        ("left", a.left_class, "outgoing", a.right_mult),
+        ("right", a.right_class, "incoming", a.left_mult),
+    )
 
 
 def object_id_prefixes(classes: tuple[str, ...]) -> dict[str, str]:

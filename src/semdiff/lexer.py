@@ -174,24 +174,22 @@ class TokenCursor:
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            self.fail(f"expected '{text}', found {self.peek().describe()}")
-        return self.advance()
+        return self._take(self.at(text), f"'{text}'")
 
     def expect_ident(self, what: str = "an identifier") -> Token:
-        if self.peek().kind != IDENT:
-            self.fail(f"expected {what}, found {self.peek().describe()}")
-        return self.advance()
+        return self._take(self.peek().kind == IDENT, what)
 
     def expect_nat(self) -> tuple[int, Token]:
-        if self.peek().kind != NAT:
-            self.fail(f"expected a number, found {self.peek().describe()}")
-        tok = self.advance()
+        tok = self._take(self.peek().kind == NAT, "a number")
         return int(tok.text), tok
 
     def expect_eof(self) -> None:
-        if self.peek().kind != EOF:
-            self.fail(f"expected end of input, found {self.peek().describe()}")
+        self._take(self.peek().kind == EOF, "end of input")
+
+    def _take(self, found: bool, what: str) -> Token:
+        if not found:
+            self.fail(f"expected {what}, found {self.peek().describe()}")
+        return self.advance()
 
     def fail(self, message: str, token: Token | None = None) -> NoReturn:
         tok = token if token is not None else self.peek()

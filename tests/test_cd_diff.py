@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 import generators
 from semdiff import cd_diff, cd_lang
 from semdiff.cd_diff import cddiff, compare_cd
-from semdiff.cd_lang import parse_cd
+from semdiff.cd_lang import MANY, Association, ClassDecl, ClassDiagram, Multiplicity, parse_cd
 from semdiff.cd_semantics import is_instance, print_om
 from semdiff.verdict import Verdict, VerdictValue
 
@@ -346,3 +347,69 @@ def test_large_self_association_enumerates_its_link_sets():
     assert result.exhausted
     assert [len(om.objects) for om in result.witnesses] == list(range(1, 36))
     assert all(not om.links for om in result.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# one association's link sets against every subset of its object pairs
+
+LINK_MULTS = ("0", "1", "0..1", "1..*", "2", "*")
+
+
+def brute_link_sets(a, sources, targets):
+    pairs = [(a.name, s, t) for s in sources for t in targets]
+    found = set()
+    for mask in range(2 ** len(pairs)):
+        links = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if all(a.right_mult.admits(sum(src == s for _, src, _ in links)) for s in sources) and all(
+            a.left_mult.admits(sum(dst == t for _, _, dst in links)) for t in targets
+        ):
+            found.add(frozenset(links))
+    return found
+
+
+def link_set_cases():
+    for left, right in product(LINK_MULTS, repeat=2):
+        two = parse_cd(f"classdiagram C {{ class A; class B; association r [{left}] A -- B [{right}]; }}")
+        for na, nb in product(range(4), repeat=2):
+            yield two, {**{f"a{i}": "A" for i in range(na)}, **{f"b{i}": "B" for i in range(nb)}}
+        one = parse_cd(f"classdiagram C {{ class A; association r [{left}] A -- A [{right}]; }}")
+        for n in range(4):
+            yield one, {f"a{i}": "A" for i in range(n)}
+
+
+def test_assoc_link_sets_are_the_admitted_subsets_of_the_object_pairs():
+    for cd, objects in link_set_cases():
+        (a,) = cd.associations
+        sources = sorted(o for o, c in objects.items() if c == a.left_class)
+        targets = sorted(o for o, c in objects.items() if c == a.right_class)
+        found = cd_diff._assoc_link_sets(a, objects, cd.closures)
+        assert len(set(found)) == len(found), (a, objects)
+        assert {frozenset(links) for links in found} == brute_link_sets(a, sources, targets), (a, objects)
+
+
+def test_targets_without_room_are_never_offered():
+    # Each of the 2^40 - 1 nonempty subsets of the Bs breaks the [0] end, so
+    # the walk must not try them one by one.
+    cd = parse_cd("classdiagram C { class A; class B; association r [0] A -- B [*]; }")
+    objects = {"a1": "A", "a2": "A", **{f"b{i}": "B" for i in range(40)}}
+    assert cd_diff._assoc_link_sets(cd.associations[0], objects, cd.closures) == [()]
+
+
+# ---------------------------------------------------------------------------
+# a hand-built diagram whose association names a class it does not declare
+
+
+def test_an_undeclared_end_class_admits_no_object():
+    declared = parse_cd("classdiagram y { class A; }")
+    free = ClassDiagram("x", (ClassDecl("A"),), (), (Association("r", "A", MANY, "B", MANY),))
+    assert compare_cd(free, declared, 2).value is VerdictValue.EQUIVALENT
+    result = cddiff(declared, free, 2)
+    assert result.witnesses == [] and result.exhausted
+    # Every A now needs a B partner, which no object can be.
+    needy = ClassDiagram(
+        "x", (ClassDecl("A"),), (), (Association("r", "A", MANY, "B", Multiplicity(1, None)),)
+    )
+    assert compare_cd(needy, declared, 2).value is VerdictValue.LEFT_REFINES_RIGHT
+    result = cddiff(declared, needy, 2)
+    assert texts(result) == ["objectmodel om {\n  a1: A;\n}\n", "objectmodel om {\n  a1: A;\n  a2: A;\n}\n"]
+    assert result.exhausted

@@ -164,6 +164,12 @@ def test_closures_hold_only_declared_classes():
     assert cd.closures == {"A": {"A"}}
 
 
+def test_a_class_that_is_not_declared_has_an_empty_closure():
+    closures = parse_cd("classdiagram C { class A; }").closures
+    assert closures["B"] == frozenset()
+    assert "B" not in closures
+
+
 def test_closures_leave_equality_hash_and_repr_alone():
     text = "classdiagram C { class A; class B extends A; }"
     cd, fresh = parse_cd(text), parse_cd(text)

@@ -6,6 +6,7 @@ import pytest
 from semdiff.cd_lang import parse_cd
 from semdiff.cd_semantics import (
     ObjectModel,
+    Violation,
     ViolationKind,
     count_vectors,
     is_instance,
@@ -197,6 +198,25 @@ def test_multiplicity_lower_bound_applies_per_object():
     assert is_instance(paired, cd)[0]
     # with no objects at all there is nothing to constrain
     assert is_instance(ObjectModel("m", {}, frozenset()), cd)[0]
+
+
+def test_both_ends_of_an_association_report_their_own_violations():
+    # s's one link starts at a B and ends at an A, so both its ends are
+    # broken; under r, a3 links to no B and b1 has two A partners.
+    cd = parse_cd(
+        "classdiagram C { class A; class B;"
+        " association r [0..1] A -- B [1]; association s A -- B; }"
+    )
+    objects = {"a1": "A", "a2": "A", "a3": "A", "b1": "B"}
+    links = frozenset({("r", "a1", "b1"), ("r", "a2", "b1"), ("s", "b1", "a1")})
+    assert is_instance(ObjectModel("m", objects, links), cd) == (False, [
+        Violation(ViolationKind.BAD_ENDPOINT, "b1",
+                  "'b1' is not a 'A' (or subclass), required at the left end of 's'"),
+        Violation(ViolationKind.BAD_ENDPOINT, "a1",
+                  "'a1' is not a 'B' (or subclass), required at the right end of 's'"),
+        Violation(ViolationKind.MULTIPLICITY, "a3", "'a3' has 0 outgoing 'r' links, allowed 1"),
+        Violation(ViolationKind.MULTIPLICITY, "b1", "'b1' has 2 incoming 'r' links, allowed 0..1"),
+    ])
 
 
 def test_violations_are_exhaustive_and_deterministic():

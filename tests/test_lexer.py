@@ -85,6 +85,24 @@ def test_cursor_reports_end_of_input():
         cur.expect("{")
 
 
+@pytest.mark.parametrize(
+    "source, read, expected",
+    [
+        ("class\n  7", lambda cur: cur.expect("{"), "2:3: expected '{', found '7'"),
+        ("{ ", lambda cur: cur.expect("}"), "1:3: expected '}', found end of input"),
+        ("class\n  7", lambda cur: cur.expect_ident("a class name"), "2:3: expected a class name, found '7'"),
+        ("[ x", lambda cur: cur.expect_nat(), "1:3: expected a number, found 'x'"),
+        ("} ]", lambda cur: cur.expect_eof(), "1:3: expected end of input, found ']'"),
+    ],
+)
+def test_each_expectation_fails_at_the_token_it_found(source, read, expected):
+    cur = TokenCursor(tokenize(source))
+    cur.advance()
+    with pytest.raises(ParseError) as err:
+        read(cur)
+    assert str(err.value) == expected
+
+
 def test_diagnostic_str_format():
     with pytest.raises(ParseError) as err:
         tokenize("%")
