@@ -24,7 +24,9 @@ Ackerman & Shallit, "Efficient enumeration of words in regular languages"
 accepting pair exactly L - d - 1 steps away. Every step then leads to a
 witness, so a witness costs O(L·k) steps, k the largest out-degree, however
 many shorter traces A has. Whether a pair reaches an accepting pair at all
-(liveness), and in exactly r steps, is kept per pair for the whole call.
+(liveness) is kept per pair for the whole call. How many steps away one is
+comes from the breadth-first layers the walk builds anyway, one set of live
+pairs per length, which last for one ``words`` call.
 
 A verdict needs only whether each direction has a witness, so ``compare_ad``
 neither walks nor lists witnesses: per valuation it runs one breadth-first
@@ -65,12 +67,11 @@ class _PairGraph:
     and extended by every start pair that ``add`` interns.
 
     Pairs are numbered in discovery order. Per pair id the graph keeps its
-    successors as (letter, id) in letter order, whether it accepts, whether
-    some accepting pair is reachable from it (live), and two bitmasks: bit r
-    of ``hits`` when an accepting pair is exactly r steps away, of ``misses``
-    when it is known not to be. None of these facts changes once the pair is
-    explored, as a pair's successors depend only on the pair. Unless
-    ``trimmed`` is False, accepting pairs have no successors.
+    successors as (letter, id) in letter order, whether it accepts, and
+    whether some accepting pair is reachable from it (live). None of these
+    facts changes once the pair is explored, as a pair's successors depend
+    only on the pair. Unless ``trimmed`` is False, accepting pairs have no
+    successors.
     """
 
     def __init__(self, a: NfaRunner, b: NfaRunner, trimmed: bool = True):
@@ -79,8 +80,6 @@ class _PairGraph:
         self.rows: list[list[tuple[str, int]]] = []
         self.final: list[bool] = []
         self.live: list[bool] = []
-        self.hits: list[int] = []
-        self.misses: list[int] = []
 
     def add(self, states_a: frozenset[int], states_b: frozenset[int]) -> int:
         """The id of the pair (``states_a``, ``states_b``), after exploring
@@ -96,8 +95,6 @@ class _PairGraph:
         for x, y in new:  # the loop reads the pairs appended while it runs
             accepting = a.is_accepting(x) and not b.is_accepting(y)
             final.append(accepting)
-            self.hits.append(int(accepting))  # bit 0: the pair itself accepts
-            self.misses.append(int(not accepting))
             row = []
             if not (accepting and self.trimmed):
                 succ_b = b.successors(y)
@@ -139,84 +136,57 @@ class _PairGraph:
         """Words spelling a path from pair ``start`` to an accepting pair,
         shortest first, then lexicographic.
 
-        The graph must be trimmed, so no word is a prefix of another. Returns
-        (words, exhausted); exhausted is False exactly when some further word
-        exists beyond ``max_words`` or ``max_len``.
+        Layer d holds the live pairs that end a path of d steps from
+        ``start``. Whenever the newest layer holds an accepting pair,
+        ``_words_of`` lists the words of that length. The graph must be
+        trimmed, so no word is a prefix of another. Returns (words,
+        exhausted); exhausted is False exactly when some further word exists
+        beyond ``max_words`` or ``max_len``.
         """
         rows, final, live = self.rows, self.final, self.live
         words: list[tuple[str, ...]] = []
-        frontier = {start} if live[start] else set()  # live pairs ending a path of this length
-        length = 0
-        while frontier:
-            if any(final[pid] for pid in frontier):
-                for word in self._words_of(start, length):
+        layers = [{start} if live[start] else set()]
+        while layers[-1]:
+            if any(final[pid] for pid in layers[-1]):
+                for word in self._words_of(start, layers):
                     if max_words is not None and len(words) >= max_words:
                         return words, False
                     words.append(word)
-            frontier = {sid for pid in frontier for _, sid in rows[pid] if live[sid]}
-            if frontier and length == max_len:
+            frontier = {sid for pid in layers[-1] for _, sid in rows[pid] if live[sid]}
+            if frontier and len(layers) - 1 == max_len:
                 return words, False
-            length += 1
+            layers.append(frontier)
         return words, True
 
-    def _words_of(self, start: int, length: int):
-        """The words of paths of exactly ``length`` steps from pair ``start``
-        to an accepting pair, in letter order; ``start`` must have one. Each
-        step goes to a pair with an accepting pair exactly as far as the
-        letters left, so every step leads to a word."""
-        rows = self.rows
-        pids = [start]
+    def _words_of(self, start: int, layers: list[set[int]]):
+        """The words of paths from pair ``start`` through ``layers`` to an
+        accepting pair in the last layer, in letter order.
+
+        The last layer keeps its accepting pairs. Walking back, each earlier
+        layer keeps its pairs with a move into a pair kept in the next one:
+        the pairs with an accepting pair exactly as many steps away as
+        layers remain. The walk takes only those moves, so every step leads
+        to a word."""
+        rows, final, length = self.rows, self.final, len(layers) - 1
+        moves = [{pid: [] for pid in layers[-1] if final[pid]}]  # kept pair -> its kept moves
+        for layer in reversed(layers[:-1]):
+            after = moves[-1]
+            moves.append({pid: m for pid in layer if (m := [s for s in rows[pid] if s[1] in after])})
+        moves.reverse()
         letters: list[str] = []
-        chosen: list[int] = []  # row position taken at each depth
-        i = 0
-        while True:
-            depth = len(chosen)
-            if depth == length:
+        stack = [iter(moves[0][start])]  # stack[d]: the moves at depth d not yet taken
+        while stack:
+            if len(stack) > length:
                 yield tuple(letters)
             else:
-                row = rows[pids[-1]]
-                while i < len(row) and not self._reaches(row[i][1], length - depth - 1):
-                    i += 1
-                if i < len(row):
-                    letter, sid = row[i]
-                    chosen.append(i)
-                    letters.append(letter)
-                    pids.append(sid)
-                    i = 0
+                step = next(stack[-1], None)
+                if step is not None:
+                    letters.append(step[0])
+                    stack.append(iter(moves[len(stack)][step[1]]))
                     continue
-            if not chosen:
-                return
-            i = chosen.pop() + 1
-            letters.pop()
-            pids.pop()
-
-    def _reaches(self, pid: int, steps: int) -> bool:
-        """Whether an accepting pair is exactly ``steps`` steps from pair
-        ``pid``, decided depth first on an explicit stack and kept in
-        ``hits`` and ``misses`` for every pair and length the search met."""
-        rows, hits, misses = self.rows, self.hits, self.misses
-        stack = [(pid, steps, 0)]  # (pair, steps, position of the next successor to try)
-        while stack:
-            p, r, i = stack.pop()
-            if not self.live[p] or (hits[p] | misses[p]) >> r & 1:
-                continue
-            row = rows[p]
-            # Skip the successors known to miss at r - 1; stop at one known
-            # to hit, or at one not yet known, which is decided first.
-            while i < len(row):
-                sid = row[i][1]
-                if not self.live[sid] or misses[sid] >> (r - 1) & 1:
-                    i += 1
-                elif hits[sid] >> (r - 1) & 1:
-                    hits[p] |= 1 << r
-                    break
-                else:
-                    stack.append((p, r, i))
-                    stack.append((sid, r - 1, 0))
-                    break
-            else:
-                misses[p] |= 1 << r
-        return self.live[pid] and bool(hits[pid] >> steps & 1)
+            stack.pop()
+            if letters:
+                letters.pop()
 
 
 def determinize(nfa: Nfa, alphabet: frozenset[str] | None = None) -> Nfa:

@@ -138,7 +138,7 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
                 f"link uses association '{assoc}' not declared in '{cd.name}'"))
             continue
         for oid, (side, end_class, _, _) in zip((src, dst), ends[assoc]):
-            if om.objects[oid] not in closures[end_class]:
+            if om.objects.get(oid) not in closures[end_class]:
                 violations.append(Violation(
                     ViolationKind.BAD_ENDPOINT, oid,
                     f"'{oid}' is not a '{end_class}' (or subclass), required at the"

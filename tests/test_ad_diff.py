@@ -268,6 +268,18 @@ def test_a_length_cutoff_ignores_paths_that_lead_to_no_witness():
         assert addiff(a, b, max_len=max_len) == DiffResult([Trace((), ("a", "b"))], True)
 
 
+def test_walk_lists_a_witness_at_every_length_in_order():
+    # A runs a+ b and B runs a+ c, so each length from 2 on has one witness.
+    loop = ("activity L {{ merge m; action a; decision d; action {0}; start -> m; m -> a;"
+            " a -> d; d -[true]-> m; d -[true]-> {0}; {0} -> end; }}")
+    a, b = parse_ad(loop.format("b")), parse_ad(loop.format("c"))
+    assert addiff(a, b, 300) == DiffResult(
+        [Trace((), ("a",) * k + ("b",)) for k in range(1, 301)], False)
+    capped = addiff(a, b, max_len=5)
+    assert [len(t.actions) for t in capped.witnesses] == [2, 3, 4, 5]
+    assert not capped.exhausted
+
+
 def test_valuations_group_in_order():
     a = parse_ad(
         """

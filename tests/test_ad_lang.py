@@ -383,6 +383,12 @@ def test_edge_count_errors_keep_their_wording_order_and_position(source, expecte
     assert [str(d) for d in err.value.diagnostics] == expected
 
 
+def test_an_unclosed_body_fails_at_the_end_of_input():
+    with pytest.raises(ParseError) as err:
+        parse_ad("activity A {")
+    assert [str(d) for d in err.value.diagnostics] == ["1:13: expected '}', found end of input"]
+
+
 def test_every_diagnostic_is_positioned():
     with pytest.raises(ParseError) as err:
         parse_ad("activity A { action a; action a; start -> a; a -> end; }")

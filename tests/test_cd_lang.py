@@ -205,3 +205,13 @@ def test_each_extends_declaration_keeps_its_own_position():
     lines = {d.message: d.line for d in err.value.diagnostics}
     assert lines["'A' extends unknown class 'P'"] == 2
     assert lines["'A' extends unknown class 'Q'"] == 3
+
+
+def test_inheritance_cycles_name_only_the_classes_on_them():
+    # A leads into the cycle B -> C -> B but is not on it.
+    with pytest.raises(ParseError) as err:
+        parse_cd("classdiagram X {\n class A extends B;\n class B extends C;\n class C extends B;\n}")
+    assert [str(d) for d in err.value.diagnostics] == [
+        "3:2: inheritance cycle through 'B'",
+        "4:2: inheritance cycle through 'C'",
+    ]

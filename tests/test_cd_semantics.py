@@ -219,6 +219,15 @@ def test_both_ends_of_an_association_report_their_own_violations():
     ])
 
 
+def test_link_to_an_object_the_model_lacks_is_a_bad_endpoint():
+    cd = parse_cd("classdiagram C { class A; association r A -- A; }")
+    om = ObjectModel("m", {"a1": "A"}, frozenset({("r", "a1", "ghost")}))
+    assert is_instance(om, cd) == (False, [
+        Violation(ViolationKind.BAD_ENDPOINT, "ghost",
+                  "'ghost' is not a 'A' (or subclass), required at the right end of 'r'"),
+    ])
+
+
 def test_violations_are_exhaustive_and_deterministic():
     cd = parse_cd("classdiagram C { singleton class A; }")
     om = ObjectModel("m", {"x1": "Ghost", "x2": "Ghost"}, frozenset())

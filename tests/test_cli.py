@@ -268,6 +268,34 @@ def test_deeply_nested_guard_exits_two_with_position(tmp_path):
     assert err == f"{ad_file}:7:107: guard nested more than 100 levels deep\n"
 
 
+# The diagrams of the CI step "Unsafe diagram error": under p, firing the
+# merge mY marks the edge mY -> c a second time.
+UNSAFE_X = """\
+activity X { input p: bool; action a; action b; action c; decision d; fork f; merge mX;
+  action x1; d -[!p]-> x1; x1 -> end; action z; d -[!p]-> z; z -> end;
+  start -> d; d -[p]-> f; f -> a; f -> b; a -> mX; b -> mX; mX -> c; c -> end; }
+"""
+UNSAFE_Y = """\
+activity Y { input p: bool; action a; action b; action c; decision d; fork f; merge mY;
+  action z; d -[!p]-> z; z -> end;
+  start -> d; d -[p]-> f; f -> a; f -> b; a -> mY; b -> mY; mY -> c; c -> end; }
+"""
+
+
+@pytest.mark.parametrize("left, right, message", [
+    (UNSAFE_X, UNSAFE_Y,
+     "firing 'mY' would mark the edge mY -> c twice in configuration <edges [7, 8]; p=true>"),
+    ("activity P { input p: bool; action a; start -> a; a -> end; }",
+     "activity P { input p: {lo, hi}; action a; start -> a; a -> end; }",
+     "input 'p' has domain ('false', 'true') in one diagram and ('lo', 'hi') in the other"),
+], ids=["unsafe", "domain-mismatch"])
+def test_engine_errors_exit_two_with_one_line(tmp_path, left, right, message):
+    (tmp_path / "x.ad").write_text(left)
+    (tmp_path / "y.ad").write_text(right)
+    code, out, err = go("ad", "compare", str(tmp_path / "x.ad"), str(tmp_path / "y.ad"))
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 # Files with the byte 0xff at '@', and where that byte is in characters:
 # CRLF, CR and LF all end a line, as ``open`` reads them.
 NOT_UTF8 = {

@@ -108,6 +108,9 @@ def test_trace_text_round_trip():
     multi = Trace.make({"b": "x", "a": "y"}, ("go",))
     assert parse_trace(print_trace(multi)) == multi
     assert print_trace(multi).startswith("inputs: a=y, b=x\n")
+    bare = Trace((), ("a",))
+    assert print_trace(bare) == "inputs:\n  1. a\n"
+    assert parse_trace("inputs:\n  1. a\n") == bare
 
 
 def test_trace_text_round_trips_non_ascii_names():
