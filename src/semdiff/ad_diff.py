@@ -4,19 +4,19 @@ For each input valuation both diagrams compile to finite NFAs, their config
 NFAs. A call keeps one ``ConfigTable`` per diagram, which every valuation
 extends with the configurations it reaches that the table lacks. The table
 sets the state values that no marked edge can read to None, so valuations
-that differ only in those share configurations, ε-closures and subset
-successors. ``addiff`` searches one graph per call, the pair graph: its
-states are the pairs (A-subset, B-subset) of configurations that reading
-the same trace leads to in A and in B. Each valuation interns the pair of
-its initial closures and explores, breadth-first, only the pairs the graph
-lacks; a pair's successors depend only on the pair, so every valuation
-after the first reuses the pairs, and the facts about them, that earlier
-ones found. A pair accepts when its A-subset holds an accepting
-configuration and its B-subset holds none, and the graph stops at accepting
-pairs, so every path to one spells a prefix-minimal trace of A that B
-cannot produce. B's subset is a function of the trace, so the pair graph is
-exactly the determinized product of A with the complement of B
-(``difference_automaton``), built without materializing either.
+that differ only in those share configurations and ε-closures. ``addiff``
+searches one graph per call, the pair graph: its states are the pairs
+(A-subset, B-subset) of configurations that reading the same trace leads to
+in A and in B. Each valuation interns the pair of its initial closures and
+explores, breadth-first, only the pairs the graph lacks; a pair's
+successors depend only on the pair, so every valuation after the first
+reuses the pairs, and the facts about them, that earlier ones found. A pair
+accepts when its A-subset holds an accepting configuration and its B-subset
+holds none, and the graph stops at accepting pairs, so every path to one
+spells a prefix-minimal trace of A that B cannot produce. B's subset is a
+function of the trace, so the pair graph is exactly the determinized
+product of A with the complement of B (``difference_automaton``), built
+without materializing either.
 
 Witnesses come shortest first and lexicographic within a length, following
 Ackerman & Shallit, "Efficient enumeration of words in regular languages"
@@ -38,8 +38,8 @@ search drops pairs whose side is empty for every open direction, and it
 stops as soon as no direction is open. The word that first decided a
 direction, rebuilt from the search's parent links, is its shortest witness.
 ``addiff`` and ``compare_ad`` both re-run every witness on the two tables'
-per-configuration moves, one step at a time, without the subset and pair
-memos (``_checked``).
+per-configuration moves, one step at a time, apart from the pair graph and
+the joint search (``_checked``).
 
 Unlike the bounded class-diagram search this is exact: the state spaces are
 finite. ``determinize`` and ``difference_automaton`` return the graphs they
@@ -205,9 +205,8 @@ def difference_automaton(a: Nfa, b: Nfa) -> Nfa:
     It is the pair graph of ``a`` against ``b`` without the cut at accepting
     pairs (see the module docstring), so it is deterministic.
     """
-    a, b = NfaRunner(a), NfaRunner(b)
-    graph = _PairGraph(a, b, trimmed=False)
-    graph.add(a.initial, b.initial)
+    graph = _PairGraph(NfaRunner(a), NfaRunner(b), trimmed=False)
+    graph.add(graph.a.initial, graph.b.initial)
     return _graph_nfa(graph, a.alphabet | b.alphabet)
 
 

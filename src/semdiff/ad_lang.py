@@ -334,6 +334,9 @@ def _resolve(name, raw_vars, raw_nodes, raw_edges) -> ActivityDiagram:
         if name_tok.text in var_table:
             problems.append(Diagnostic(*pos, f"duplicate variable '{name_tok.text}'"))
             continue
+        if name_tok.text in BOOL_DOMAIN:
+            problems.append(Diagnostic(
+                *pos, f"'{name_tok.text}' is a reserved value and cannot name a variable"))
         if len(set(domain)) != len(domain):
             problems.append(Diagnostic(*pos, f"domain of '{name_tok.text}' repeats a value"))
         if domain != BOOL_DOMAIN and ("true" in domain or "false" in domain):
@@ -411,7 +414,13 @@ def _resolve_assign(target_tok, source_tok, var_table, problems) -> Assign | Non
         return None
     source = source_tok.text
     # A name that matches a declared variable is a variable read; anything
-    # else must be a literal value of the target's domain.
+    # else must be a literal value of the target's domain. A name that is
+    # both would read one way here and the other in a guard's comparison.
+    if source in var_table and source in target.domain:
+        problems.append(Diagnostic(
+            source_tok.line, source_tok.col,
+            f"'{source}' names both a variable and a value of '{target.name}'"))
+        return None
     if source in var_table:
         if var_table[source].domain != target.domain:
             problems.append(Diagnostic(

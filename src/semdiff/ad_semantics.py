@@ -310,17 +310,15 @@ def _assign(state: tuple[str, ...], assigns) -> tuple[str, ...]:
 
 class NfaRunner:
     """Subset queries over an automaton's moves, kept per state as a list of
-    (label, target); each state's ε-closure and each subset's successors are
-    computed once. ``initial`` is the closure of the initial state."""
+    (label, target); each state's ε-closure is computed once. ``initial`` is
+    the closure of the initial state."""
 
     def __init__(self, nfa: Nfa):
-        self.alphabet = nfa.alphabet
         self.rows: list[list[tuple[str | None, int]]] = [[] for _ in range(nfa.n_states)]
         for src, label, dst in nfa.transitions:
             self.rows[src].append((label, dst))
         self.accepting = nfa.accepting
         self._closures: dict[int, frozenset[int]] = {}
-        self._successors: dict[frozenset[int], dict[str, frozenset[int]]] = {}
         self.initial = self.closure((nfa.initial,))
 
     def closure(self, states) -> frozenset[int]:
@@ -354,12 +352,6 @@ class NfaRunner:
 
     def successors(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
         """``step(states, letter)`` for each letter where it is not empty."""
-        succ = self._successors.get(states)
-        if succ is None:
-            succ = self._successors[states] = self._successors_of(states)
-        return succ
-
-    def _successors_of(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
         targets: dict[str, set[int]] = {}
         rows = self.rows
         for s in states:
@@ -387,19 +379,17 @@ class ConfigTable(NfaRunner):
     ``NfaRunner`` that every valuation extends.
 
     State values that no marked edge can read are set to None, so valuations
-    that differ only in those share configurations, their closures and their
-    subsets. That keeps each valuation's language: a firing reads only the
-    slots its consumed edges may read, and it writes every slot that its
-    marked edges may read and its consumed ones may not.
+    that differ only in those share configurations and their closures. That
+    keeps each valuation's language: a firing reads only the slots its
+    consumed edges may read, and it writes every slot that its marked edges
+    may read and its consumed ones may not.
     """
 
     def __init__(self, ad: ActivityDiagram):
         self.ad = ad
-        self.alphabet = ad.action_names()
         self.rows = []
         self.accepting = set()
         self._closures = {}
-        self._successors = {}
         self.configs: list[tuple[int, tuple]] = []
         self.index: dict[tuple[int, tuple], int] = {}
         self.live_of: dict[int, int] | None = {} if ad.variables else None

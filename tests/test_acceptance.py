@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 
+from hypothesis import given, settings, strategies as st
+
 from semdiff import ad_semantics, cd_diff, cd_semantics
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import parse_ad, print_ad
@@ -18,6 +20,7 @@ from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd, print_cd
 from semdiff.cd_semantics import is_instance, print_om
 from semdiff.cli import run
+from semdiff.verdict import Verdict
 
 import generators
 import oracles
@@ -93,14 +96,14 @@ def test_workflow_versions_compare_and_witness_as_expected(adv):
     assert time.monotonic() - started < 5.0
 
 
+def reference_model_diff(models, cd1, cd2):
+    return [om for om in models if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]]
+
+
 def cd_matches_oracle(cd1, cd2, k):
-    expected = [
-        om
-        for om in oracles.reference_object_models(oracles.vocabulary_of(cd1, cd2), k)
-        if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
-    ]
+    models = oracles.reference_object_models(oracles.vocabulary_of(cd1, cd2), k)
     result = cddiff(cd1, cd2, k, max_witnesses=UNBOUNDED)
-    return result.witnesses == expected and result.exhausted
+    return result.witnesses == reference_model_diff(models, cd1, cd2) and result.exhausted
 
 
 def test_class_diagram_search_matches_reference_enumeration():
@@ -142,6 +145,44 @@ def test_activity_diagram_search_matches_reference_enumeration():
         if not ad_matches_oracle(ad1, ad2, 12):
             mismatches += 1
     assert mismatches == 0
+
+
+def oracle_confirms_first_witness(ad1, ad2):
+    """Whether ``addiff`` finds a witness that the oracle's traces of its
+    length confirm: ``ad1`` can run it and ``ad2`` cannot."""
+    for w in addiff(ad1, ad2, max_witnesses=1).witnesses:
+        v, n = w.inputs_dict(), len(w.actions)
+        return (w.actions in oracles.reference_traces(ad1, v, n)
+                and w.actions not in oracles.reference_traces(ad2, v, n))
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_both_engines_match_the_oracles_on_drawn_seeds(seed):
+    # The two fixed sweeps above on seeds that Hypothesis draws, both
+    # directions of each pair, and the verdicts that compare_* derive.
+    rng = random.Random(seed)
+    k = rng.choice((1, 1, 2))
+    cd1, cd2 = generators.random_cd_pair(rng, k)
+    models = oracles.reference_object_models(oracles.vocabulary_of(cd1, cd2), k)
+    differs = []
+    for x, y in ((cd1, cd2), (cd2, cd1)):
+        expected = reference_model_diff(models, x, y)
+        result = cddiff(x, y, k, max_witnesses=UNBOUNDED)
+        assert result.witnesses == expected and result.exhausted
+        differs.append(bool(expected))
+    assert compare_cd(cd1, cd2, k) == Verdict.of(*differs, bounded=True)
+
+    ad1, ad2 = generators.random_ad_pair(rng, max_len=12)
+    differs = []
+    for x, y in ((ad1, ad2), (ad2, ad1)):
+        expected = reference_trace_diff(x, y, 12)
+        assert addiff(x, y, max_witnesses=UNBOUNDED, max_len=12).witnesses == expected
+        # A difference may first show beyond 12 actions; addiff's shortest
+        # witness then stands for it, confirmed by the oracle.
+        differs.append(bool(expected) or oracle_confirms_first_witness(x, y))
+    assert compare_ad(ad1, ad2) == Verdict.of(*differs, bounded=False)
 
 
 def test_cd_oracle_catches_colliding_object_ids(monkeypatch):

@@ -613,16 +613,16 @@ def test_compare_matches_one_witness_per_direction_on_forks_and_unsafe_diagrams(
 
 
 def test_compare_takes_no_more_successor_steps_than_two_one_witness_diffs(adv, monkeypatch):
-    # Each table computes a subset's successors once, however often the
-    # search asks for them.
+    # A table keeps no subset's successors, so this counts every time a
+    # search expands a subset.
     calls = Counter()
-    real = NfaRunner._successors_of
+    real = NfaRunner.successors
 
     def counting(runner, states):
         calls["n"] += 1
         return real(runner, states)
 
-    monkeypatch.setattr(NfaRunner, "_successors_of", counting)
+    monkeypatch.setattr(NfaRunner, "successors", counting)
 
     def steps(search, *pairs):
         calls.clear()

@@ -228,6 +228,25 @@ def test_assignment_prefers_variable_over_value():
     assert assign.source == "y" and assign.source_is_var
 
 
+@pytest.mark.parametrize("source, expected", [
+    # A guard `true` is the literal, so `flag := true` may not read a
+    # variable of that name.
+    ("activity A {\n local true: bool;\n local flag: bool;\n action a / flag := true;\n"
+     " start -> a; a -> end; }",
+     ["2:8: 'true' is a reserved value and cannot name a variable",
+      "4:21: 'true' names both a variable and a value of 'flag'"]),
+    # `x == lo` in a guard compares with the literal, so `x := lo` may not
+    # read the variable `lo`.
+    ("activity A {\n local lo: {lo, hi} = hi;\n local x: {lo, hi};\n action a / x := lo;\n"
+     " start -> a; a -> end; }",
+     ["4:18: 'lo' names both a variable and a value of 'x'"]),
+])
+def test_a_name_that_reads_two_ways_is_a_positioned_error(source, expected):
+    with pytest.raises(ParseError) as err:
+        parse_ad(source)
+    assert [str(d) for d in err.value.diagnostics] == expected
+
+
 def guard_error_cases():
     return [
         ("d -[ghost]-> b;", "undeclared variable 'ghost'"),
