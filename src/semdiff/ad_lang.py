@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cached_property
 
-from .lexer import EOF, IDENT, Diagnostic, ParseError, Record, Token, TokenCursor, tokenize
+from .lexer import IDENT, Diagnostic, ParseError, Record, Token, TokenCursor, tokenize
 
 BOOL_DOMAIN = ("false", "true")
 
@@ -200,6 +200,7 @@ class ActivityDiagram(Record):
         return {k: v for k, v in self.__dict__.items() if k != "compiled"}
 
 
+_VAR_KEYWORDS = {k.value: k for k in VarKind}
 _NODE_KEYWORDS = {k.value: k for k in NodeKind if k is not NodeKind.INITIAL}
 
 
@@ -210,31 +211,24 @@ def parse_ad(text: str) -> ActivityDiagram:
     reachability; every problem is reported with its source position.
     """
     cur = TokenCursor(tokenize(text))
-    cur.expect("activity")
-    name = cur.expect_ident("an activity name").text
-    cur.expect("{")
+    name, items = cur.block("activity", "an activity name")
     raw_vars: list[tuple[Token, VarKind, tuple[str, ...], Token | None]] = []
     raw_nodes: list[tuple[NodeKind, Token, list[tuple[Token, Token]]]] = []
     raw_edges: list[tuple[Token, Guard | None, Token]] = []
-    while not cur.at("}"):
-        tok = cur.peek()
-        if tok.kind == EOF:
-            cur.fail("expected '}', found end of input")
+    for tok in items:
         if tok.kind != IDENT:
             cur.fail(f"expected a declaration or an edge, found {tok.describe()}")
-        if tok.text in ("input", "local") and cur.peek(1).kind == IDENT:
+        if tok.text in _VAR_KEYWORDS and cur.peek(1).kind == IDENT:
             raw_vars.append(_parse_vardecl(cur))
         elif tok.text in _NODE_KEYWORDS and cur.peek(1).kind == IDENT:
             raw_nodes.append(_parse_nodedecl(cur))
         else:
             raw_edges.append(_parse_edge(cur))
-    cur.expect("}")
-    cur.expect_eof()
     return _resolve(name, raw_vars, raw_nodes, raw_edges)
 
 
 def _parse_vardecl(cur: TokenCursor):
-    kind = VarKind(cur.advance().text)
+    kind = _VAR_KEYWORDS[cur.advance().text]
     name_tok = cur.expect_ident("a variable name")
     cur.expect(":")
     if cur.eat("bool"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 
-from .lexer import EOF, Diagnostic, ParseError, Record, TokenCursor, tokenize
+from .lexer import Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 UNBOUNDED = None
 
@@ -86,17 +86,13 @@ def parse_cd(text: str) -> ClassDiagram:
     or on any collection of validation problems.
     """
     cur = TokenCursor(tokenize(text))
-    cur.expect("classdiagram")
-    name = cur.expect_ident("a diagram name").text
-    cur.expect("{")
+    name, items = cur.block("classdiagram", "a diagram name")
     classes: list[ClassDecl] = []
     extends: list[tuple[str, str]] = []
     extend_pos: list[tuple[int, int]] = []  # the declaration of each extends pair
     associations: list[Association] = []
-    while not cur.at("}"):
-        if cur.peek().kind == EOF:
-            cur.fail("expected '}', found end of input")
-        if cur.at("association"):
+    for tok in items:
+        if tok.text == "association":
             associations.append(_parse_assoc(cur))
         else:
             decl, parent = _parse_classdecl(cur)
@@ -104,8 +100,6 @@ def parse_cd(text: str) -> ClassDiagram:
             if parent is not None:
                 extends.append((decl.name, parent))
                 extend_pos.append(decl.pos)
-    cur.expect("}")
-    cur.expect_eof()
     cd = ClassDiagram(name, tuple(classes), tuple(extends), tuple(associations))
     problems = _validate(cd, extend_pos)
     if problems:
@@ -141,21 +135,16 @@ def _parse_mult(cur: TokenCursor) -> Multiplicity:
     # An omitted multiplicity reads as "*".
     if not cur.eat("["):
         return MANY
-    if cur.eat("*"):
-        cur.expect("]")
-        return MANY
-    lo, lo_tok = cur.expect_nat()
-    if not cur.eat(".."):
-        cur.expect("]")
-        return Multiplicity(lo, lo)
-    if cur.eat("*"):
-        cur.expect("]")
-        return Multiplicity(lo, UNBOUNDED)
-    hi, _ = cur.expect_nat()
+    lo_tok, mult = cur.peek(), MANY
+    if not cur.eat("*"):
+        lo = hi = cur.expect_nat()
+        if cur.eat(".."):
+            hi = UNBOUNDED if cur.eat("*") else cur.expect_nat()
+        mult = Multiplicity(lo, hi)
     cur.expect("]")
-    if lo > hi:
-        cur.fail(f"multiplicity {lo}..{hi} has min > max", lo_tok)
-    return Multiplicity(lo, hi)
+    if mult.max is not UNBOUNDED and mult.min > mult.max:
+        cur.fail(f"multiplicity {mult} has min > max", lo_tok)
+    return mult
 
 
 def _validate(cd: ClassDiagram, extend_pos: list[tuple[int, int]]) -> list[Diagnostic]:

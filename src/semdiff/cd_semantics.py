@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from enum import Enum
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
-from .lexer import EOF, IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
+from .lexer import IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
 
@@ -50,17 +50,12 @@ class Violation(Record):
 def parse_om(text: str) -> ObjectModel:
     """Parse object-model text; raises ParseError on bad syntax or references."""
     cur = TokenCursor(tokenize(text))
-    cur.expect("objectmodel")
-    name = cur.expect_ident("an object model name").text
-    cur.expect("{")
+    name, items = cur.block("objectmodel", "an object model name")
     objects: dict[str, str] = {}
     links: list[tuple[Link, tuple[int, int]]] = []
     problems: list[Diagnostic] = []
-    while not cur.at("}"):
-        if cur.peek().kind == EOF:
-            cur.fail("expected '}', found end of input")
-        tok = cur.peek()
-        if cur.at("link") and cur.peek(1).kind == IDENT:
+    for tok in items:
+        if tok.text == "link" and cur.peek(1).kind == IDENT:
             cur.advance()
             assoc = cur.expect_ident("an association name").text
             src = cur.expect_ident("an object id").text
@@ -76,8 +71,6 @@ def parse_om(text: str) -> ObjectModel:
             if oid in objects:
                 problems.append(Diagnostic(tok.line, tok.col, f"duplicate object id '{oid}'"))
             objects[oid] = cls
-    cur.expect("}")
-    cur.expect_eof()
     for (assoc, src, dst), pos in links:
         for end in (src, dst):
             if end not in objects:

@@ -79,6 +79,10 @@ def _check(condition: bool, message: str) -> None:
         raise CliError([message])
 
 
+# Each numeric option's least value, checked in order before a command reads a file.
+_LEAST = (("bound", 0), ("max_witnesses", 1), ("max_len", 0))
+
+
 def history_report(
     paths: list[str], kind: str, bound: int = DEFAULT_BOUND
 ) -> tuple[HistoryRow, ...]:
@@ -105,8 +109,6 @@ def history_report(
 
 
 def _cmd_cd_diff(args, out, err) -> int:
-    _check(args.bound >= 0, "--bound must be >= 0")
-    _check(args.max_witnesses >= 1, "--max-witnesses must be >= 1")
     cd1 = _load(args.left, parse_cd)
     cd2 = _load(args.right, parse_cd)
     result = cddiff(cd1, cd2, args.bound, args.max_witnesses)
@@ -116,7 +118,6 @@ def _cmd_cd_diff(args, out, err) -> int:
 
 
 def _cmd_cd_compare(args, out, err) -> int:
-    _check(args.bound >= 0, "--bound must be >= 0")
     cd1 = _load(args.left, parse_cd)
     cd2 = _load(args.right, parse_cd)
     verdict = compare_cd(cd1, cd2, args.bound)
@@ -125,8 +126,6 @@ def _cmd_cd_compare(args, out, err) -> int:
 
 
 def _cmd_ad_diff(args, out, err) -> int:
-    _check(args.max_witnesses >= 1, "--max-witnesses must be >= 1")
-    _check(args.max_len is None or args.max_len >= 0, "--max-len must be >= 0")
     ad1 = _load(args.left, parse_ad)
     ad2 = _load(args.right, parse_ad)
     result = addiff(ad1, ad2, args.max_witnesses, args.max_len)
@@ -144,7 +143,6 @@ def _cmd_ad_compare(args, out, err) -> int:
 
 
 def _cmd_history(args, out, err) -> int:
-    _check(args.bound >= 0, "--bound must be >= 0")
     rows = history_report(args.files, args.kind, args.bound)
     out.write(render_history(rows, OutputFormat(args.format)))
     clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in rows)
@@ -168,7 +166,7 @@ def _add_format(parser, choices=("text", "dot", "json")) -> None:
     parser.add_argument("--format", choices=list(choices), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     import argparse  # here, not at the top: only a command line needs it
 
     parser = argparse.ArgumentParser(
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser, built once per process; parsing leaves it unchanged."""
     return build_parser()
 
@@ -247,6 +245,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for dest, least in _LEAST:
+            value = getattr(args, dest, None)
+            _check(value is None or value >= least, f"--{dest.replace('_', '-')} must be >= {least}")
         return args.handler(args, out, err)
     except CliError as exc:
         for message in exc.messages:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterator
 
 
 def _frozen_setattr(self, name, value):
@@ -179,18 +180,33 @@ class TokenCursor:
     def expect_ident(self, what: str = "an identifier") -> Token:
         return self._take(self.peek().kind == IDENT, what)
 
-    def expect_nat(self) -> tuple[int, Token]:
-        tok = self._take(self.peek().kind == NAT, "a number")
-        return int(tok.text), tok
+    def expect_nat(self) -> int:
+        return int(self._take(self.peek().kind == NAT, "a number").text)
 
     def expect_eof(self) -> None:
         self._take(self.peek().kind == EOF, "end of input")
+
+    def block(self, keyword: str, what: str) -> tuple[str, Iterator[Token]]:
+        """Read ``keyword name {``; return the name and an iterator over the first
+        token of each item, which the caller reads before the next, up to the
+        ``}`` that must end the input."""
+        self.expect(keyword)
+        name = self.expect_ident(what).text
+        self.expect("{")
+        return name, self._items()
+
+    def _items(self) -> Iterator[Token]:
+        while not self.eat("}"):
+            if self.peek().kind == EOF:
+                self.fail("expected '}', found end of input")
+            yield self.peek()
+        self.expect_eof()
 
     def _take(self, found: bool, what: str) -> Token:
         if not found:
             self.fail(f"expected {what}, found {self.peek().describe()}")
         return self.advance()
 
-    def fail(self, message: str, token: Token | None = None) -> NoReturn:
+    def fail(self, message: str, token: Token | None = None):
         tok = token if token is not None else self.peek()
         raise ParseError(Diagnostic(tok.line, tok.col, message))

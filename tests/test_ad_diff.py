@@ -321,6 +321,20 @@ def test_compare_is_exact():
     assert str(verdict) == "EQUIVALENT"
 
 
+def test_initial_pairs_alone_can_settle_the_last_open_direction():
+    # Under p=false, A's trace "a" settles A->B; under p=true, B accepts the
+    # empty word at its start pair, which settles B->A before any move.
+    a = parse_ad(
+        "activity A { input p: bool; action a; action b; decision d; start -> d;"
+        " d -[!p]-> a; d -[p]-> b; a -> end; b -> end; }"
+    )
+    b = parse_ad(
+        "activity B { input p: bool; action c; decision d; start -> d;"
+        " d -[p]-> end; d -[p]-> c; c -> end; }"
+    )
+    assert compare_ad(a, b).value is VerdictValue.INCOMPARABLE
+
+
 def test_traces_round_trip_through_make(adv):
     result = addiff(adv[1], adv[2])
     for trace in result.witnesses:

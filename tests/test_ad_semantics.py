@@ -456,6 +456,12 @@ def test_shared_input_domains_must_agree():
         input_valuations(a.input_vars(), b.input_vars())
 
 
+def test_input_valuations_take_only_input_declarations():
+    ad = parse_ad("activity A { local v: bool; action a; start -> a; a -> end; }")
+    with pytest.raises(ValueError, match="'v' is not an input variable"):
+        input_valuations(ad.variables, ())
+
+
 def test_enumeration_is_deterministic(adv):
     first = engine_traces(adv[1], {"isInternal": "true"}, 10)
     second = engine_traces(adv[1], {"isInternal": "true"}, 10)

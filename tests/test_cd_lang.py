@@ -113,6 +113,15 @@ def test_positions_do_not_affect_equality():
             "inheritance cycle",
         ),
         ("classdiagram C { class A; association r [2..1] A -- A; }", "min > max"),
+        ("classdiagram C { class A; association r [ A -- A; }", "expected a number, found 'A'"),
+        ("classdiagram C { class A; association r [* A -- A; }", "expected ']', found 'A'"),
+        ("classdiagram C { class A; association r [1.. A -- A; }", "expected a number, found 'A'"),
+        ("classdiagram C { class A; association r [1..* A -- A; }", "expected ']', found 'A'"),
+        ("classdiagram C { class A; association r [x] A -- A; }", "expected a number, found 'x'"),
+        (
+            "classdiagram C { class A; association r [3..1] A -- A; }",
+            "multiplicity 3..1 has min > max",
+        ),
         ("classdiagram C { class A }", "expected ';'"),
         ("classdiagram C { class A;", "expected '}', found end of input"),
     ],

@@ -117,6 +117,8 @@ def test_unknown_class():
     cd = parse_cd("classdiagram C { class A; }")
     om = ObjectModel("m", {"x1": "Ghost"}, frozenset())
     assert kinds(om, cd) == [ViolationKind.UNKNOWN_CLASS]
+    (violation,) = is_instance(om, cd)[1]
+    assert str(violation) == "UNKNOWN_CLASS: object 'x1' has class 'Ghost' not declared in 'C'"
 
 
 def test_abstract_class_cannot_be_instantiated(cd5v2):

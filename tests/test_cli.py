@@ -244,6 +244,18 @@ def test_usage_and_input_errors_exit_two(argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cd", "diff", "/nonexistent.cd", "/nonexistent.cd", "--max-witnesses", "0", "--bound", "-1"),
+     "--bound must be >= 0\n"),
+    (("cd", "compare", "/nonexistent.cd", "/nonexistent.cd", "--bound", "-1"), "--bound must be >= 0\n"),
+    (("ad", "diff", "/nonexistent.ad", "/nonexistent.ad", "--max-len", "-1", "--max-witnesses", "0"),
+     "--max-witnesses must be >= 1\n"),
+    (("history", "cd", "/nonexistent.cd", "--bound", "-1"), "--bound must be >= 0\n"),
+])
+def test_the_first_option_out_of_range_is_reported_before_any_file_is_read(argv, message):
+    assert go(*argv) == (2, "", message)
+
+
 def test_an_empty_path_is_a_missing_file():
     code, out, err = go("cd", "compare", "", fx("cd1v1.cd"))
     assert (code, out) == (2, "")

@@ -5,14 +5,18 @@ front end leaves every choice of output format to ``render``: it imports no
 per-format renderer and names no ``OutputFormat`` member. The test oracles
 take only data types and ``print_om`` from ``semdiff``, and the package's
 public names are pinned. ``import semdiff`` loads every module of the package
-and none of the costly standard modules, which only a command line needs.
+and none of the costly standard modules, which only a command line needs, and
+every annotation in the package still resolves with ``typing.get_type_hints``.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,34 @@ def test_import_loads_every_module_but_no_costly_standard_one():
     assert [m for m in COSTLY_MODULES if m in after_import] == []
     assert [m for m in TRACED_MODULES if f"semdiff.{m}" not in after_import] == []
     assert argparse_after_help and code == 0
+
+
+def annotated_objects():
+    """Every function and class defined in a ``semdiff`` module, functions
+    unwrapped from their caches, and every method, property and cached
+    property those classes define."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"semdiff.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "fget", None) or getattr(member, "func", None) or member
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif inspect.isfunction(inspect.unwrap(obj)):
+                yield f"{module.__name__}.{name}", inspect.unwrap(obj)
+
+
+def test_every_annotation_resolves():
+    objects = list(annotated_objects())
+    assert len(objects) > 200
+    unresolved = []
+    for name, obj in objects:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from semdiff.ad_lang import parse_ad
 from semdiff.cd_lang import parse_cd
+from semdiff.cd_semantics import parse_om
 from semdiff.lexer import EOF, IDENT, NAT, SYM, ParseError, TokenCursor, is_ident, tokenize
 
 from conftest import FIXTURES
@@ -100,6 +102,23 @@ def test_each_expectation_fails_at_the_token_it_found(source, read, expected):
     cur.advance()
     with pytest.raises(ParseError) as err:
         read(cur)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "parse, source, expected",
+    [
+        (parse_cd, "classdiagram C {\n  class A;\n", "3:1: expected '}', found end of input"),
+        (parse_cd, "classdiagram C { class A; } class B;", "1:29: expected end of input, found 'class'"),
+        (parse_ad, "activity A {\n  start -> end;\n", "3:1: expected '}', found end of input"),
+        (parse_ad, "activity A { start -> end; } }", "1:30: expected end of input, found '}'"),
+        (parse_om, "objectmodel m {\n  a: A;\n", "3:1: expected '}', found end of input"),
+        (parse_om, "objectmodel m { a: A; } ;", "1:25: expected end of input, found ';'"),
+    ],
+)
+def test_a_model_file_is_one_block_with_nothing_after_it(parse, source, expected):
+    with pytest.raises(ParseError) as err:
+        parse(source)
     assert str(err.value) == expected
 
 

@@ -15,6 +15,7 @@ from semdiff.render import (
     om_json,
     parse_trace,
     print_trace,
+    render_history,
     render_om,
     render_trace,
     trace_dot,
@@ -111,6 +112,8 @@ def test_trace_text_round_trip():
     bare = Trace((), ("a",))
     assert print_trace(bare) == "inputs:\n  1. a\n"
     assert parse_trace("inputs:\n  1. a\n") == bare
+    # Blank lines, also between steps, are skipped.
+    assert parse_trace("\ninputs:\n  1. a\n\n  2. b\n\n") == Trace((), ("a", "b"))
 
 
 def test_trace_text_round_trips_non_ascii_names():
@@ -241,6 +244,11 @@ def invalid_dot_cases():
 def test_validate_dot_rejects_malformed_output(payload):
     with pytest.raises(ValueError):
         validate_dot(payload)
+
+
+def test_a_history_has_no_dot_form():
+    with pytest.raises(ValueError, match="a history has no DOT form"):
+        render_history((), OutputFormat.DOT)
 
 
 def test_rendering_is_deterministic():
