@@ -3,27 +3,30 @@
 The diff of two diagrams is the set of object models that instantiate the
 first but not the second. The search is exhaustive up to a per-class instance
 bound k. It walks count vectors (how many objects each class gets) level by
-level, fewest objects first, and decides each count vector per association
-instead of per model.
+level, fewest objects first, and decides each count vector from its class
+counts before it labels a single object.
 
 Membership in the second diagram B splits into independent parts: B's
 object-level checks (declared, concrete and singleton classes), each
 association only B declares on the empty link set, and, for each association
 of the first diagram A, that association's link set against B's declaration
-of it (only the empty set passes when B lacks it). So when the objects alone
-rule out B, every model of A is a witness. Otherwise a cheap, sound
-containment test settles most associations without enumeration: A's end
-classes inside B's end closures, A's possible degrees inside B's
-multiplicities. The remaining associations enumerate their A-valid link sets
-once and flag those B rejects. A count vector with nothing flagged is
-skipped; otherwise only the combinations that hold a flagged link set are
-built into models.
+of it (only the empty set passes when B lacks it). All of them but the last
+read only how many objects each class has. So per count vector: A's
+singleton counts say whether A has a model at all; when B's class-level
+parts fail, every model of A is a witness; otherwise a cheap, sound
+containment test settles most associations from the numbers of sources and
+targets and the classes present: A's end classes inside B's end closures,
+A's possible degrees inside B's multiplicities. A count vector whose
+associations all pass is skipped without labelling its objects. Only the
+rest get objects; there the remaining associations enumerate their A-valid
+link sets once and flag those B rejects, and only the combinations that hold
+a flagged link set are built into models.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain, combinations, product
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
@@ -32,6 +35,7 @@ from .cd_semantics import (
     ObjectModel,
     count_vectors,
     is_instance,
+    object_block,
     object_id_prefixes,
     objects_for_counts,
     print_om,
@@ -60,8 +64,15 @@ def cddiff(
         raise ValueError("max_witnesses must be >= 1")
     witnesses: list[ObjectModel] = []
     exhausted = True
-    for total, max_total, level in _witness_levels(cd1, cd2, k):
-        witnesses.extend(sorted(level, key=print_om))
+    for total, max_total, vectors in _witness_levels(cd1, cd2, k):
+        # The count vectors of one level give object blocks of one length, so
+        # those blocks alone order their models' texts; links only order the
+        # models of one count vector. One witness past the cap settles
+        # ``exhausted``, so the level is expanded no further.
+        for _, models in sorted(vectors, key=lambda vector: object_block(vector[0])):
+            witnesses.extend(sorted(models, key=print_om))
+            if len(witnesses) > max_witnesses:
+                break
         if len(witnesses) >= max_witnesses and total < max_total:
             exhausted = False
             break
@@ -81,7 +92,8 @@ def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> 
     _check_bound(k)
     differs = []
     for a, b in ((cd1, cd2), (cd2, cd1)):
-        first = next((om for _, _, level in _witness_levels(a, b, k) for om in level), None)
+        first = next((om for _, _, vectors in _witness_levels(a, b, k)
+                      for _, models in vectors for om in models), None)
         if first is not None:
             _check_witnesses([first], a, b)
         differs.append(first is not None)
@@ -102,12 +114,21 @@ def _check_witnesses(witnesses: list[ObjectModel], cd1: ClassDiagram, cd2: Class
             raise RuntimeError(f"diff search produced an unsound witness:\n{print_om(w)}")
 
 
+Vector = tuple[dict[str, str], Iterator[ObjectModel]]  # objects, their witnesses
+
+
 def _witness_levels(
     cd1: ClassDiagram, cd2: ClassDiagram, k: int
-) -> Iterator[tuple[int, int, Iterator[ObjectModel]]]:
-    """Yield (total, max_total, witnesses at total, in search order) over the
-    sorted class names of both diagrams, smallest total first. Each level's
-    witnesses are built as they are read."""
+) -> Iterator[tuple[int, int, Iterator[Vector]]]:
+    """Yield (total, max_total, count vectors at total) over the sorted class
+    names of both diagrams, smallest total first.
+
+    Each count vector is decided from its counts alone (``_count_test``).
+    Only a count vector that may hold witnesses is labelled with objects
+    (``objects_for_counts``): one on which B rejects every model of A, or
+    one with an association whose link sets must be listed. A level yields
+    those count vectors in search order, each as its objects and its
+    witnesses, which are built as they are read."""
     classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     prefixes = object_id_prefixes(classes)
     decl1 = {c.name: c for c in cd1.classes}
@@ -116,42 +137,133 @@ def _witness_levels(
         for c in classes
     ]
     max_total = sum(caps)
+    decide = _count_test(classes, cd1, cd2)
 
-    def level(total: int) -> Iterator[ObjectModel]:
+    def models(objects: dict[str, str], listed: tuple[int, ...] | None) -> Iterator[ObjectModel]:
+        for links in _rejected_link_choices(objects, listed, cd1, cd2):
+            yield ObjectModel("om", dict(objects), links)
+
+    def level(total: int) -> Iterator[Vector]:
         for counts in count_vectors(caps, total):
-            objects = objects_for_counts(classes, prefixes, counts)
-            if not _object_level_ok(objects, cd1):
-                continue
-            for links in _rejected_link_choices(objects, cd1, cd2):
-                yield ObjectModel("om", dict(objects), links)
+            listed = decide(counts)
+            if listed != ():
+                objects = objects_for_counts(classes, prefixes, counts)
+                yield objects, models(objects, listed)
 
     for total in range(max_total + 1):
         yield total, max_total, level(total)
 
 
+def _count_test(
+    classes: tuple[str, ...], cd1: ClassDiagram, cd2: ClassDiagram
+) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
+    """Decide count vectors over ``classes`` (objects per class, in that
+    order) for the diff of ``cd1`` against ``cd2``, reading counts only.
+
+    The decision for one count vector is ``()`` when it has no witness: A
+    has no model on it (a singleton count is not 1), or each of A's
+    associations passes the containment test. It is ``None`` when B rejects
+    every model of A on it: a class B lacks or declares abstract is present,
+    a singleton count of B is not 1, or a present class must have a link of
+    an association only B declares. Otherwise it is the positions, in name
+    order, of A's associations whose link sets must be listed. A's declared
+    and concrete classes are the ones ``_witness_levels`` gives a count.
+    """
+    index = {c: i for i, c in enumerate(classes)}
+
+    def members(cd: ClassDiagram, name: str) -> frozenset[int]:
+        return frozenset(index[c] for c in cd.closures[name] if c in index)
+
+    def singletons(cd: ClassDiagram) -> list[frozenset[int]]:
+        return [members(cd, d.name) for d in cd.classes if d.modifier is ClassModifier.SINGLETON]
+
+    singletons1, singletons2 = singletons(cd1), singletons(cd2)
+    # Classes whose objects B rejects whatever their links: undeclared or
+    # abstract in B, or at an end of an association only B declares where
+    # it needs a link.
+    modifiers2 = {c.name: c.modifier for c in cd2.classes}
+    barred = {i for c, i in index.items() if modifiers2.get(c) in (None, ClassModifier.ABSTRACT)}
+    names1 = {a.name for a in cd1.associations}
+    for b in cd2.associations:
+        if b.name not in names1:
+            if not b.right_mult.admits(0):
+                barred |= members(cd2, b.left_class)
+            if not b.left_mult.admits(0):
+                barred |= members(cd2, b.right_class)
+    decls2 = {b.name: b for b in cd2.associations}
+    tests = []
+    for a in sorted(cd1.associations, key=lambda a: a.name):
+        b = decls2.get(a.name)
+        ends2 = (members(cd2, b.left_class), members(cd2, b.right_class)) if b else (frozenset(),) * 2
+        tests.append((a, b, members(cd1, a.left_class), members(cd1, a.right_class), *ends2))
+
+    def decide(counts: tuple[int, ...]) -> tuple[int, ...] | None:
+        if any(sum(counts[i] for i in s) != 1 for s in singletons1):
+            return ()
+        if any(counts[i] for i in barred) or any(sum(counts[i] for i in s) != 1 for s in singletons2):
+            return None
+        present = [i for i, n in enumerate(counts) if n]
+        return tuple(j for j, test in enumerate(tests) if not _contained(*test, counts, present))
+
+    return decide
+
+
+def _contained(
+    a: Association,
+    b: Association | None,
+    left1: frozenset[int],
+    right1: frozenset[int],
+    left2: frozenset[int],
+    right2: frozenset[int],
+    counts: tuple[int, ...],
+    present: list[int],
+) -> bool:
+    """Sound, incomplete test that every link set ``a`` admits over the
+    objects of ``counts`` also satisfies ``b``: ``a``'s end classes lie inside
+    ``b``'s end closures and their possible degrees inside ``b``'s
+    multiplicities. ``left1`` .. ``right2`` are the classes in ``a``'s and
+    ``b``'s end closures; ``present`` are the classes with objects."""
+    sources = sum(counts[i] for i in left1)
+    targets = sum(counts[i] for i in right1)
+    linkable = sources > 0 and targets > 0 and a.right_mult.max != 0 and a.left_mult.max != 0
+    if b is None:
+        return not linkable
+    if linkable and any(
+        i in left1 and i not in left2 or i in right1 and i not in right2 for i in present
+    ):
+        return False
+    out_range = _degree_range(a.right_mult, targets if linkable else 0)
+    in_range = _degree_range(a.left_mult, sources if linkable else 0)
+    return all(
+        (i not in left2 or _range_within(out_range if i in left1 else (0, 0), b.right_mult))
+        and (i not in right2 or _range_within(in_range if i in right1 else (0, 0), b.left_mult))
+        for i in present
+    )
+
+
 def _rejected_link_choices(
-    objects: dict[str, str], cd1: ClassDiagram, cd2: ClassDiagram
+    objects: dict[str, str], listed: tuple[int, ...] | None, cd1: ClassDiagram, cd2: ClassDiagram
 ) -> Iterator[frozenset[Link]]:
     """Links of every model of ``cd1`` over ``objects`` that ``cd2`` rejects.
 
-    ``objects`` must already pass ``cd1``'s object-level check.
+    ``listed`` is the count test's decision for ``objects``: None when
+    ``cd2`` rejects every model of ``cd1`` over them, else the positions (by
+    name) of the associations whose link sets must be checked against
+    ``cd2``; every other association's link sets all pass.
     """
     assocs1 = sorted(cd1.associations, key=lambda a: a.name)
-    decls2 = {b.name: b for b in cd2.associations}
-    names1 = {a.name for a in assocs1}
-    if not _object_level_ok(objects, cd2) or not all(
-        _links_ok(b, (), objects, cd2.closures) for b in cd2.associations if b.name not in names1
-    ):
+    if listed is None:
         yield from _unions([_assoc_link_sets(a, objects, cd1.closures) for a in assocs1])
         return
+    decls2 = {b.name: b for b in cd2.associations}
     accepted: list[list[LinkSet] | None] = []  # None: cd2 admits every link set
     flagged: list[list[LinkSet]] = []
-    for a in assocs1:
-        b = decls2.get(a.name)
-        if _contained(a, b, objects, cd1.closures, cd2.closures):
+    for i, a in enumerate(assocs1):
+        if i not in listed:
             accepted.append(None)
             flagged.append([])
             continue
+        b = decls2.get(a.name)
         ok: list[LinkSet] = []
         bad: list[LinkSet] = []
         for links in _assoc_link_sets(a, objects, cd1.closures):
@@ -178,21 +290,6 @@ def _unions(choice_lists: list[list[LinkSet]]) -> Iterator[frozenset[Link]]:
         yield frozenset(link for links in combo for link in links)
 
 
-def _object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
-    """Object-population checks only: declared, concrete, singleton counts."""
-    modifiers = {c.name: c.modifier for c in cd.classes}
-    for cls in objects.values():
-        mod = modifiers.get(cls)
-        if mod is None or mod is ClassModifier.ABSTRACT:
-            return False
-    for decl in cd.classes:
-        if decl.modifier is ClassModifier.SINGLETON:
-            n = sum(1 for cls in objects.values() if cls in cd.closures[decl.name])
-            if n != 1:
-                return False
-    return True
-
-
 def _links_ok(
     b: Association | None,
     links: LinkSet,
@@ -216,36 +313,6 @@ def _links_ok(
         (cls not in left or b.right_mult.admits(out_counts[o]))
         and (cls not in right or b.left_mult.admits(in_counts[o]))
         for o, cls in objects.items()
-    )
-
-
-def _contained(
-    a: Association,
-    b: Association | None,
-    objects: dict[str, str],
-    closures1: dict[str, frozenset[str]],
-    closures2: dict[str, frozenset[str]],
-) -> bool:
-    """Sound, incomplete test that every link set ``a`` admits over
-    ``objects`` also satisfies ``b``: ``a``'s end objects lie inside ``b``'s
-    end closures and their possible degrees inside ``b``'s multiplicities."""
-    left1 = closures1[a.left_class]
-    right1 = closures1[a.right_class]
-    sources = [cls for cls in objects.values() if cls in left1]
-    targets = [cls for cls in objects.values() if cls in right1]
-    linkable = bool(sources and targets) and a.right_mult.max != 0 and a.left_mult.max != 0
-    if b is None:
-        return not linkable
-    left2 = closures2[b.left_class]
-    right2 = closures2[b.right_class]
-    if linkable and not (all(c in left2 for c in sources) and all(c in right2 for c in targets)):
-        return False
-    out_range = _degree_range(a.right_mult, len(targets) if linkable else 0)
-    in_range = _degree_range(a.left_mult, len(sources) if linkable else 0)
-    return all(
-        (cls not in left2 or _range_within(out_range if cls in left1 else (0, 0), b.right_mult))
-        and (cls not in right2 or _range_within(in_range if cls in right1 else (0, 0), b.left_mult))
-        for cls in objects.values()
     )
 
 

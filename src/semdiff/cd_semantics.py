@@ -82,13 +82,13 @@ def parse_om(text: str) -> ObjectModel:
 
 def print_om(om: ObjectModel) -> str:
     """Canonical text: objects sorted by id, links sorted by (assoc, src, dst)."""
-    lines = [f"objectmodel {om.name} {{"]
-    for oid in sorted(om.objects):
-        lines.append(f"  {oid}: {om.objects[oid]};")
-    for assoc, src, dst in sorted(om.links):
-        lines.append(f"  link {assoc} {src} -- {dst};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    links = "".join([f"  link {assoc} {src} -- {dst};\n" for assoc, src, dst in sorted(om.links)])
+    return f"objectmodel {om.name} {{\n{object_block(om.objects)}{links}}}\n"
+
+
+def object_block(objects: dict[str, str]) -> str:
+    """The object lines of ``print_om``'s text, one per object, sorted by id."""
+    return "".join([f"  {oid}: {objects[oid]};\n" for oid in sorted(objects)])
 
 
 def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation]]:

@@ -1,9 +1,10 @@
 """Test-only helpers: the README's model blocks, a structural DOT validator,
 complement and word membership for the complete deterministic ``Nfa`` that
 ``determinize`` returns, the character-loop reference for ``tokenize``, the
-quadratic reference for ``object_id_prefixes``, the reference config-NFA
-builder that ``build_config_nfa`` must agree with, and ``addiff`` with
-nothing shared between valuations."""
+quadratic reference for ``object_id_prefixes``, the object-scan reference
+for the class-diagram diff's count test, the reference config-NFA builder
+that ``build_config_nfa`` must agree with, and ``addiff`` with nothing
+shared between valuations."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from semdiff import ad_diff
+from semdiff import ad_diff, cd_diff
 from semdiff.ad_lang import (
     ActivityDiagram,
     Guard,
@@ -33,6 +34,7 @@ from semdiff.ad_semantics import (
     UnsafeMarkingError,
     input_valuations,
 )
+from semdiff.cd_lang import Association, ClassDiagram, ClassModifier
 from semdiff.lexer import EOF, IDENT, NAT, SYM, Diagnostic, ParseError, Token
 from semdiff.verdict import DiffResult
 
@@ -207,6 +209,89 @@ def _digit_extension(stem: str, base: str) -> bool:
         and tail.isascii()
         and tail.isdigit()
         and tail[0] != "0"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the class-diagram count test
+
+
+def reference_count_decision(
+    objects: dict[str, str], cd1: ClassDiagram, cd2: ClassDiagram
+) -> tuple[int, ...] | None:
+    """``cd_diff``'s count-test decision, read object by object as the diff
+    search first did: ``()`` when ``cd1`` has no model over ``objects`` or
+    every association passes the containment test, ``None`` when the objects
+    alone rule ``cd2`` out, else the positions (by name) of ``cd1``'s
+    associations that fail the containment test."""
+    if not reference_object_level_ok(objects, cd1):
+        return ()
+    if not reference_object_level_ok(objects, cd2) or reference_b_only_rejects(objects, cd1, cd2):
+        return None
+    decls2 = {b.name: b for b in cd2.associations}
+    assocs1 = sorted(cd1.associations, key=lambda a: a.name)
+    return tuple(
+        i for i, a in enumerate(assocs1)
+        if not reference_contained(a, decls2.get(a.name), objects, cd1.closures, cd2.closures)
+    )
+
+
+def reference_object_level_ok(objects: dict[str, str], cd: ClassDiagram) -> bool:
+    """Object-population checks only: declared, concrete, singleton counts."""
+    modifiers = {c.name: c.modifier for c in cd.classes}
+    for cls in objects.values():
+        mod = modifiers.get(cls)
+        if mod is None or mod is ClassModifier.ABSTRACT:
+            return False
+    for decl in cd.classes:
+        if decl.modifier is ClassModifier.SINGLETON:
+            n = sum(1 for cls in objects.values() if cls in cd.closures[decl.name])
+            if n != 1:
+                return False
+    return True
+
+
+def reference_b_only_rejects(objects: dict[str, str], cd1: ClassDiagram, cd2: ClassDiagram) -> bool:
+    """Whether an association only ``cd2`` declares rejects the empty link
+    set over ``objects``: some object in one of its end closures needs a
+    link."""
+    names1 = {a.name for a in cd1.associations}
+    return any(
+        cls in cd2.closures[b.left_class] and not b.right_mult.admits(0)
+        or cls in cd2.closures[b.right_class] and not b.left_mult.admits(0)
+        for b in cd2.associations if b.name not in names1
+        for cls in objects.values()
+    )
+
+
+def reference_contained(
+    a: Association,
+    b: Association | None,
+    objects: dict[str, str],
+    closures1: dict[str, frozenset[str]],
+    closures2: dict[str, frozenset[str]],
+) -> bool:
+    """Sound, incomplete test that every link set ``a`` admits over
+    ``objects`` also satisfies ``b``: ``a``'s end objects lie inside ``b``'s
+    end closures and their possible degrees inside ``b``'s multiplicities."""
+    left1 = closures1[a.left_class]
+    right1 = closures1[a.right_class]
+    sources = [cls for cls in objects.values() if cls in left1]
+    targets = [cls for cls in objects.values() if cls in right1]
+    linkable = bool(sources and targets) and a.right_mult.max != 0 and a.left_mult.max != 0
+    if b is None:
+        return not linkable
+    left2 = closures2[b.left_class]
+    right2 = closures2[b.right_class]
+    if linkable and not (all(c in left2 for c in sources) and all(c in right2 for c in targets)):
+        return False
+    out_range = cd_diff._degree_range(a.right_mult, len(targets) if linkable else 0)
+    in_range = cd_diff._degree_range(a.left_mult, len(sources) if linkable else 0)
+    within = cd_diff._range_within
+    return all(
+        (cls not in left2 or within(out_range if cls in left1 else (0, 0), b.right_mult))
+        and (cls not in right2 or within(in_range if cls in right1 else (0, 0), b.left_mult))
+        for cls in objects.values()
     )
 
 

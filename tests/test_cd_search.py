@@ -1,0 +1,219 @@
+"""The class-diagram search's count test and capped expansion.
+
+``cd_diff`` decides each count vector from its class counts and labels
+objects only where link sets must be listed; ``cddiff`` expands a level one
+count vector at a time, in canonical order, and stops one witness past its
+cap. These tests hold that design to what the search did before it:
+
+- the count test's decision equals the object-scan reference in
+  ``helpers`` on every count vector of several hundred random pairs;
+- every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
+  fixtures and 400 seeded pairs hashes to the outputs recorded in
+  ``fixtures/cd_diff_outputs.json``;
+- a capped diff builds no model past the count vector that crosses its cap.
+
+Run ``python tests/test_cd_search.py`` to print the outputs file for the
+``semdiff`` on ``PYTHONPATH``. It was written once, at commit ``7178aad``,
+by the search that still scanned objects, so it holds that search's answers.
+"""
+
+import hashlib
+import json
+import random
+from collections import Counter
+
+import pytest
+
+import generators
+from helpers import reference_count_decision
+from semdiff import cd_diff
+from semdiff.cd_diff import cddiff, compare_cd
+from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, parse_cd
+from semdiff.cd_semantics import count_vectors, object_id_prefixes, objects_for_counts, print_om
+
+from conftest import FIXTURES, fixture_text
+
+OUTPUTS = FIXTURES / "cd_diff_outputs.json"
+UNCAPPED = 10**9
+CAPS = (1, 2, 20, UNCAPPED)
+FIXTURE_CDS = ("cd1v1", "cd1v2", "cd5v1", "cd5v2")
+SWEEP_SEED = 2101
+SWEEP_PAIRS = 400
+
+
+def search_space(cd1, cd2, k):
+    """The classes, caps and count vectors ``_witness_levels`` walks."""
+    classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
+    concrete = {c.name for c in cd1.classes if c.modifier is not ClassModifier.ABSTRACT}
+    caps = [k if c in concrete else 0 for c in classes]
+    vectors = [counts for total in range(sum(caps) + 1) for counts in count_vectors(caps, total)]
+    return classes, vectors
+
+
+# ---------------------------------------------------------------------------
+# the count test against the object scan
+
+
+def with_undeclared_end(rng, cd):
+    """``cd`` with one association end moved to a class it does not declare,
+    as only a hand-built diagram can have."""
+    assocs = list(cd.associations)
+    i = rng.randrange(len(assocs))
+    a = assocs[i]
+    if rng.random() < 0.5:
+        assocs[i] = Association(a.name, "Z", a.left_mult, a.right_class, a.right_mult)
+    else:
+        assocs[i] = Association(a.name, a.left_class, a.left_mult, "Z", a.right_mult)
+    return ClassDiagram(cd.name, cd.classes, cd.extends, tuple(assocs))
+
+
+def features(cd1, cd2):
+    """Which of the cases the count test must get right a pair exercises."""
+    mods = {c.modifier for cd in (cd1, cd2) for c in cd.classes}
+    names1 = {a.name for a in cd1.associations}
+    declared = [{c.name for c in cd.classes} for cd in (cd1, cd2)]
+    return {
+        "singleton": ClassModifier.SINGLETON in mods,
+        "abstract": ClassModifier.ABSTRACT in mods,
+        "extends": bool(cd1.extends or cd2.extends),
+        "b_only_needs_a_link": any(
+            b.name not in names1 and (b.left_mult.min > 0 or b.right_mult.min > 0)
+            for b in cd2.associations
+        ),
+        "class_in_one_diagram": declared[0] != declared[1],
+        "undeclared_end": any(
+            end not in d for cd, d in zip((cd1, cd2), declared)
+            for a in cd.associations for end in (a.left_class, a.right_class)
+        ),
+    }
+
+
+def test_count_test_decides_as_the_object_scan():
+    rng = random.Random(2102)
+    seen, outcomes = Counter(), Counter()
+    for _ in range(400):
+        k = rng.choice((0, 1, 2, 3))
+        # No oracle enumerates these pairs, so their size need not be held down.
+        cd1, cd2 = generators.random_cd_pair(rng, k, space_cap=10**12)
+        for _ in range(2):
+            if rng.random() < 0.15:
+                cd = rng.choice((cd1, cd2))
+                if cd.associations:
+                    changed = with_undeclared_end(rng, cd)
+                    cd1, cd2 = (changed, cd2) if cd is cd1 else (cd1, changed)
+        seen.update(name for name, present in features(cd1, cd2).items() if present)
+        classes, counts_list = search_space(cd1, cd2, k)
+        prefixes = object_id_prefixes(classes)
+        decide = cd_diff._count_test(classes, cd1, cd2)
+        for counts in counts_list:
+            expected = reference_count_decision(objects_for_counts(classes, prefixes, counts), cd1, cd2)
+            assert decide(counts) == expected, (cd1, cd2, counts)
+            outcomes["skip" if expected == () else "every" if expected is None else "list"] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 100, outcomes
+    assert sum(outcomes.values()) > 2500
+
+
+# ---------------------------------------------------------------------------
+# every output as recorded
+
+
+def sweep_cases():
+    """(label, cd1, cd2, k, caps): every ordered fixture pair at k=2 and,
+    capped, at k=3, then the seeded random pairs at k 0-3."""
+    cds = {name: parse_cd(fixture_text(f"{name}.cd")) for name in FIXTURE_CDS}
+    for k, caps in ((2, CAPS), (3, CAPS[:-1])):
+        for a in FIXTURE_CDS:
+            for b in FIXTURE_CDS:
+                if a != b:
+                    yield f"{a}.{b}.k{k}", cds[a], cds[b], k, caps
+    rng = random.Random(SWEEP_SEED)
+    for i in range(SWEEP_PAIRS):
+        k = rng.choice((0, 1, 2, 3))
+        cd1, cd2 = generators.random_cd_pair(rng, k)
+        yield f"seed{SWEEP_SEED}.{i}.k{k}", cd1, cd2, k, CAPS
+
+
+def outputs_digest(cd1, cd2, k, caps):
+    """A hash of both directions' witness texts and ``exhausted`` flags at
+    each cap, in order, and of the verdict."""
+    h = hashlib.sha256()
+    for a, b in ((cd1, cd2), (cd2, cd1)):
+        for cap in caps:
+            result = cddiff(a, b, k, cap)
+            h.update(f"cap {cap} exhausted {result.exhausted}\n".encode())
+            h.update("".join(map(print_om, result.witnesses)).encode())
+    h.update(str(compare_cd(cd1, cd2, k)).encode())
+    return h.hexdigest()[:16]
+
+
+def sweep_outputs():
+    return {label: outputs_digest(cd1, cd2, k, caps) for label, cd1, cd2, k, caps in sweep_cases()}
+
+
+def test_outputs_are_the_recorded_ones():
+    recorded = json.loads(OUTPUTS.read_text(encoding="utf-8"))["outputs"]
+    assert len(recorded) == 24 + SWEEP_PAIRS
+    outputs = sweep_outputs()
+    assert [label for label in outputs if outputs[label] != recorded[label]] == []
+    assert sorted(outputs) == sorted(recorded)
+
+
+# ---------------------------------------------------------------------------
+# a capped diff stops at the count vector that crosses its cap
+
+
+def chain_text(n, tight=False):
+    """n classes in a chain of [*] associations, the first one's right end
+    tightened to [0..1] when ``tight``, as the benchmark's class diagrams."""
+    classes = [f"C{i}" for i in range(n)]
+    assocs = [
+        f"association r{i} [*] {classes[i]} -- {classes[i + 1]} [{'0..1' if tight and i == 0 else '*'}];"
+        for i in range(n - 1)
+    ]
+    return "classdiagram chain { " + " ".join([f"class {c};" for c in classes] + assocs) + " }"
+
+
+CAPPED_PAIRS = [
+    (chain_text(2), chain_text(2, tight=True), 2),
+    (chain_text(2), chain_text(2, tight=True), 3),
+    (chain_text(3), chain_text(3, tight=True), 2),
+    (chain_text(4), chain_text(4, tight=True), 2),
+    # One class, so one count vector per level.
+    ("classdiagram C { class A; association r [*] A -- A [*]; }",
+     "classdiagram C { class A; association r [*] A -- A [0..1]; }", 3),
+]
+
+
+@pytest.mark.parametrize("left, right, k", CAPPED_PAIRS, ids=["s2k2", "s2k3", "s3k2", "s4k2", "self-k3"])
+def test_a_capped_diff_builds_no_model_past_the_crossing_count_vector(left, right, k, monkeypatch):
+    cd1, cd2 = parse_cd(left), parse_cd(right)
+    full = cddiff(cd1, cd2, k, UNCAPPED).witnesses
+    # The witnesses of one count vector are consecutive and share their objects.
+    vector_of = [sorted(w.objects.items()) for w in full]
+    built = []
+    real = cd_diff.ObjectModel
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cd_diff, "ObjectModel", counting)
+    for cap in (1, 2, 20):
+        built.clear()
+        result = cddiff(cd1, cd2, k, cap)
+        assert result.witnesses == full[:cap]
+        if len(full) <= cap:
+            assert len(built) == len(full)
+            continue
+        # The search stops one witness past the cap, after the count vector
+        # that holds it, or at the end of a level that fills the cap: at most
+        # the cap plus that count vector's witnesses.
+        first = vector_of.index(vector_of[cap])
+        crossing = vector_of.count(vector_of[cap])
+        fills_level = len(full[cap - 1].objects) < len(full[cap].objects)
+        assert len(built) == (cap if fills_level else first + crossing) <= cap + crossing
+
+
+if __name__ == "__main__":
+    print(json.dumps({"seed": SWEEP_SEED, "outputs": sweep_outputs()}, indent=1))
