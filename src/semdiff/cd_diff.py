@@ -21,6 +21,14 @@ associations all pass is skipped without labelling its objects. Only the
 rest get objects; there the remaining associations enumerate their A-valid
 link sets once and flag those B rejects, and only the combinations that hold
 a flagged link set are built into models.
+
+The containment test of one association reads only the counts of the
+classes in its four end closures, so its answers are kept in a table per
+association, keyed by those counts. Before a direction is walked, the count
+test tries to settle it: when no class B bars can have objects, B's
+singleton counts hold wherever A's do, and every entry of every table
+passes, no count vector can hold a witness, and the direction is proved
+empty without walking a single count vector.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from itertools import chain, combinations, product
+from operator import itemgetter
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from .cd_semantics import (
@@ -115,6 +124,7 @@ def _check_witnesses(witnesses: list[ObjectModel], cd1: ClassDiagram, cd2: Class
 
 
 Vector = tuple[dict[str, str], Iterator[ObjectModel]]  # objects, their witnesses
+Decision = tuple[int, ...] | None  # a count vector's, as ``_count_test`` gives it
 
 
 def _witness_levels(
@@ -128,18 +138,22 @@ def _witness_levels(
     (``objects_for_counts``): one on which B rejects every model of A, or
     one with an association whose link sets must be listed. A level yields
     those count vectors in search order, each as its objects and its
-    witnesses, which are built as they are read."""
+    witnesses, which are built as they are read. A direction the count test
+    settles has no such count vector, so it yields no level: no count vector
+    is walked and no object is labelled."""
     classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
-    prefixes = object_id_prefixes(classes)
     decl1 = {c.name: c for c in cd1.classes}
     caps = [
         0 if decl1.get(c) is None or decl1[c].modifier is ClassModifier.ABSTRACT else k
         for c in classes
     ]
+    decide, settled = _count_test(classes, caps, cd1, cd2)
+    if settled:
+        return
     max_total = sum(caps)
-    decide = _count_test(classes, cd1, cd2)
+    prefixes = object_id_prefixes(classes)
 
-    def models(objects: dict[str, str], listed: tuple[int, ...] | None) -> Iterator[ObjectModel]:
+    def models(objects: dict[str, str], listed: Decision) -> Iterator[ObjectModel]:
         for links in _rejected_link_choices(objects, listed, cd1, cd2):
             yield ObjectModel("om", dict(objects), links)
 
@@ -155,19 +169,43 @@ def _witness_levels(
 
 
 def _count_test(
-    classes: tuple[str, ...], cd1: ClassDiagram, cd2: ClassDiagram
-) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
+    classes: tuple[str, ...], caps: list[int], cd1: ClassDiagram, cd2: ClassDiagram
+) -> tuple[Callable[[tuple[int, ...]], Decision], bool]:
     """Decide count vectors over ``classes`` (objects per class, in that
-    order) for the diff of ``cd1`` against ``cd2``, reading counts only.
+    order, at most ``caps``) for the diff of ``cd1`` against ``cd2``, reading
+    counts only; and say whether the direction is settled, that is, whether
+    every count vector is decided ``()``.
 
     The decision for one count vector is ``()`` when it has no witness: A
     has no model on it (a singleton count is not 1), or each of A's
     associations passes the containment test. It is ``None`` when B rejects
-    every model of A on it: a class B lacks or declares abstract is present,
-    a singleton count of B is not 1, or a present class must have a link of
-    an association only B declares. Otherwise it is the positions, in name
-    order, of A's associations whose link sets must be listed. A's declared
-    and concrete classes are the ones ``_witness_levels`` gives a count.
+    every model of A on it: a class B bars is present (B lacks it or
+    declares it abstract, or it must have a link of an association only B
+    declares), or a singleton count of B is not 1. Otherwise it is the
+    positions, in name order, of A's associations whose link sets must be
+    listed. A's declared and concrete classes are the ones
+    ``_witness_levels`` gives a nonzero cap.
+
+    The containment test of an association reads only the counts of its
+    roles, the classes in its four end closures (A's and B's): its sums run
+    over A's ends, and a class outside them is no end of either diagram's
+    association. So its answers are kept in one table per association,
+    keyed by the counts of its roles and filled on first use. The direction
+    is settled, and every count vector decided ``()``, when
+
+    (a) no class that B bars has a nonzero cap: no count vector has an
+        object of a barred class, so none is ``None`` for one;
+    (b) each of B's singleton closures, cut down to the classes with a
+        nonzero cap, is one of A's cut down alike: a class without a cap
+        counts 0, so wherever A's singleton counts are 1, B's are too, and
+        no count vector on which A has a model is ``None`` for them; and
+    (c) every entry of every table passes, over each count from 0 to its cap
+        of each role: the roles' counts of any count vector are one of
+        these entries, so every association passes on every count vector.
+
+    Step (c) fills the tables that ``decide`` reads and stops at the first
+    entry that fails, so a direction that is not settled repeats none of its
+    tests as it is walked.
     """
     index = {c: i for i, c in enumerate(classes)}
 
@@ -191,21 +229,48 @@ def _count_test(
             if not b.left_mult.admits(0):
                 barred |= members(cd2, b.right_class)
     decls2 = {b.name: b for b in cd2.associations}
-    tests = []
+    parts = []  # per association of A, by name: (roles, table key, table, test)
     for a in sorted(cd1.associations, key=lambda a: a.name):
         b = decls2.get(a.name)
         ends2 = (members(cd2, b.left_class), members(cd2, b.right_class)) if b else (frozenset(),) * 2
-        tests.append((a, b, members(cd1, a.left_class), members(cd1, a.right_class), *ends2))
+        test = (a, b, members(cd1, a.left_class), members(cd1, a.right_class), *ends2)
+        roles = sorted(frozenset().union(*test[2:]))
+        # An association whose end closures hold no class has one entry.
+        key = itemgetter(*roles) if roles else lambda counts: ()
+        parts.append((roles, key, {}, test))
 
-    def decide(counts: tuple[int, ...]) -> tuple[int, ...] | None:
+    def passes(part: tuple, counts: tuple[int, ...]) -> bool:
+        _, key, table, test = part
+        entry = key(counts)
+        ok = table.get(entry)
+        if ok is None:
+            ok = table[entry] = _contained(*test, counts)
+        return ok
+
+    def decide(counts: tuple[int, ...]) -> Decision:
         if any(sum(counts[i] for i in s) != 1 for s in singletons1):
             return ()
         if any(counts[i] for i in barred) or any(sum(counts[i] for i in s) != 1 for s in singletons2):
             return None
-        present = [i for i, n in enumerate(counts) if n]
-        return tuple(j for j, test in enumerate(tests) if not _contained(*test, counts, present))
+        return tuple(j for j, part in enumerate(parts) if not passes(part, counts))
 
-    return decide
+    def every_entry_passes(part: tuple) -> bool:
+        roles = part[0]
+        counts = [0] * len(classes)
+        for entry in product(*[range(caps[i] + 1) for i in roles]):
+            for i, n in zip(roles, entry):
+                counts[i] = n
+            if not passes(part, tuple(counts)):
+                return False
+        return True
+
+    capped = {i for i, cap in enumerate(caps) if cap}
+    settled = (
+        barred.isdisjoint(capped)
+        and {s & capped for s in singletons2} <= {s & capped for s in singletons1}
+        and all(every_entry_passes(part) for part in parts)
+    )
+    return decide, settled
 
 
 def _contained(
@@ -216,18 +281,18 @@ def _contained(
     left2: frozenset[int],
     right2: frozenset[int],
     counts: tuple[int, ...],
-    present: list[int],
 ) -> bool:
     """Sound, incomplete test that every link set ``a`` admits over the
     objects of ``counts`` also satisfies ``b``: ``a``'s end classes lie inside
     ``b``'s end closures and their possible degrees inside ``b``'s
     multiplicities. ``left1`` .. ``right2`` are the classes in ``a``'s and
-    ``b``'s end closures; ``present`` are the classes with objects."""
+    ``b``'s end closures, and only their counts are read."""
     sources = sum(counts[i] for i in left1)
     targets = sum(counts[i] for i in right1)
     linkable = sources > 0 and targets > 0 and a.right_mult.max != 0 and a.left_mult.max != 0
     if b is None:
         return not linkable
+    present = [i for i in left1 | right1 | left2 | right2 if counts[i]]
     if linkable and any(
         i in left1 and i not in left2 or i in right1 and i not in right2 for i in present
     ):
@@ -242,7 +307,7 @@ def _contained(
 
 
 def _rejected_link_choices(
-    objects: dict[str, str], listed: tuple[int, ...] | None, cd1: ClassDiagram, cd2: ClassDiagram
+    objects: dict[str, str], listed: Decision, cd1: ClassDiagram, cd2: ClassDiagram
 ) -> Iterator[frozenset[Link]]:
     """Links of every model of ``cd1`` over ``objects`` that ``cd2`` rejects.
 

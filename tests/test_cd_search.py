@@ -7,6 +7,10 @@ cap. These tests hold that design to what the search did before it:
 
 - the count test's decision equals the object-scan reference in
   ``helpers`` on every count vector of several hundred random pairs;
+- a direction the count test settles has no witness by that reference,
+  each settling condition refuses on its own, a settled direction walks no
+  count vector, and no direction tests one association's containment twice
+  on the same counts of its end classes;
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
   fixtures and 400 seeded pairs hashes to the outputs recorded in
   ``fixtures/cd_diff_outputs.json``;
@@ -30,6 +34,7 @@ from semdiff import cd_diff
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, parse_cd
 from semdiff.cd_semantics import count_vectors, object_id_prefixes, objects_for_counts, print_om
+from semdiff.verdict import DiffResult
 
 from conftest import FIXTURES, fixture_text
 
@@ -47,7 +52,7 @@ def search_space(cd1, cd2, k):
     concrete = {c.name for c in cd1.classes if c.modifier is not ClassModifier.ABSTRACT}
     caps = [k if c in concrete else 0 for c in classes]
     vectors = [counts for total in range(sum(caps) + 1) for counts in count_vectors(caps, total)]
-    return classes, vectors
+    return classes, caps, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +93,11 @@ def features(cd1, cd2):
     }
 
 
-def test_count_test_decides_as_the_object_scan():
-    rng = random.Random(2102)
-    seen, outcomes = Counter(), Counter()
-    for _ in range(400):
+def random_pairs(seed, n=400):
+    """``n`` seeded (cd1, cd2, k) at k 0-3, now and then with an association
+    end moved to an undeclared class."""
+    rng = random.Random(seed)
+    for _ in range(n):
         k = rng.choice((0, 1, 2, 3))
         # No oracle enumerates these pairs, so their size need not be held down.
         cd1, cd2 = generators.random_cd_pair(rng, k, space_cap=10**12)
@@ -101,10 +107,16 @@ def test_count_test_decides_as_the_object_scan():
                 if cd.associations:
                     changed = with_undeclared_end(rng, cd)
                     cd1, cd2 = (changed, cd2) if cd is cd1 else (cd1, changed)
+        yield cd1, cd2, k
+
+
+def test_count_test_decides_as_the_object_scan():
+    seen, outcomes = Counter(), Counter()
+    for cd1, cd2, k in random_pairs(2102):
         seen.update(name for name, present in features(cd1, cd2).items() if present)
-        classes, counts_list = search_space(cd1, cd2, k)
+        classes, caps, counts_list = search_space(cd1, cd2, k)
         prefixes = object_id_prefixes(classes)
-        decide = cd_diff._count_test(classes, cd1, cd2)
+        decide, _ = cd_diff._count_test(classes, caps, cd1, cd2)
         for counts in counts_list:
             expected = reference_count_decision(objects_for_counts(classes, prefixes, counts), cd1, cd2)
             assert decide(counts) == expected, (cd1, cd2, counts)
@@ -112,6 +124,127 @@ def test_count_test_decides_as_the_object_scan():
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
     assert len(outcomes) == 3 and min(outcomes.values()) >= 100, outcomes
     assert sum(outcomes.values()) > 2500
+
+
+# ---------------------------------------------------------------------------
+# a settled direction has no witness
+
+
+def diagram(body):
+    return parse_cd(f"classdiagram C {{ {body} }}")
+
+
+def settled(cd1, cd2, k):
+    classes, caps, _ = search_space(cd1, cd2, k)
+    return cd_diff._count_test(classes, caps, cd1, cd2)[1]
+
+
+def test_a_settled_direction_has_no_witness_in_its_search_space():
+    outcomes = Counter()
+    for cd1, cd2, k in random_pairs(2201):
+        for a, b in ((cd1, cd2), (cd2, cd1)):
+            is_settled = settled(a, b, k)
+            outcomes[is_settled] += 1
+            if is_settled:
+                classes, _, counts_list = search_space(a, b, k)
+                prefixes = object_id_prefixes(classes)
+                for counts in counts_list:
+                    objects = objects_for_counts(classes, prefixes, counts)
+                    assert reference_count_decision(objects, a, b) == (), (a, b, counts)
+    assert min(outcomes[True], outcomes[False]) >= 50, outcomes
+
+
+# Each case: the left diagram, then a right diagram that one settling
+# condition alone refuses, and a twin of one of them, one declaration apart,
+# that settles. (a) a class B bars has a nonzero cap; (b) a B singleton
+# closure, cut down to the classes with a cap, is none of A's; (c) a table
+# entry fails.
+REFUSED_ALONE = {
+    "a-abstract-in-b": (
+        "class P; class Q extends P;", "abstract class P; class Q extends P;",
+        ("abstract class P; class Q extends P;", "abstract class P; class Q extends P;"),
+    ),
+    "b-singleton-in-b": (
+        "abstract class S; class T extends S;", "singleton class S; class T extends S;",
+        ("abstract class S; singleton class T extends S;", "singleton class S; class T extends S;"),
+    ),
+    "c-failing-projection": (
+        "class A; association r [*] A -- A [*];", "class A; association r [*] A -- A [0];",
+        ("class A; association r [*] A -- A [0];", "class A; association r [*] A -- A [*];"),
+    ),
+}
+
+
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("case", sorted(REFUSED_ALONE))
+def test_each_settling_condition_alone_refuses(case, k):
+    left, right, twin = REFUSED_ALONE[case]
+    a, b = diagram(left), diagram(right)
+    assert not settled(a, b, k)
+    assert cddiff(a, b, k).witnesses
+    a, b = map(diagram, twin)
+    assert settled(a, b, k)
+    assert cddiff(a, b, k) == DiffResult([], True)
+
+
+# ---------------------------------------------------------------------------
+# the work the count test does
+
+
+def counting(monkeypatch, name):
+    """Replace ``cd_diff.<name>`` by a wrapper that lists each call's arguments."""
+    calls, real = [], getattr(cd_diff, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cd_diff, name, wrapper)
+    return calls
+
+
+def test_each_projection_is_tested_once_per_direction(monkeypatch):
+    directions = counting(monkeypatch, "_count_test")
+    tests = []  # (direction, association, counts of its roles) per containment test
+    real = cd_diff._contained
+
+    def contained(*test):
+        a, _, *ends, counts = test
+        roles = sorted(frozenset().union(*ends))
+        tests.append((len(directions), a, tuple(counts[i] for i in roles)))
+        return real(*test)
+
+    monkeypatch.setattr(cd_diff, "_contained", contained)
+    rng = random.Random(2202)
+    pairs = [(*generators.random_cd_pair(rng, k), k) for k in (0, 1, 2, 3) * 50]
+    pairs += [(parse_cd(chain_text(n)), parse_cd(chain_text(n, tight=True)), 2) for n in (3, 4, 5)]
+    total = 0
+    for cd1, cd2, k in pairs:
+        for search in (compare_cd, lambda a, b, k: cddiff(a, b, k, 1),
+                       lambda a, b, k: cddiff(b, a, k, UNCAPPED)):
+            directions.clear()
+            tests.clear()
+            search(cd1, cd2, k)
+            assert len(tests) == len(set(tests)), (cd1, cd2, k)
+            total += len(tests)
+    assert total > 1000, total
+
+
+def test_a_settled_direction_walks_no_count_vector(monkeypatch):
+    walked = counting(monkeypatch, "count_vectors")
+    labelled = counting(monkeypatch, "objects_for_counts")
+    built = counting(monkeypatch, "ObjectModel")
+    fired = 0
+    for cd1, cd2, k in random_pairs(2203, 200):
+        for a, b in ((cd1, cd2), (cd2, cd1)):
+            if settled(a, b, k):
+                fired += 1
+                assert cddiff(a, b, k, UNCAPPED) == DiffResult([], True)
+                assert walked == labelled == built == []
+    assert fired >= 50
+    tight, loose = parse_cd(chain_text(30, tight=True)), parse_cd(chain_text(30))
+    assert cddiff(tight, loose, 3) == DiffResult([], True)
+    assert walked == labelled == built == []
 
 
 # ---------------------------------------------------------------------------
