@@ -22,13 +22,8 @@ rest get objects; there the remaining associations enumerate their A-valid
 link sets once and flag those B rejects, and only the combinations that hold
 a flagged link set are built into models.
 
-The containment test of one association reads only the counts of the
-classes in its four end closures, so its answers are kept in a table per
-association, keyed by those counts. Before a direction is walked, the count
-test tries to settle it: when no class B bars can have objects, B's
-singleton counts hold wherever A's do, and every entry of every table
-passes, no count vector can hold a witness, and the direction is proved
-empty without walking a single count vector.
+The count test keeps each association's answers in a table and may settle a
+direction, proving it empty, without walking it (see ``_count_test``).
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from itertools import chain, combinations, product
+from math import prod
 from operator import itemgetter
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
@@ -52,6 +48,7 @@ from .cd_semantics import (
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
 DEFAULT_BOUND = 3
+MAX_TABLE_ENTRIES = 4096  # the most one association's containment table holds
 
 LinkSet = tuple[Link, ...]
 
@@ -139,8 +136,7 @@ def _witness_levels(
     one with an association whose link sets must be listed. A level yields
     those count vectors in search order, each as its objects and its
     witnesses, which are built as they are read. A direction the count test
-    settles has no such count vector, so it yields no level: no count vector
-    is walked and no object is labelled."""
+    settles yields no level."""
     classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     decl1 = {c.name: c for c in cd1.classes}
     caps = [
@@ -187,11 +183,9 @@ def _count_test(
     ``_witness_levels`` gives a nonzero cap.
 
     The containment test of an association reads only the counts of its
-    roles, the classes in its four end closures (A's and B's): its sums run
-    over A's ends, and a class outside them is no end of either diagram's
-    association. So its answers are kept in one table per association,
-    keyed by the counts of its roles and filled on first use. The direction
-    is settled, and every count vector decided ``()``, when
+    roles (``_containment_parts``), so its answers are kept in a table keyed
+    by those counts, unless the table could outgrow ``MAX_TABLE_ENTRIES``.
+    The direction is settled, and every count vector decided ``()``, when
 
     (a) no class that B bars has a nonzero cap: no count vector has an
         object of a barred class, so none is ``None`` for one;
@@ -199,21 +193,25 @@ def _count_test(
         nonzero cap, is one of A's cut down alike: a class without a cap
         counts 0, so wherever A's singleton counts are 1, B's are too, and
         no count vector on which A has a model is ``None`` for them; and
-    (c) every entry of every table passes, over each count from 0 to its cap
-        of each role: the roles' counts of any count vector are one of
-        these entries, so every association passes on every count vector.
+    (c) every association has a table and every entry of it passes, over
+        each count from 0 to its cap of each role: the roles' counts of any
+        count vector are one of these entries, so every association passes
+        on every count vector.
 
-    Step (c) fills the tables that ``decide`` reads and stops at the first
-    entry that fails, so a direction that is not settled repeats none of its
-    tests as it is walked.
+    Step (c) fills the tables that ``decide`` reads, so a direction that is
+    not settled repeats none of its tests as it is walked. It meets the
+    entries by total, fewest objects first, and stops at the first that
+    fails. Under (a) and (b) a count vector can hold a witness only where
+    one of its projections fails, so the walk labels nothing below that
+    total; and each entry met before it is the projection of its own count
+    vector of no larger total, zero outside the roles. So step (c) tests no
+    more entries per association than the walk meets count vectors on its
+    way to its first witness, give or take the last level.
     """
     index = {c: i for i, c in enumerate(classes)}
 
-    def members(cd: ClassDiagram, name: str) -> frozenset[int]:
-        return frozenset(index[c] for c in cd.closures[name] if c in index)
-
     def singletons(cd: ClassDiagram) -> list[frozenset[int]]:
-        return [members(cd, d.name) for d in cd.classes if d.modifier is ClassModifier.SINGLETON]
+        return [_members(cd, d.name, index) for d in cd.classes if d.modifier is ClassModifier.SINGLETON]
 
     singletons1, singletons2 = singletons(cd1), singletons(cd2)
     # Classes whose objects B rejects whatever their links: undeclared or
@@ -225,26 +223,18 @@ def _count_test(
     for b in cd2.associations:
         if b.name not in names1:
             if not b.right_mult.admits(0):
-                barred |= members(cd2, b.left_class)
+                barred |= _members(cd2, b.left_class, index)
             if not b.left_mult.admits(0):
-                barred |= members(cd2, b.right_class)
-    decls2 = {b.name: b for b in cd2.associations}
-    parts = []  # per association of A, by name: (roles, table key, table, test)
-    for a in sorted(cd1.associations, key=lambda a: a.name):
-        b = decls2.get(a.name)
-        ends2 = (members(cd2, b.left_class), members(cd2, b.right_class)) if b else (frozenset(),) * 2
-        test = (a, b, members(cd1, a.left_class), members(cd1, a.right_class), *ends2)
-        roles = sorted(frozenset().union(*test[2:]))
-        # An association whose end closures hold no class has one entry.
-        key = itemgetter(*roles) if roles else lambda counts: ()
-        parts.append((roles, key, {}, test))
+                barred |= _members(cd2, b.right_class, index)
+    parts = _containment_parts(index, caps, cd1, cd2)
 
-    def passes(part: tuple, counts: tuple[int, ...]) -> bool:
-        _, key, table, test = part
-        entry = key(counts)
+    def passes(part: Part, entry: tuple[int, ...]) -> bool:
+        _, _, table, test = part
+        if table is None:
+            return _contained(*test, entry)
         ok = table.get(entry)
         if ok is None:
-            ok = table[entry] = _contained(*test, counts)
+            ok = table[entry] = _contained(*test, entry)
         return ok
 
     def decide(counts: tuple[int, ...]) -> Decision:
@@ -252,47 +242,94 @@ def _count_test(
             return ()
         if any(counts[i] for i in barred) or any(sum(counts[i] for i in s) != 1 for s in singletons2):
             return None
-        return tuple(j for j, part in enumerate(parts) if not passes(part, counts))
+        return tuple(j for j, part in enumerate(parts) if not passes(part, part[0](counts)))
 
-    def every_entry_passes(part: tuple) -> bool:
-        roles = part[0]
-        counts = [0] * len(classes)
-        for entry in product(*[range(caps[i] + 1) for i in roles]):
-            for i, n in zip(roles, entry):
-                counts[i] = n
-            if not passes(part, tuple(counts)):
-                return False
-        return True
+    def every_entry_passes() -> bool:
+        if any(table is None for _, _, table, _ in parts):
+            return False
+        most = max((sum(role_caps) for _, role_caps, _, _ in parts), default=0)
+        return all(
+            passes(part, entry)
+            for total in range(most + 1)
+            for part in parts
+            for entry in count_vectors(part[1], total)
+        )
 
     capped = {i for i, cap in enumerate(caps) if cap}
     settled = (
         barred.isdisjoint(capped)
         and {s & capped for s in singletons2} <= {s & capped for s in singletons1}
-        and all(every_entry_passes(part) for part in parts)
+        and every_entry_passes()
     )
     return decide, settled
+
+
+# One association of A, as ``_containment_parts`` gives it: the key that
+# reads its roles' counts off a count vector, its roles' caps, its table of
+# answers by key (None when it keeps none), and the arguments of
+# ``_contained`` before the counts.
+Part = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], list[int], dict | None, tuple]
+
+
+def _containment_parts(
+    index: dict[str, int], caps: list[int], cd1: ClassDiagram, cd2: ClassDiagram
+) -> list[Part]:
+    """The containment test of each of ``cd1``'s associations, by name.
+
+    Its roles are the classes in its four end closures, ``cd1``'s and
+    ``cd2``'s: the test's sums run over ``cd1``'s ends, and a class outside
+    them is no end of either diagram's association, so it reads only their
+    counts. The ends are given to ``_contained`` as positions among the
+    roles, sorted by position in ``index``. An association whose roles'
+    counts, each up to its cap, make more than ``MAX_TABLE_ENTRIES`` tuples
+    keeps no table. On an ``extends`` chain the roles can span every class;
+    such a table would hold one entry per count vector walked.
+    """
+    decls2 = {b.name: b for b in cd2.associations}
+    parts = []
+    for a in sorted(cd1.associations, key=lambda a: a.name):
+        b = decls2.get(a.name)
+        ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index)]
+        if b is None:
+            ends += [set(), set()]
+        else:
+            ends += [_members(cd2, b.left_class, index), _members(cd2, b.right_class, index)]
+        roles = sorted(set().union(*ends))
+        position = {i: j for j, i in enumerate(roles)}
+        # ``itemgetter`` of one position gives a count, not a tuple.
+        key = itemgetter(*roles) if len(roles) > 1 else lambda counts, r=roles: tuple(counts[i] for i in r)
+        role_caps = [caps[i] for i in roles]
+        table = {} if prod(cap + 1 for cap in role_caps) <= MAX_TABLE_ENTRIES else None
+        parts.append((key, role_caps, table, (a, b, *({position[i] for i in end} for end in ends))))
+    return parts
+
+
+def _members(cd: ClassDiagram, name: str, index: dict[str, int]) -> frozenset[int]:
+    """Positions in ``index`` of the classes in ``name``'s closure in ``cd``."""
+    return frozenset(index[c] for c in cd.closures[name] if c in index)
 
 
 def _contained(
     a: Association,
     b: Association | None,
-    left1: frozenset[int],
-    right1: frozenset[int],
-    left2: frozenset[int],
-    right2: frozenset[int],
+    left1: set[int],
+    right1: set[int],
+    left2: set[int],
+    right2: set[int],
     counts: tuple[int, ...],
 ) -> bool:
     """Sound, incomplete test that every link set ``a`` admits over the
     objects of ``counts`` also satisfies ``b``: ``a``'s end classes lie inside
     ``b``'s end closures and their possible degrees inside ``b``'s
     multiplicities. ``left1`` .. ``right2`` are the classes in ``a``'s and
-    ``b``'s end closures, and only their counts are read."""
+    ``b``'s end closures, as positions in ``counts``, which holds the counts
+    of those classes alone."""
     sources = sum(counts[i] for i in left1)
     targets = sum(counts[i] for i in right1)
     linkable = sources > 0 and targets > 0 and a.right_mult.max != 0 and a.left_mult.max != 0
     if b is None:
         return not linkable
-    present = [i for i in left1 | right1 | left2 | right2 if counts[i]]
+    present = [i for i, n in enumerate(counts) if n]
     if linkable and any(
         i in left1 and i not in left2 or i in right1 and i not in right2 for i in present
     ):

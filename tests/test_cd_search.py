@@ -8,9 +8,10 @@ cap. These tests hold that design to what the search did before it:
 - the count test's decision equals the object-scan reference in
   ``helpers`` on every count vector of several hundred random pairs;
 - a direction the count test settles has no witness by that reference,
-  each settling condition refuses on its own, a settled direction walks no
-  count vector, and no direction tests one association's containment twice
-  on the same counts of its end classes;
+  each settling condition refuses on its own, a settled direction labels no
+  object, no direction tests one association's containment twice on the
+  same counts of its end classes, settling tests no more of them than the
+  walk meets count vectors, and no table outgrows its bound;
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
   fixtures and 400 seeded pairs hashes to the outputs recorded in
   ``fixtures/cd_diff_outputs.json``;
@@ -209,13 +210,12 @@ def test_each_projection_is_tested_once_per_direction(monkeypatch):
     real = cd_diff._contained
 
     def contained(*test):
-        a, _, *ends, counts = test
-        roles = sorted(frozenset().union(*ends))
-        tests.append((len(directions), a, tuple(counts[i] for i in roles)))
+        tests.append((len(directions), test[0], test[-1]))
         return real(*test)
 
     monkeypatch.setattr(cd_diff, "_contained", contained)
     rng = random.Random(2202)
+    # Every association here keeps a table: none has more than 64 entries.
     pairs = [(*generators.random_cd_pair(rng, k), k) for k in (0, 1, 2, 3) * 50]
     pairs += [(parse_cd(chain_text(n)), parse_cd(chain_text(n, tight=True)), 2) for n in (3, 4, 5)]
     total = 0
@@ -230,8 +230,14 @@ def test_each_projection_is_tested_once_per_direction(monkeypatch):
     assert total > 1000, total
 
 
-def test_a_settled_direction_walks_no_count_vector(monkeypatch):
-    walked = counting(monkeypatch, "count_vectors")
+def role_caps(cd1, cd2, k):
+    classes, caps, _ = search_space(cd1, cd2, k)
+    index = {c: i for i, c in enumerate(classes)}
+    return [part[1] for part in cd_diff._containment_parts(index, caps, cd1, cd2)]
+
+
+def test_a_settled_direction_labels_no_object(monkeypatch):
+    counted = counting(monkeypatch, "count_vectors")
     labelled = counting(monkeypatch, "objects_for_counts")
     built = counting(monkeypatch, "ObjectModel")
     fired = 0
@@ -239,12 +245,85 @@ def test_a_settled_direction_walks_no_count_vector(monkeypatch):
         for a, b in ((cd1, cd2), (cd2, cd1)):
             if settled(a, b, k):
                 fired += 1
+                counted.clear()
                 assert cddiff(a, b, k, UNCAPPED) == DiffResult([], True)
-                assert walked == labelled == built == []
+                assert labelled == built == []
+                # Only settling counts, over one association's roles at a time.
+                assert all(caps in role_caps(a, b, k) for caps, _ in counted)
     assert fired >= 50
     tight, loose = parse_cd(chain_text(30, tight=True)), parse_cd(chain_text(30))
+    counted.clear()
     assert cddiff(tight, loose, 3) == DiffResult([], True)
-    assert walked == labelled == built == []
+    assert labelled == built == []
+    assert {len(caps) for caps, _ in counted} == {2}
+
+
+def extends_chain(n, body):
+    """C0 .. C(n-1), each extending the one before, then ``body``."""
+    classes = ["class C0;"] + [f"class C{i + 1} extends C{i};" for i in range(n - 1)]
+    return parse_cd(f"classdiagram X {{ {' '.join(classes)} {body} }}")
+
+
+# (chain length, left body, right body), diffed at k=3. The roles of an
+# association on C0 or C1 span the chain; at k=3 they make 4096 entries for 6
+# classes, and 4^12, more than a table holds, for 12.
+WALKED_PAIRS = {
+    # r fails from one C0 on.
+    "6-classes": (6, "association r [*] C0 -- C0 [*];", "association r [*] C1 -- C1 [*];"),
+    "12-classes": (12, "association r [*] C0 -- C0 [*];", "association r [*] C1 -- C1 [*];"),
+    # a passes on all its 4096 entries and r fails from two Ds on, so
+    # settling must meet a's entries by total alongside r's.
+    "two-associations": (
+        6,
+        "class D; association a [*] C0 -- C0 [*]; association r [*] D -- D [*];",
+        "class D; association a [*] C0 -- C0 [*]; association r [*] D -- D [0..1];",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALKED_PAIRS))
+def test_settling_tests_no_more_than_the_walk_meets(case, monkeypatch):
+    """Settling fills the tables from the fewest objects up and stops at the
+    first failing entry, so a direction with early witnesses costs no more
+    containment tests than the walk meets count vectors; an association
+    too large for a table keeps none, and its direction is walked as it
+    would be without one."""
+    n, left, right = WALKED_PAIRS[case]
+    walked, parts = [], []
+    real_count_test, real_parts = cd_diff._count_test, cd_diff._containment_parts
+
+    def count_test(*args):
+        decide, is_settled = real_count_test(*args)
+
+        def counted(counts):
+            walked.append(counts)
+            return decide(counts)
+
+        return counted, is_settled
+
+    def containment_parts(*args):
+        made = real_parts(*args)
+        parts.extend(made)
+        return made
+
+    monkeypatch.setattr(cd_diff, "_count_test", count_test)
+    monkeypatch.setattr(cd_diff, "_containment_parts", containment_parts)
+    tests = counting(monkeypatch, "_contained")
+    result = cddiff(extends_chain(n, left), extends_chain(n, right), 3)
+    assert len(result.witnesses) == 10 and not result.exhausted
+    assert len(walked) < 200
+    assert 0 < len(tests) <= len(parts) * len(walked)
+    assert [table is None for _, _, table, _ in parts] == [n == 12] * len(parts)
+
+
+def test_an_association_without_a_table_is_walked(monkeypatch):
+    monkeypatch.setattr(cd_diff, "MAX_TABLE_ENTRIES", 8)
+    a = diagram("class A; class B; association r [*] A -- B [*];")
+    assert settled(a, a, 1)  # 4 entries
+    assert not settled(a, a, 2)  # 9 entries
+    walked = counting(monkeypatch, "count_vectors")
+    assert cddiff(a, a, 2) == DiffResult([], True)
+    assert walked == [([2, 2], total) for total in range(5)]
 
 
 # ---------------------------------------------------------------------------
