@@ -22,8 +22,8 @@ rest get objects; there the remaining associations enumerate their A-valid
 link sets once and flag those B rejects, and only the combinations that hold
 a flagged link set are built into models.
 
-The count test keeps each association's answers in a table and may settle a
-direction, proving it empty, without walking it (see ``_count_test``).
+The count test also gives the total the walk starts from, past the last one
+for a direction it proves empty (see ``_count_test``).
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ def _check_witnesses(witnesses: list[ObjectModel], cd1: ClassDiagram, cd2: Class
 
 Vector = tuple[dict[str, str], Iterator[ObjectModel]]  # objects, their witnesses
 Decision = tuple[int, ...] | None  # a count vector's, as ``_count_test`` gives it
+Pairs = list[tuple[Association, Association | None]]  # A's associations by name, each with B's
 
 
 def _witness_levels(
@@ -135,22 +136,24 @@ def _witness_levels(
     (``objects_for_counts``): one on which B rejects every model of A, or
     one with an association whose link sets must be listed. A level yields
     those count vectors in search order, each as its objects and its
-    witnesses, which are built as they are read. A direction the count test
-    settles yields no level."""
+    witnesses, which are built as they are read. The levels start at the
+    count test's start total, so a direction it settles yields none."""
     classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     decl1 = {c.name: c for c in cd1.classes}
     caps = [
         0 if decl1.get(c) is None or decl1[c].modifier is ClassModifier.ABSTRACT else k
         for c in classes
     ]
-    decide, settled = _count_test(classes, caps, cd1, cd2)
-    if settled:
-        return
+    decls2 = {b.name: b for b in cd2.associations}
+    pairs = [(a, decls2.get(a.name)) for a in sorted(cd1.associations, key=lambda a: a.name)]
+    decide, first = _count_test(classes, caps, pairs, cd1, cd2)
     max_total = sum(caps)
+    if first > max_total:
+        return
     prefixes = object_id_prefixes(classes)
 
     def models(objects: dict[str, str], listed: Decision) -> Iterator[ObjectModel]:
-        for links in _rejected_link_choices(objects, listed, cd1, cd2):
+        for links in _rejected_link_choices(objects, listed, pairs, cd1, cd2):
             yield ObjectModel("om", dict(objects), links)
 
     def level(total: int) -> Iterator[Vector]:
@@ -160,17 +163,17 @@ def _witness_levels(
                 objects = objects_for_counts(classes, prefixes, counts)
                 yield objects, models(objects, listed)
 
-    for total in range(max_total + 1):
+    for total in range(first, max_total + 1):
         yield total, max_total, level(total)
 
 
 def _count_test(
-    classes: tuple[str, ...], caps: list[int], cd1: ClassDiagram, cd2: ClassDiagram
-) -> tuple[Callable[[tuple[int, ...]], Decision], bool]:
+    classes: tuple[str, ...], caps: list[int], pairs: Pairs, cd1: ClassDiagram, cd2: ClassDiagram
+) -> tuple[Callable[[tuple[int, ...]], Decision], int]:
     """Decide count vectors over ``classes`` (objects per class, in that
     order, at most ``caps``) for the diff of ``cd1`` against ``cd2``, reading
-    counts only; and say whether the direction is settled, that is, whether
-    every count vector is decided ``()``.
+    counts only; and give the total the walk starts from: every count vector
+    of a smaller total is decided ``()``.
 
     The decision for one count vector is ``()`` when it has no witness: A
     has no model on it (a singleton count is not 1), or each of A's
@@ -178,35 +181,34 @@ def _count_test(
     every model of A on it: a class B bars is present (B lacks it or
     declares it abstract, or it must have a link of an association only B
     declares), or a singleton count of B is not 1. Otherwise it is the
-    positions, in name order, of A's associations whose link sets must be
+    positions, in ``pairs``, of A's associations whose link sets must be
     listed. A's declared and concrete classes are the ones
     ``_witness_levels`` gives a nonzero cap.
 
     The containment test of an association reads only the counts of its
-    roles (``_containment_parts``), so its answers are kept in a table keyed
-    by those counts, unless the table could outgrow ``MAX_TABLE_ENTRIES``.
-    The direction is settled, and every count vector decided ``()``, when
+    roles, the classes in its four end closures, ``cd1``'s and ``cd2``'s:
+    the test's sums run over ``cd1``'s ends, and a class outside them is no
+    end of either diagram's association. So its answers are kept in a table
+    keyed by the roles' counts (an entry), unless the table could outgrow
+    ``MAX_TABLE_ENTRIES``: on an ``extends`` chain the roles can span every
+    class, and such a table would hold one entry per count vector walked.
+
+    The start total is 0 unless
 
     (a) no class that B bars has a nonzero cap: no count vector has an
-        object of a barred class, so none is ``None`` for one;
+        object of a barred class, so none is ``None`` for one; and
     (b) each of B's singleton closures, cut down to the classes with a
         nonzero cap, is one of A's cut down alike: a class without a cap
         counts 0, so wherever A's singleton counts are 1, B's are too, and
-        no count vector on which A has a model is ``None`` for them; and
-    (c) every association has a table and every entry of it passes, over
-        each count from 0 to its cap of each role: the roles' counts of any
-        count vector are one of these entries, so every association passes
-        on every count vector.
+        no count vector on which A has a model is ``None`` for them.
 
-    Step (c) fills the tables that ``decide`` reads, so a direction that is
-    not settled repeats none of its tests as it is walked. It meets the
-    entries by total, fewest objects first, and stops at the first that
-    fails. Under (a) and (b) a count vector can hold a witness only where
-    one of its projections fails, so the walk labels nothing below that
-    total; and each entry met before it is the projection of its own count
-    vector of no larger total, zero outside the roles. So step (c) tests no
-    more entries per association than the walk meets count vectors on its
-    way to its first witness, give or take the last level.
+    Then only a failing entry can make a decision other than ``()``. The
+    start total is that of the first entry that fails, met by total, fewest
+    objects first, all associations at one total before the next; or
+    ``sum(caps) + 1``, settling the direction, when every entry up to its
+    roles' caps passes. A count vector of a smaller total projects onto
+    entries of no larger total, which all pass. ``decide`` reads the tables
+    this fills.
     """
     index = {c: i for i, c in enumerate(classes)}
 
@@ -219,16 +221,32 @@ def _count_test(
     # it needs a link.
     modifiers2 = {c.name: c.modifier for c in cd2.classes}
     barred = {i for c, i in index.items() if modifiers2.get(c) in (None, ClassModifier.ABSTRACT)}
-    names1 = {a.name for a in cd1.associations}
+    names1 = {a.name for a, _ in pairs}
     for b in cd2.associations:
         if b.name not in names1:
             if not b.right_mult.admits(0):
                 barred |= _members(cd2, b.left_class, index)
             if not b.left_mult.admits(0):
                 barred |= _members(cd2, b.right_class, index)
-    parts = _containment_parts(index, caps, cd1, cd2)
+    # Per association: the key that reads its entry off a count vector, its
+    # roles' caps, its table (None when it keeps none), and the arguments of
+    # ``_contained`` before the entry, its ends as positions among the roles.
+    parts = []
+    for a, b in pairs:
+        ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index)]
+        if b is None:
+            ends += [set(), set()]
+        else:
+            ends += [_members(cd2, b.left_class, index), _members(cd2, b.right_class, index)]
+        roles = sorted(set().union(*ends))
+        position = {i: j for j, i in enumerate(roles)}
+        # ``itemgetter`` of one position gives a count, not a tuple.
+        key = itemgetter(*roles) if len(roles) > 1 else lambda counts, r=roles: tuple(counts[i] for i in r)
+        role_caps = [caps[i] for i in roles]
+        table = {} if prod(cap + 1 for cap in role_caps) <= MAX_TABLE_ENTRIES else None
+        parts.append((key, role_caps, table, (a, b, *({position[i] for i in end} for end in ends))))
 
-    def passes(part: Part, entry: tuple[int, ...]) -> bool:
+    def passes(part: tuple, entry: tuple[int, ...]) -> bool:
         _, _, table, test = part
         if table is None:
             return _contained(*test, entry)
@@ -244,64 +262,18 @@ def _count_test(
             return None
         return tuple(j for j, part in enumerate(parts) if not passes(part, part[0](counts)))
 
-    def every_entry_passes() -> bool:
-        if any(table is None for _, _, table, _ in parts):
-            return False
-        most = max((sum(role_caps) for _, role_caps, _, _ in parts), default=0)
-        return all(
-            passes(part, entry)
-            for total in range(most + 1)
-            for part in parts
-            for entry in count_vectors(part[1], total)
-        )
-
     capped = {i for i, cap in enumerate(caps) if cap}
-    settled = (
-        barred.isdisjoint(capped)
-        and {s & capped for s in singletons2} <= {s & capped for s in singletons1}
-        and every_entry_passes()
+    if barred & capped or not {s & capped for s in singletons2} <= {s & capped for s in singletons1}:
+        return decide, 0
+    most = max((sum(role_caps) for _, role_caps, _, _ in parts), default=0)
+    failing = (
+        total
+        for total in range(most + 1)
+        for part in parts
+        for entry in count_vectors(part[1], total)
+        if not passes(part, entry)
     )
-    return decide, settled
-
-
-# One association of A, as ``_containment_parts`` gives it: the key that
-# reads its roles' counts off a count vector, its roles' caps, its table of
-# answers by key (None when it keeps none), and the arguments of
-# ``_contained`` before the counts.
-Part = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], list[int], dict | None, tuple]
-
-
-def _containment_parts(
-    index: dict[str, int], caps: list[int], cd1: ClassDiagram, cd2: ClassDiagram
-) -> list[Part]:
-    """The containment test of each of ``cd1``'s associations, by name.
-
-    Its roles are the classes in its four end closures, ``cd1``'s and
-    ``cd2``'s: the test's sums run over ``cd1``'s ends, and a class outside
-    them is no end of either diagram's association, so it reads only their
-    counts. The ends are given to ``_contained`` as positions among the
-    roles, sorted by position in ``index``. An association whose roles'
-    counts, each up to its cap, make more than ``MAX_TABLE_ENTRIES`` tuples
-    keeps no table. On an ``extends`` chain the roles can span every class;
-    such a table would hold one entry per count vector walked.
-    """
-    decls2 = {b.name: b for b in cd2.associations}
-    parts = []
-    for a in sorted(cd1.associations, key=lambda a: a.name):
-        b = decls2.get(a.name)
-        ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index)]
-        if b is None:
-            ends += [set(), set()]
-        else:
-            ends += [_members(cd2, b.left_class, index), _members(cd2, b.right_class, index)]
-        roles = sorted(set().union(*ends))
-        position = {i: j for j, i in enumerate(roles)}
-        # ``itemgetter`` of one position gives a count, not a tuple.
-        key = itemgetter(*roles) if len(roles) > 1 else lambda counts, r=roles: tuple(counts[i] for i in r)
-        role_caps = [caps[i] for i in roles]
-        table = {} if prod(cap + 1 for cap in role_caps) <= MAX_TABLE_ENTRIES else None
-        parts.append((key, role_caps, table, (a, b, *({position[i] for i in end} for end in ends))))
-    return parts
+    return decide, next(failing, sum(caps) + 1)
 
 
 def _members(cd: ClassDiagram, name: str, index: dict[str, int]) -> frozenset[int]:
@@ -344,28 +316,25 @@ def _contained(
 
 
 def _rejected_link_choices(
-    objects: dict[str, str], listed: Decision, cd1: ClassDiagram, cd2: ClassDiagram
+    objects: dict[str, str], listed: Decision, pairs: Pairs, cd1: ClassDiagram, cd2: ClassDiagram
 ) -> Iterator[frozenset[Link]]:
     """Links of every model of ``cd1`` over ``objects`` that ``cd2`` rejects.
 
     ``listed`` is the count test's decision for ``objects``: None when
-    ``cd2`` rejects every model of ``cd1`` over them, else the positions (by
-    name) of the associations whose link sets must be checked against
+    ``cd2`` rejects every model of ``cd1`` over them, else the positions, in
+    ``pairs``, of the associations whose link sets must be checked against
     ``cd2``; every other association's link sets all pass.
     """
-    assocs1 = sorted(cd1.associations, key=lambda a: a.name)
     if listed is None:
-        yield from _unions([_assoc_link_sets(a, objects, cd1.closures) for a in assocs1])
+        yield from _unions([_assoc_link_sets(a, objects, cd1.closures) for a, _ in pairs])
         return
-    decls2 = {b.name: b for b in cd2.associations}
     accepted: list[list[LinkSet] | None] = []  # None: cd2 admits every link set
     flagged: list[list[LinkSet]] = []
-    for i, a in enumerate(assocs1):
+    for i, (a, b) in enumerate(pairs):
         if i not in listed:
             accepted.append(None)
             flagged.append([])
             continue
-        b = decls2.get(a.name)
         ok: list[LinkSet] = []
         bad: list[LinkSet] = []
         for links in _assoc_link_sets(a, objects, cd1.closures):
@@ -376,7 +345,7 @@ def _rejected_link_choices(
         return
     every = [
         _assoc_link_sets(a, objects, cd1.closures) if ok is None else ok + bad
-        for a, ok, bad in zip(assocs1, accepted, flagged)
+        for (a, _), ok, bad in zip(pairs, accepted, flagged)
     ]
     accepted = [e if ok is None else ok for e, ok in zip(every, accepted)]
     # The rejected combinations, split by the first association whose link

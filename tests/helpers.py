@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from semdiff import ad_diff, cd_diff
+from semdiff import ad_diff
 from semdiff.ad_lang import (
     ActivityDiagram,
     Guard,
@@ -34,7 +34,7 @@ from semdiff.ad_semantics import (
     UnsafeMarkingError,
     input_valuations,
 )
-from semdiff.cd_lang import Association, ClassDiagram, ClassModifier
+from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
 from semdiff.lexer import EOF, IDENT, NAT, SYM, Diagnostic, ParseError, Token
 from semdiff.verdict import DiffResult
 
@@ -273,7 +273,17 @@ def reference_contained(
 ) -> bool:
     """Sound, incomplete test that every link set ``a`` admits over
     ``objects`` also satisfies ``b``: ``a``'s end objects lie inside ``b``'s
-    end closures and their possible degrees inside ``b``'s multiplicities."""
+    end closures and their possible degrees inside ``b``'s multiplicities.
+    An object with no possible degree has no link set to reject."""
+
+    def degrees(mult: Multiplicity, partners: int) -> range:
+        """The degrees ``mult`` lets an end object have with ``partners``
+        objects at the other end."""
+        return range(mult.min, (partners if mult.max is None else min(mult.max, partners)) + 1)
+
+    def within(possible: range, mult: Multiplicity) -> bool:
+        return all(mult.admits(d) for d in possible)
+
     left1 = closures1[a.left_class]
     right1 = closures1[a.right_class]
     sources = [cls for cls in objects.values() if cls in left1]
@@ -285,12 +295,11 @@ def reference_contained(
     right2 = closures2[b.right_class]
     if linkable and not (all(c in left2 for c in sources) and all(c in right2 for c in targets)):
         return False
-    out_range = cd_diff._degree_range(a.right_mult, len(targets) if linkable else 0)
-    in_range = cd_diff._degree_range(a.left_mult, len(sources) if linkable else 0)
-    within = cd_diff._range_within
+    out_degrees = degrees(a.right_mult, len(targets) if linkable else 0)
+    in_degrees = degrees(a.left_mult, len(sources) if linkable else 0)
     return all(
-        (cls not in left2 or within(out_range if cls in left1 else (0, 0), b.right_mult))
-        and (cls not in right2 or within(in_range if cls in right1 else (0, 0), b.left_mult))
+        (cls not in left2 or within(out_degrees if cls in left1 else range(1), b.right_mult))
+        and (cls not in right2 or within(in_degrees if cls in right1 else range(1), b.left_mult))
         for cls in objects.values()
     )
 

@@ -7,11 +7,15 @@ cap. These tests hold that design to what the search did before it:
 
 - the count test's decision equals the object-scan reference in
   ``helpers`` on every count vector of several hundred random pairs;
-- a direction the count test settles has no witness by that reference,
-  each settling condition refuses on its own, a settled direction labels no
-  object, no direction tests one association's containment twice on the
-  same counts of its end classes, settling tests no more of them than the
-  walk meets count vectors, and no table outgrows its bound;
+- no count vector below the total the count test starts a direction's walk
+  from has a witness by that reference, so a direction it settles (starts
+  past its last total) has none; each settling condition refuses on its
+  own, and a settled direction labels no object;
+- no direction tests the containment of an association with a table twice
+  on the same counts of its end classes; settling and the walk together
+  test no more of them than there are count vectors up to the start total
+  and up to the last witness; an association too large for a table still
+  settles;
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
   fixtures and 400 seeded pairs hashes to the outputs recorded in
   ``fixtures/cd_diff_outputs.json``;
@@ -48,12 +52,22 @@ SWEEP_PAIRS = 400
 
 
 def search_space(cd1, cd2, k):
-    """The classes, caps and count vectors ``_witness_levels`` walks."""
+    """The classes, caps and, lazily, count vectors ``_witness_levels``
+    would walk from total 0."""
     classes = tuple(sorted({c.name for cd in (cd1, cd2) for c in cd.classes}))
     concrete = {c.name for c in cd1.classes if c.modifier is not ClassModifier.ABSTRACT}
     caps = [k if c in concrete else 0 for c in classes]
-    vectors = [counts for total in range(sum(caps) + 1) for counts in count_vectors(caps, total)]
+    vectors = (counts for total in range(sum(caps) + 1) for counts in count_vectors(caps, total))
     return classes, caps, vectors
+
+
+def count_test(cd1, cd2, k):
+    """``_count_test``'s decision function and start total for the diff of
+    ``cd1`` against ``cd2`` at bound ``k``."""
+    classes, caps, _ = search_space(cd1, cd2, k)
+    decls2 = {b.name: b for b in cd2.associations}
+    pairs = [(a, decls2.get(a.name)) for a in sorted(cd1.associations, key=lambda a: a.name)]
+    return cd_diff._count_test(classes, caps, pairs, cd1, cd2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +131,7 @@ def test_count_test_decides_as_the_object_scan():
         seen.update(name for name, present in features(cd1, cd2).items() if present)
         classes, caps, counts_list = search_space(cd1, cd2, k)
         prefixes = object_id_prefixes(classes)
-        decide, _ = cd_diff._count_test(classes, caps, cd1, cd2)
+        decide, _ = count_test(cd1, cd2, k)
         for counts in counts_list:
             expected = reference_count_decision(objects_for_counts(classes, prefixes, counts), cd1, cd2)
             assert decide(counts) == expected, (cd1, cd2, counts)
@@ -136,30 +150,32 @@ def diagram(body):
 
 
 def settled(cd1, cd2, k):
-    classes, caps, _ = search_space(cd1, cd2, k)
-    return cd_diff._count_test(classes, caps, cd1, cd2)[1]
+    return count_test(cd1, cd2, k)[1] == sum(search_space(cd1, cd2, k)[1]) + 1
 
 
 def test_a_settled_direction_has_no_witness_in_its_search_space():
+    """In every direction, each count vector below the start total has no
+    witness; a settled direction starts past its last total."""
     outcomes = Counter()
     for cd1, cd2, k in random_pairs(2201):
         for a, b in ((cd1, cd2), (cd2, cd1)):
-            is_settled = settled(a, b, k)
-            outcomes[is_settled] += 1
-            if is_settled:
-                classes, _, counts_list = search_space(a, b, k)
-                prefixes = object_id_prefixes(classes)
-                for counts in counts_list:
+            _, first = count_test(a, b, k)
+            classes, caps, counts_list = search_space(a, b, k)
+            assert 0 <= first <= sum(caps) + 1
+            outcomes["refused" if first == 0 else "settled" if first > sum(caps) else "walked"] += 1
+            prefixes = object_id_prefixes(classes)
+            for counts in counts_list:
+                if sum(counts) < first:
                     objects = objects_for_counts(classes, prefixes, counts)
                     assert reference_count_decision(objects, a, b) == (), (a, b, counts)
-    assert min(outcomes[True], outcomes[False]) >= 50, outcomes
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 50, outcomes
 
 
 # Each case: the left diagram, then a right diagram that one settling
 # condition alone refuses, and a twin of one of them, one declaration apart,
 # that settles. (a) a class B bars has a nonzero cap; (b) a B singleton
-# closure, cut down to the classes with a cap, is none of A's; (c) a table
-# entry fails.
+# closure, cut down to the classes with a cap, is none of A's; either starts
+# the walk at 0. (c) a table entry fails, here one of total 1.
 REFUSED_ALONE = {
     "a-abstract-in-b": (
         "class P; class Q extends P;", "abstract class P; class Q extends P;",
@@ -181,7 +197,7 @@ REFUSED_ALONE = {
 def test_each_settling_condition_alone_refuses(case, k):
     left, right, twin = REFUSED_ALONE[case]
     a, b = diagram(left), diagram(right)
-    assert not settled(a, b, k)
+    assert count_test(a, b, k)[1] == (1 if case.startswith("c-") else 0)
     assert cddiff(a, b, k).witnesses
     a, b = map(diagram, twin)
     assert settled(a, b, k)
@@ -231,9 +247,19 @@ def test_each_projection_is_tested_once_per_direction(monkeypatch):
 
 
 def role_caps(cd1, cd2, k):
+    """The caps of each association's roles: the classes in its end
+    closures in ``cd1`` and in ``cd2``, in class order."""
     classes, caps, _ = search_space(cd1, cd2, k)
-    index = {c: i for i, c in enumerate(classes)}
-    return [part[1] for part in cd_diff._containment_parts(index, caps, cd1, cd2)]
+    decls2 = {b.name: b for b in cd2.associations}
+    result = []
+    for a in cd1.associations:
+        ends = [cd1.closures[a.left_class], cd1.closures[a.right_class]]
+        b = decls2.get(a.name)
+        if b is not None:
+            ends += [cd2.closures[b.left_class], cd2.closures[b.right_class]]
+        roles = set().union(*ends)
+        result.append([cap for c, cap in zip(classes, caps) if c in roles])
+    return result
 
 
 def test_a_settled_direction_labels_no_object(monkeypatch):
@@ -281,49 +307,58 @@ WALKED_PAIRS = {
 }
 
 
+def vectors_up_to(caps, total):
+    """How many count vectors under ``caps`` hold at most ``total`` objects."""
+    return sum(1 for t in range(total + 1) for _ in count_vectors(caps, t))
+
+
 @pytest.mark.parametrize("case", sorted(WALKED_PAIRS))
 def test_settling_tests_no_more_than_the_walk_meets(case, monkeypatch):
-    """Settling fills the tables from the fewest objects up and stops at the
-    first failing entry, so a direction with early witnesses costs no more
-    containment tests than the walk meets count vectors; an association
-    too large for a table keeps none, and its direction is walked as it
-    would be without one."""
+    """Settling meets the entries by total and stops at the first failing
+    one, so per association it tests no more entries than there are count
+    vectors up to the start total; the walk starts there and meets no more
+    count vectors than there are up to its last witness's total. A table is
+    kept exactly where it fits: only an association without one is tested
+    twice on the same entry."""
     n, left, right = WALKED_PAIRS[case]
-    walked, parts = [], []
-    real_count_test, real_parts = cd_diff._count_test, cd_diff._containment_parts
+    cd1, cd2 = extends_chain(n, left), extends_chain(n, right)
+    _, caps, _ = search_space(cd1, cd2, 3)
+    first = count_test(cd1, cd2, 3)[1]
+    walked = []
+    real_count_test = cd_diff._count_test
 
-    def count_test(*args):
-        decide, is_settled = real_count_test(*args)
+    def counting_count_test(*args):
+        decide, start = real_count_test(*args)
 
         def counted(counts):
             walked.append(counts)
             return decide(counts)
 
-        return counted, is_settled
+        return counted, start
 
-    def containment_parts(*args):
-        made = real_parts(*args)
-        parts.extend(made)
-        return made
-
-    monkeypatch.setattr(cd_diff, "_count_test", count_test)
-    monkeypatch.setattr(cd_diff, "_containment_parts", containment_parts)
+    monkeypatch.setattr(cd_diff, "_count_test", counting_count_test)
     tests = counting(monkeypatch, "_contained")
-    result = cddiff(extends_chain(n, left), extends_chain(n, right), 3)
+    result = cddiff(cd1, cd2, 3)
     assert len(result.witnesses) == 10 and not result.exhausted
-    assert len(walked) < 200
-    assert 0 < len(tests) <= len(parts) * len(walked)
-    assert [table is None for _, _, table, _ in parts] == [n == 12] * len(parts)
+    last = len(result.witnesses[-1].objects)
+    settling, walk = vectors_up_to(caps, first), vectors_up_to(caps, last)
+    assert 0 < first <= last
+    assert len(walked) <= walk < 200
+    assert 0 < len(tests) <= len(cd1.associations) * (settling + walk)
+    repeated = len({(test[0], test[-1]) for test in tests}) < len(tests)
+    assert repeated == (n == 12)
 
 
-def test_an_association_without_a_table_is_walked(monkeypatch):
+def test_an_association_without_a_table_still_settles(monkeypatch):
+    """Settling keeps no memory of its own, so an association too large for
+    a table settles its direction by testing each entry once."""
     monkeypatch.setattr(cd_diff, "MAX_TABLE_ENTRIES", 8)
-    a = diagram("class A; class B; association r [*] A -- B [*];")
-    assert settled(a, a, 1)  # 4 entries
-    assert not settled(a, a, 2)  # 9 entries
-    walked = counting(monkeypatch, "count_vectors")
+    a = diagram("class A; class B; association r [*] A -- B [*];")  # 9 entries at k=2
+    labelled = counting(monkeypatch, "objects_for_counts")
+    tests = counting(monkeypatch, "_contained")
     assert cddiff(a, a, 2) == DiffResult([], True)
-    assert walked == [([2, 2], total) for total in range(5)]
+    assert labelled == []
+    assert sorted(test[-1] for test in tests) == [(i, j) for i in range(3) for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
