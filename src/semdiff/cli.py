@@ -108,7 +108,7 @@ def history_report(
     return tuple(rows)
 
 
-def _cmd_cd_diff(args, out, err) -> int:
+def _cmd_cd_diff(args, out) -> int:
     cd1 = _load(args.left, parse_cd)
     cd2 = _load(args.right, parse_cd)
     result = cddiff(cd1, cd2, args.bound, args.max_witnesses)
@@ -117,7 +117,7 @@ def _cmd_cd_diff(args, out, err) -> int:
     return 1 if result.witnesses else 0
 
 
-def _cmd_cd_compare(args, out, err) -> int:
+def _cmd_cd_compare(args, out) -> int:
     cd1 = _load(args.left, parse_cd)
     cd2 = _load(args.right, parse_cd)
     verdict = compare_cd(cd1, cd2, args.bound)
@@ -125,7 +125,7 @@ def _cmd_cd_compare(args, out, err) -> int:
     return 0 if verdict.value is VerdictValue.EQUIVALENT else 1
 
 
-def _cmd_ad_diff(args, out, err) -> int:
+def _cmd_ad_diff(args, out) -> int:
     ad1 = _load(args.left, parse_ad)
     ad2 = _load(args.right, parse_ad)
     result = addiff(ad1, ad2, args.max_witnesses, args.max_len)
@@ -134,7 +134,7 @@ def _cmd_ad_diff(args, out, err) -> int:
     return 1 if result.witnesses else 0
 
 
-def _cmd_ad_compare(args, out, err) -> int:
+def _cmd_ad_compare(args, out) -> int:
     ad1 = _load(args.left, parse_ad)
     ad2 = _load(args.right, parse_ad)
     verdict = compare_ad(ad1, ad2)
@@ -142,97 +142,78 @@ def _cmd_ad_compare(args, out, err) -> int:
     return 0 if verdict.value is VerdictValue.EQUIVALENT else 1
 
 
-def _cmd_history(args, out, err) -> int:
+def _cmd_history(args, out) -> int:
     rows = history_report(args.files, args.kind, args.bound)
     out.write(render_history(rows, OutputFormat(args.format)))
     clean = all(r.verdict.value is VerdictValue.EQUIVALENT for r in rows)
     return 0 if clean else 1
 
 
-def _cmd_render_om(args, out, err) -> int:
+def _cmd_render_om(args, out) -> int:
     om = _load(args.file, parse_om)
     out.write(render_om(om, OutputFormat(args.format)))
     return 0
 
 
-def _cmd_render_trace(args, out, err) -> int:
+def _cmd_render_trace(args, out) -> int:
     ad = _load(args.ad_file, parse_ad)
     trace = _load(args.trace_file, parse_trace)
     out.write(render_trace(ad, trace, OutputFormat(args.format)))
     return 0
 
 
-def _add_format(parser, choices=("text", "dot", "json")) -> None:
-    parser.add_argument("--format", choices=list(choices), default="text")
-
-
-def build_parser():
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process; parsing leaves it unchanged."""
     import argparse  # here, not at the top: only a command line needs it
+
+    def parent(*names, **options):
+        # Arguments that several commands share; a command lists its parents in help order.
+        shared = argparse.ArgumentParser(add_help=False)
+        for name in names:
+            shared.add_argument(name, **options)
+        return shared
+
+    pair = parent("left", "right")
+    bound = parent("--bound", type=int, default=DEFAULT_BOUND, metavar="K")
+    witnesses = parent("--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES, metavar="N")
+    max_len = parent("--max-len", type=int, default=None, metavar="L")
+    fmt = parent("--format", choices=["text", "dot", "json"], default="text")
 
     parser = argparse.ArgumentParser(
         prog="semdiff", description="Semantic differencing of class and activity diagrams."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cd = sub.add_parser("cd", help="class diagram commands")
-    cd_sub = cd.add_subparsers(dest="subcommand", required=True)
-    cd_diff = cd_sub.add_parser("diff", help="object models of A that are not instances of B")
-    cd_diff.add_argument("left")
-    cd_diff.add_argument("right")
-    cd_diff.add_argument("--bound", type=int, default=DEFAULT_BOUND, metavar="K")
-    cd_diff.add_argument(
-        "--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES, metavar="N"
-    )
-    _add_format(cd_diff)
-    cd_diff.set_defaults(handler=_cmd_cd_diff)
-    cd_cmp = cd_sub.add_parser("compare", help="four-valued verdict up to the bound")
-    cd_cmp.add_argument("left")
-    cd_cmp.add_argument("right")
-    cd_cmp.add_argument("--bound", type=int, default=DEFAULT_BOUND, metavar="K")
-    cd_cmp.set_defaults(handler=_cmd_cd_compare)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    ad = sub.add_parser("ad", help="activity diagram commands")
-    ad_sub = ad.add_subparsers(dest="subcommand", required=True)
-    ad_diff = ad_sub.add_parser("diff", help="traces of A that are not traces of B")
-    ad_diff.add_argument("left")
-    ad_diff.add_argument("right")
-    ad_diff.add_argument(
-        "--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES, metavar="N"
-    )
-    ad_diff.add_argument("--max-len", type=int, default=None, metavar="L")
-    _add_format(ad_diff)
-    ad_diff.set_defaults(handler=_cmd_ad_diff)
-    ad_cmp = ad_sub.add_parser("compare", help="exact four-valued verdict")
-    ad_cmp.add_argument("left")
-    ad_cmp.add_argument("right")
-    ad_cmp.set_defaults(handler=_cmd_ad_compare)
+    def command(subs, name, help, handler, *parents):
+        cmd = subs.add_parser(name, help=help, parents=parents)
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    hist = sub.add_parser("history", help="compare consecutive versions of one model")
+    cd = group("cd", "class diagram commands")
+    command(cd, "diff", "object models of A that are not instances of B", _cmd_cd_diff,
+            pair, bound, witnesses, fmt)
+    command(cd, "compare", "four-valued verdict up to the bound", _cmd_cd_compare, pair, bound)
+
+    ad = group("ad", "activity diagram commands")
+    command(ad, "diff", "traces of A that are not traces of B", _cmd_ad_diff,
+            pair, witnesses, max_len, fmt)
+    command(ad, "compare", "exact four-valued verdict", _cmd_ad_compare, pair)
+
+    hist = command(sub, "history", "compare consecutive versions of one model", _cmd_history, bound)
     hist.add_argument("kind", choices=["cd", "ad"])
     hist.add_argument("files", nargs="+", metavar="FILE")
-    hist.add_argument("--bound", type=int, default=DEFAULT_BOUND, metavar="K")
-    _add_format(hist, choices=("text", "json"))
-    hist.set_defaults(handler=_cmd_history)
+    hist.add_argument("--format", choices=["text", "json"], default="text")
 
-    render = sub.add_parser("render", help="render a model or witness on its own")
-    render_sub = render.add_subparsers(dest="subcommand", required=True)
-    om_cmd = render_sub.add_parser("om", help="render an object model")
-    om_cmd.add_argument("file")
-    _add_format(om_cmd)
-    om_cmd.set_defaults(handler=_cmd_render_om)
-    trace_cmd = render_sub.add_parser("trace", help="render a trace over its diagram")
-    trace_cmd.add_argument("ad_file")
-    trace_cmd.add_argument("trace_file")
-    _add_format(trace_cmd)
-    trace_cmd.set_defaults(handler=_cmd_render_trace)
-
+    render = group("render", "render a model or witness on its own")
+    command(render, "om", "render an object model", _cmd_render_om, fmt).add_argument("file")
+    trace = command(render, "trace", "render a trace over its diagram", _cmd_render_trace, fmt)
+    trace.add_argument("ad_file")
+    trace.add_argument("trace_file")
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser():
-    """The parser, built once per process; parsing leaves it unchanged."""
-    return build_parser()
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -248,7 +229,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         for dest, least in _LEAST:
             value = getattr(args, dest, None)
             _check(value is None or value >= least, f"--{dest.replace('_', '-')} must be >= {least}")
-        return args.handler(args, out, err)
+        return args.handler(args, out)
     except CliError as exc:
         for message in exc.messages:
             print(message, file=err)

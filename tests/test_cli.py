@@ -384,6 +384,21 @@ def test_help_goes_to_the_given_stdout(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+with open(fixture_path("cli_help.json"), encoding="utf-8") as _f:
+    HELP_CASES = json.load(_f)
+
+
+@pytest.mark.parametrize(
+    "case", HELP_CASES, ids=lambda case: " ".join(case["argv"]) or "(no arguments)"
+)
+def test_help_and_usage_bytes_are_pinned(case, monkeypatch):
+    # The -h text of every parser, the usage error of every command run with
+    # no arguments, and both --format choice errors, byte for byte. argparse
+    # wraps to the terminal width, so fix it.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert go(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "semdiff", "cd", "compare",
