@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from itertools import chain, combinations, product
-from math import prod
 from operator import itemgetter
 
 from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
@@ -48,7 +47,6 @@ from .cd_semantics import (
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
 DEFAULT_BOUND = 3
-MAX_TABLE_ENTRIES = 4096  # the most one association's containment table holds
 
 LinkSet = tuple[Link, ...]
 
@@ -188,10 +186,11 @@ def _count_test(
     The containment test of an association reads only the counts of its
     roles, the classes in its four end closures, ``cd1``'s and ``cd2``'s:
     the test's sums run over ``cd1``'s ends, and a class outside them is no
-    end of either diagram's association. So its answers are kept in a table
-    keyed by the roles' counts (an entry), unless the table could outgrow
-    ``MAX_TABLE_ENTRIES``: on an ``extends`` chain the roles can span every
-    class, and such a table would hold one entry per count vector walked.
+    end of either diagram's association. Roles that lie in the same ends are
+    interchangeable for it, so it reads only each such group's total. Its
+    answers are kept in a table keyed by those totals (an entry), which
+    holds at most the product over the groups of their caps plus one: the
+    classes of an ``extends`` chain below an end fall into one group.
 
     The start total is 0 unless
 
@@ -206,7 +205,7 @@ def _count_test(
     start total is that of the first entry that fails, met by total, fewest
     objects first, all associations at one total before the next; or
     ``sum(caps) + 1``, settling the direction, when every entry up to its
-    roles' caps passes. A count vector of a smaller total projects onto
+    groups' caps passes. A count vector of a smaller total projects onto
     entries of no larger total, which all pass. ``decide`` reads the tables
     this fills.
     """
@@ -229,27 +228,26 @@ def _count_test(
             if not b.left_mult.admits(0):
                 barred |= _members(cd2, b.right_class, index)
     # Per association: the key that reads its entry off a count vector, its
-    # roles' caps, its table (None when it keeps none), and the arguments of
-    # ``_contained`` before the entry, its ends as positions among the roles.
+    # groups' caps (the entry of ``caps``), its table, and the arguments of
+    # ``_contained`` before the entry, its ends as positions among the groups.
     parts = []
     for a, b in pairs:
-        ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index)]
-        if b is None:
-            ends += [set(), set()]
-        else:
-            ends += [_members(cd2, b.left_class, index), _members(cd2, b.right_class, index)]
+        ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index), set(), set()]
+        if b is not None:
+            ends[2:] = _members(cd2, b.left_class, index), _members(cd2, b.right_class, index)
+        left1, right1, left2, right2 = ends
         roles = sorted(set().union(*ends))
-        position = {i: j for j, i in enumerate(roles)}
-        # ``itemgetter`` of one position gives a count, not a tuple.
-        key = itemgetter(*roles) if len(roles) > 1 else lambda counts, r=roles: tuple(counts[i] for i in r)
-        role_caps = [caps[i] for i in roles]
-        table = {} if prod(cap + 1 for cap in role_caps) <= MAX_TABLE_ENTRIES else None
-        parts.append((key, role_caps, table, (a, b, *({position[i] for i in end} for end in ends))))
+        groups: dict[tuple[bool, ...], list[int]] = {}  # the roles, by the ends that hold them
+        for i in roles:
+            groups.setdefault((i in left1, i in right1, i in left2, i in right2), []).append(i)
+        # Where each group is one class, ``itemgetter`` reads the entry fastest.
+        key = (itemgetter(*roles) if len(groups) == len(roles) > 1
+               else lambda counts, m=tuple(groups.values()): tuple(sum(counts[i] for i in g) for g in m))
+        test = (a, b, *({j for j, held in enumerate(groups) if held[e]} for e in range(4)))
+        parts.append((key, key(caps), {}, test))
 
     def passes(part: tuple, entry: tuple[int, ...]) -> bool:
         _, _, table, test = part
-        if table is None:
-            return _contained(*test, entry)
         ok = table.get(entry)
         if ok is None:
             ok = table[entry] = _contained(*test, entry)
@@ -265,7 +263,7 @@ def _count_test(
     capped = {i for i, cap in enumerate(caps) if cap}
     if barred & capped or not {s & capped for s in singletons2} <= {s & capped for s in singletons1}:
         return decide, 0
-    most = max((sum(role_caps) for _, role_caps, _, _ in parts), default=0)
+    most = max((sum(group_caps) for _, group_caps, _, _ in parts), default=0)
     failing = (
         total
         for total in range(most + 1)
@@ -293,9 +291,9 @@ def _contained(
     """Sound, incomplete test that every link set ``a`` admits over the
     objects of ``counts`` also satisfies ``b``: ``a``'s end classes lie inside
     ``b``'s end closures and their possible degrees inside ``b``'s
-    multiplicities. ``left1`` .. ``right2`` are the classes in ``a``'s and
-    ``b``'s end closures, as positions in ``counts``, which holds the counts
-    of those classes alone."""
+    multiplicities. ``left1`` .. ``right2`` are ``a``'s and ``b``'s end
+    closures as positions in ``counts``, which holds the totals of groups of
+    classes that lie in the same ends."""
     sources = sum(counts[i] for i in left1)
     targets = sum(counts[i] for i in right1)
     linkable = sources > 0 and targets > 0 and a.right_mult.max != 0 and a.left_mult.max != 0

@@ -10,6 +10,7 @@ small enough that exhaustive filtering stays fast.
 from __future__ import annotations
 
 import random
+import re
 
 from oracles import compatible_pairs, populations, reference_words, vocabulary_of
 from semdiff import build_config_nfa, input_valuations, parse_ad, parse_cd
@@ -55,12 +56,32 @@ def enumeration_space(vocab, k: int, cap: int) -> int:
     return size
 
 
-def random_cd_pair(rng: random.Random, k: int, space_cap: int = 30000):
+def with_twins(rng: random.Random, texts: list[str]) -> list[str]:
+    """``texts`` with ``class Xt extends X;`` for one or two of their
+    classes X, in both diagrams or in one. Xt lies in every end closure X
+    lies in, so where both diagrams hold it, the two classes are
+    interchangeable for an association's containment test."""
+    declared = [set(re.findall(r"\bclass (\w+)", text)) for text in texts]
+    texts = list(texts)
+    pool = sorted(declared[0] | declared[1])
+    for x in rng.sample(pool, min(rng.choice((1, 2)), len(pool))):
+        sides = [i for i in (0, 1) if x in declared[i]]
+        if len(sides) == 2 and rng.random() < 0.5:
+            sides = [rng.choice(sides)]
+        for i in sides:
+            texts[i] = texts[i][:texts[i].rindex("}")] + f"  class {x}t extends {x};\n}}\n"
+    return texts
+
+
+def random_cd_pair(rng: random.Random, k: int, space_cap: int = 30000, twins: bool = False):
     """Two diagrams over a shared class pool whose joint enumeration space at
-    bound ``k`` stays under ``space_cap`` models."""
+    bound ``k`` stays under ``space_cap`` models, grown ``with_twins`` when
+    ``twins``."""
     while True:
-        cd1 = parse_cd(random_cd_text(rng, "g1"))
-        cd2 = parse_cd(random_cd_text(rng, "g2"))
+        texts = [random_cd_text(rng, "g1"), random_cd_text(rng, "g2")]
+        if twins:
+            texts = with_twins(rng, texts)
+        cd1, cd2 = map(parse_cd, texts)
         if enumeration_space(vocabulary_of(cd1, cd2), k, space_cap) <= space_cap:
             return cd1, cd2
 

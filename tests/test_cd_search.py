@@ -11,11 +11,14 @@ cap. These tests hold that design to what the search did before it:
   from has a witness by that reference, so a direction it settles (starts
   past its last total) has none; each settling condition refuses on its
   own, and a settled direction labels no object;
-- no direction tests the containment of an association with a table twice
-  on the same counts of its end classes; settling and the walk together
-  test no more of them than there are count vectors up to the start total
-  and up to the last witness; an association too large for a table still
-  settles;
+- no direction tests the containment of an association twice on the same
+  entry, the totals of its role groups (the classes in its end closures,
+  grouped by the ends that hold them); settling and the walk together test
+  no more entries than there are count vectors up to the start total and up
+  to the last witness; on an ``extends`` chain, whose classes below an end
+  form one group, a direction settles on a few hundred entries;
+- with twin classes (``class Xt extends X;``), the count test, ``cddiff``
+  and ``compare_cd`` agree with the object scan and the brute-force oracle;
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
   fixtures and 400 seeded pairs hashes to the outputs recorded in
   ``fixtures/cd_diff_outputs.json``;
@@ -38,10 +41,11 @@ from helpers import reference_count_decision
 from semdiff import cd_diff
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, parse_cd
-from semdiff.cd_semantics import count_vectors, object_id_prefixes, objects_for_counts, print_om
-from semdiff.verdict import DiffResult
+from semdiff.cd_semantics import count_vectors, is_instance, object_id_prefixes, objects_for_counts, print_om
+from semdiff.verdict import DiffResult, Verdict
 
 from conftest import FIXTURES, fixture_text
+from oracles import reference_object_models, vocabulary_of
 
 OUTPUTS = FIXTURES / "cd_diff_outputs.json"
 UNCAPPED = 10**9
@@ -231,7 +235,6 @@ def test_each_projection_is_tested_once_per_direction(monkeypatch):
 
     monkeypatch.setattr(cd_diff, "_contained", contained)
     rng = random.Random(2202)
-    # Every association here keeps a table: none has more than 64 entries.
     pairs = [(*generators.random_cd_pair(rng, k), k) for k in (0, 1, 2, 3) * 50]
     pairs += [(parse_cd(chain_text(n)), parse_cd(chain_text(n, tight=True)), 2) for n in (3, 4, 5)]
     total = 0
@@ -246,10 +249,11 @@ def test_each_projection_is_tested_once_per_direction(monkeypatch):
     assert total > 1000, total
 
 
-def role_caps(cd1, cd2, k):
-    """The caps of each association's roles: the classes in its end
-    closures in ``cd1`` and in ``cd2``, in class order."""
-    classes, caps, _ = search_space(cd1, cd2, k)
+def role_groups(cd1, cd2):
+    """Each association's roles, the classes in its end closures in ``cd1``
+    and in ``cd2``, in class order, grouped by the ends that hold them; the
+    groups in the order of their first class."""
+    classes = sorted({c.name for cd in (cd1, cd2) for c in cd.classes})
     decls2 = {b.name: b for b in cd2.associations}
     result = []
     for a in cd1.associations:
@@ -257,9 +261,20 @@ def role_caps(cd1, cd2, k):
         b = decls2.get(a.name)
         if b is not None:
             ends += [cd2.closures[b.left_class], cd2.closures[b.right_class]]
-        roles = set().union(*ends)
-        result.append([cap for c, cap in zip(classes, caps) if c in roles])
+        groups = {}
+        for c in classes:
+            held = tuple(c in end for end in ends)
+            if any(held):
+                groups.setdefault(held, []).append(c)
+        result.append(list(groups.values()))
     return result
+
+
+def group_caps(cd1, cd2, k):
+    """The caps of each association's role groups, in group order."""
+    classes, caps, _ = search_space(cd1, cd2, k)
+    cap = dict(zip(classes, caps))
+    return [tuple(sum(cap[c] for c in group) for group in groups) for groups in role_groups(cd1, cd2)]
 
 
 def test_a_settled_direction_labels_no_object(monkeypatch):
@@ -274,8 +289,8 @@ def test_a_settled_direction_labels_no_object(monkeypatch):
                 counted.clear()
                 assert cddiff(a, b, k, UNCAPPED) == DiffResult([], True)
                 assert labelled == built == []
-                # Only settling counts, over one association's roles at a time.
-                assert all(caps in role_caps(a, b, k) for caps, _ in counted)
+                # Only settling counts, over one association's groups at a time.
+                assert all(caps in group_caps(a, b, k) for caps, _ in counted)
     assert fired >= 50
     tight, loose = parse_cd(chain_text(30, tight=True)), parse_cd(chain_text(30))
     counted.clear()
@@ -291,8 +306,9 @@ def extends_chain(n, body):
 
 
 # (chain length, left body, right body), diffed at k=3. The roles of an
-# association on C0 or C1 span the chain; at k=3 they make 4096 entries for 6
-# classes, and 4^12, more than a table holds, for 12.
+# association on C0 or C1 span the chain, but fall into at most two groups,
+# C0 and the classes below C1, so at k=3 their entries number 4 * (3n - 2)
+# where per-class counts would make 4^n.
 WALKED_PAIRS = {
     # r fails from one C0 on.
     "6-classes": (6, "association r [*] C0 -- C0 [*];", "association r [*] C1 -- C1 [*];"),
@@ -317,9 +333,8 @@ def test_settling_tests_no_more_than_the_walk_meets(case, monkeypatch):
     """Settling meets the entries by total and stops at the first failing
     one, so per association it tests no more entries than there are count
     vectors up to the start total; the walk starts there and meets no more
-    count vectors than there are up to its last witness's total. A table is
-    kept exactly where it fits: only an association without one is tested
-    twice on the same entry."""
+    count vectors than there are up to its last witness's total. Every
+    association keeps a table, so none is tested twice on the same entry."""
     n, left, right = WALKED_PAIRS[case]
     cd1, cd2 = extends_chain(n, left), extends_chain(n, right)
     _, caps, _ = search_space(cd1, cd2, 3)
@@ -345,20 +360,61 @@ def test_settling_tests_no_more_than_the_walk_meets(case, monkeypatch):
     assert 0 < first <= last
     assert len(walked) <= walk < 200
     assert 0 < len(tests) <= len(cd1.associations) * (settling + walk)
-    repeated = len({(test[0], test[-1]) for test in tests}) < len(tests)
-    assert repeated == (n == 12)
+    assert len({(test[0], test[-1]) for test in tests}) == len(tests)
 
 
-def test_an_association_without_a_table_still_settles(monkeypatch):
-    """Settling keeps no memory of its own, so an association too large for
-    a table settles its direction by testing each entry once."""
-    monkeypatch.setattr(cd_diff, "MAX_TABLE_ENTRIES", 8)
-    a = diagram("class A; class B; association r [*] A -- B [*];")  # 9 entries at k=2
+@pytest.mark.parametrize("n, entries", ((12, 136), (30, 352)))
+def test_a_chain_direction_settles_on_its_group_totals(n, entries, monkeypatch):
+    """From the diagram with r on C1, r's roles are C0, in B's ends only,
+    and C1 .. C(n-1), in all four: two groups, with caps 3 and 3(n - 1) at
+    k=3. So settling tests 4 * (3n - 2) entries, each once, where per-class
+    counts made 4^n (16,777,216 for 12 classes)."""
+    c0 = extends_chain(n, "association r [*] C0 -- C0 [*];")
+    c1 = extends_chain(n, "association r [*] C1 -- C1 [*];")
     labelled = counting(monkeypatch, "objects_for_counts")
     tests = counting(monkeypatch, "_contained")
-    assert cddiff(a, a, 2) == DiffResult([], True)
+    assert cddiff(c1, c0, 3) == DiffResult([], True)
     assert labelled == []
-    assert sorted(test[-1] for test in tests) == [(i, j) for i in range(3) for j in range(3)]
+    assert len(tests) == entries
+    assert sorted(test[-1] for test in tests) == [(i, j) for i in range(4) for j in range(3 * (n - 1) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# interchangeable twins
+
+TWIN_PAIRS = 200
+TWIN_SPACE_CAP = 3000  # the oracle models a pair may list, each checked in both diagrams
+
+
+def test_twin_classes_keep_every_answer():
+    """Pairs grown with twin classes, whose roles share groups: the count
+    test decides each count vector as the object scan, none below its start
+    total has a witness, and ``cddiff`` and ``compare_cd`` answer as the
+    brute-force oracle."""
+    rng = random.Random(2501)
+    grouped = 0
+    for _ in range(TWIN_PAIRS):
+        k = rng.choice((1, 2))
+        cd1, cd2 = generators.random_cd_pair(rng, k, TWIN_SPACE_CAP, twins=True)
+        grouped += any(
+            len(group) > 1 for a, b in ((cd1, cd2), (cd2, cd1)) for groups in role_groups(a, b) for group in groups
+        )
+        models = reference_object_models(vocabulary_of(cd1, cd2), k)
+        member = {cd: [is_instance(om, cd)[0] for om in models] for cd in (cd1, cd2)}
+        differs = []
+        for a, b in ((cd1, cd2), (cd2, cd1)):
+            classes, _, counts_list = search_space(a, b, k)
+            prefixes = object_id_prefixes(classes)
+            decide, first = count_test(a, b, k)
+            for counts in counts_list:
+                decision = reference_count_decision(objects_for_counts(classes, prefixes, counts), a, b)
+                assert decide(counts) == decision, (a, b, counts)
+                assert decision == () or sum(counts) >= first, (a, b, counts)
+            expected = [om for om, ok1, ok2 in zip(models, member[a], member[b]) if ok1 and not ok2]
+            assert cddiff(a, b, k, UNCAPPED) == DiffResult(expected, True), (a, b, k)
+            differs.append(bool(expected))
+        assert compare_cd(cd1, cd2, k) == Verdict.of(*differs, bounded=True), (cd1, cd2, k)
+    assert grouped >= TWIN_PAIRS // 4, grouped
 
 
 # ---------------------------------------------------------------------------
