@@ -68,7 +68,11 @@ def cddiff(
         raise ValueError("max_witnesses must be >= 1")
     witnesses: list[ObjectModel] = []
     exhausted = True
-    for total, max_total, vectors in _witness_levels(cd1, cd2, k):
+    for vectors in _witness_levels(cd1, cd2, k):
+        # A further level may hold a witness past the cap; it is built only as read.
+        if len(witnesses) >= max_witnesses:
+            exhausted = False
+            break
         # The count vectors of one level give object blocks of one length, so
         # those blocks alone order their models' texts; links only order the
         # models of one count vector. One witness past the cap settles
@@ -77,9 +81,6 @@ def cddiff(
             witnesses.extend(sorted(models, key=print_om))
             if len(witnesses) > max_witnesses:
                 break
-        if len(witnesses) >= max_witnesses and total < max_total:
-            exhausted = False
-            break
     if len(witnesses) > max_witnesses:
         witnesses = witnesses[:max_witnesses]
         exhausted = False
@@ -96,7 +97,7 @@ def compare_cd(cd1: ClassDiagram, cd2: ClassDiagram, k: int = DEFAULT_BOUND) -> 
     _check_bound(k)
     differs = []
     for a, b in ((cd1, cd2), (cd2, cd1)):
-        first = next((om for _, _, vectors in _witness_levels(a, b, k)
+        first = next((om for vectors in _witness_levels(a, b, k)
                       for _, models in vectors for om in models), None)
         if first is not None:
             _check_witnesses([first], a, b)
@@ -123,11 +124,9 @@ Decision = tuple[int, ...] | None  # a count vector's, as ``_count_test`` gives 
 Pairs = list[tuple[Association, Association | None]]  # A's associations by name, each with B's
 
 
-def _witness_levels(
-    cd1: ClassDiagram, cd2: ClassDiagram, k: int
-) -> Iterator[tuple[int, int, Iterator[Vector]]]:
-    """Yield (total, max_total, count vectors at total) over the sorted class
-    names of both diagrams, smallest total first.
+def _witness_levels(cd1: ClassDiagram, cd2: ClassDiagram, k: int) -> Iterator[Iterator[Vector]]:
+    """Yield the count vectors of each total over the sorted class names of
+    both diagrams, one level per total, smallest total first.
 
     Each count vector is decided from its counts alone (``_count_test``).
     Only a count vector that may hold witnesses is labelled with objects
@@ -162,7 +161,7 @@ def _witness_levels(
                 yield objects, models(objects, listed)
 
     for total in range(first, max_total + 1):
-        yield total, max_total, level(total)
+        yield level(total)
 
 
 def _count_test(

@@ -23,7 +23,7 @@ from .lexer import IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
 Link = tuple[str, str, str]  # (association, source object, target object)
 
 
-class ObjectModel(Record, frozen=False):
+class ObjectModel(Record):
     name: str
     objects: dict[str, str]  # object id -> class name
     links: frozenset[Link]

@@ -8,58 +8,59 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+# Sets every field: writing ``self.__dict__`` costs CPython its inline attribute values.
+_set = object.__setattr__
 
 
 class Record:
-    """A value type whose fields are its class's own annotations, in order.
+    """An immutable value type whose fields are its class's own annotations, in order.
 
-    A class attribute of a field's name is that field's default. A field
-    named ``pos`` is a source position and is never compared: ``==`` and
-    ``hash`` leave it out. Each subclass gets ``__init__``, ``__eq__``,
-    ``__repr__`` and, unless declared with ``frozen=False``, ``__hash__`` and
-    a ``__setattr__`` that raises ``AttributeError``; the four methods behave
-    as ``dataclasses`` writes them, without importing it. A mutable record is
-    unhashable.
+    A class attribute of a field's name is its default. A field named ``pos``
+    is a source position, which ``==`` and ``hash`` leave out. Records of two
+    classes are never equal, and a record holding a dict or a list is unhashable.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    _fields: tuple[str, ...]  # each subclass's own annotations
+    _compared: tuple[str, ...]  # its fields but ``pos``
+
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        defaults = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
-        params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in defaults else f for f in fields)
-        # Set through object.__setattr__ (frozen) or plain assignment, never
-        # through self.__dict__, which costs CPython its inline attribute values.
-        sets = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in fields]
-        compared = [f for f in fields if f != "pos"]
-        mine = "".join(f"self.{f}," for f in compared)
-        theirs = "".join(f"other.{f}," for f in compared)
-        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
-        source = (
-            f"def __init__(self, {params}):\n"
-            + "".join(f"    {s}\n" for s in sets)
-            + "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            f"    return hash(({mine}))\n"
-            "def __repr__(self):\n"
-            f"    return self.__class__.__qualname__ + f\"({shown})\"\n"
-        )
-        namespace = {"_set": object.__setattr__, **defaults}
-        exec(source, namespace)
-        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-            setattr(cls, name, namespace[name])
-        if frozen:
-            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        else:
-            cls.__hash__ = None
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f != "pos")
+
+    def __init__(self, *args, **kwargs):
+        cls = self.__class__
+        fields = cls._fields
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in cls.__dict__:
+                _set(self, name, cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(fields)}, each once")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            compared = self._compared
+            return [getattr(self, f) for f in compared] == [getattr(other, f) for f in compared]
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._compared]))
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Diagnostic(Record):

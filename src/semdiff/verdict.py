@@ -10,7 +10,7 @@ from .lexer import Record
 DEFAULT_MAX_WITNESSES = 10
 
 
-class DiffResult(Record, frozen=False):
+class DiffResult(Record):
     """Witnesses of model A that model B rejects, in the engine's order;
     ``exhausted`` is True only when no witness was cut off by a cap, a bound
     or a length limit."""

@@ -1,3 +1,6 @@
+import pickle
+import sys
+
 import pytest
 
 from semdiff.ad_lang import (
@@ -131,9 +134,17 @@ def nested_guard_diagram(guard):
 
 
 def test_guard_nesting_up_to_the_limit_parses():
-    # 50 negations inside 50 parentheses, and a conjunction 100 levels deep
+    # 50 negations inside 50 parentheses, and a conjunction 100 levels deep.
+    # The records' hash, ==, pickling and repr recurse once per level or more,
+    # and the parser's bound keeps them inside the default recursion limit.
+    assert sys.getrecursionlimit() == 1000
     for guard in ("!(" * 50 + "p" + ")" * 50, " && ".join(["p"] * 100)):
-        parse_ad(nested_guard_diagram(guard))
+        text = nested_guard_diagram(guard)
+        ad, again = parse_ad(text), parse_ad(text)
+        copy = pickle.loads(pickle.dumps(ad))
+        assert ad == again == copy
+        assert hash(ad) == hash(again) == hash(copy)
+        assert repr(copy) == repr(ad)
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,10 @@ No module imports a ``_``-prefixed name from a sibling, and the command-line
 front end leaves every choice of output format to ``render``: it imports no
 per-format renderer and names no ``OutputFormat`` member. The test oracles
 take only data types and ``print_om`` from ``semdiff``, and the package's
-public names are pinned. ``import semdiff`` loads every module of the package
-and none of the costly standard modules, which only a command line needs, and
-every annotation in the package still resolves with ``typing.get_type_hints``.
+public names are pinned. No module calls ``exec``, ``eval`` or ``compile``.
+``import semdiff`` loads every module of the package and none of the costly
+standard modules, which only a command line needs, and every annotation in
+the package still resolves with ``typing.get_type_hints``.
 """
 
 import ast
@@ -58,6 +59,17 @@ def sibling_imports(path):
 def test_no_module_imports_a_private_name(path):
     private = [f"{module}.{name}" for module, name in sibling_imports(path) if name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_exec_eval_or_compile(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        f"{node.func.id} at line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+    assert calls == []
 
 
 def test_cli_imports_no_per_format_renderer():

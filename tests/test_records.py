@@ -1,5 +1,6 @@
-"""Every value type is a ``lexer.Record``: equality, hashing, ``repr``,
-pickling and immutability behave as the ``dataclasses`` they replaced did.
+"""Every value type is a ``lexer.Record``: it is built from positional,
+keyword and default arguments, has an exact ``repr``, compares and hashes by
+its fields but ``pos``, pickles, and can be neither assigned nor deleted.
 
 Each case is (record, its exact ``repr``, the tuple its ``==`` and ``hash``
 compare: every field but ``pos``)."""
@@ -104,7 +105,7 @@ FROZEN = [
      ("a.ad", "b.ad", EQUIVALENT, 0, 0)),
 ]
 
-MUTABLE = [
+UNHASHABLE = [
     (DiffResult([Trace((("p", "true"),), ("a",))], False),
      "DiffResult(witnesses=[Trace(inputs=(('p', 'true'),), actions=('a',))], exhausted=False)"),
     (ObjectModel("om", {"a1": "A"}, frozenset({("r", "a1", "a1")})),
@@ -117,7 +118,7 @@ def case_id(case):
 
 
 def test_every_value_type_is_a_record():
-    types = {type(case[0]) for case in FROZEN + MUTABLE}
+    types = {type(case[0]) for case in FROZEN + UNHASHABLE}
     assert len(types) == 24 and all(issubclass(t, Record) for t in types)
 
 
@@ -136,16 +137,42 @@ def test_frozen_records_repr_compare_hash_and_pickle(record, text, key):
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("record, text", MUTABLE, ids=map(case_id, MUTABLE))
-def test_mutable_records_are_unhashable_and_assignable(record, text):
+@pytest.mark.parametrize("record, text", UNHASHABLE, ids=map(case_id, UNHASHABLE))
+def test_records_holding_a_dict_or_list_are_frozen_but_unhashable(record, text):
     assert repr(record) == text
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and repr(copy) == text
     with pytest.raises(TypeError):
         hash(record)
     field = next(iter(vars(record)))
-    setattr(copy, field, "changed")
-    assert getattr(copy, field) == "changed" and copy != record
+    with pytest.raises(AttributeError):
+        setattr(record, field, "changed")
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Edge("a"),
+    lambda: Edge(dst="b"),
+    lambda: Multiplicity(0, 1, 2),
+    lambda: Edge("a", "b", P, (1, 1), None),
+    lambda: Edge("a", "b", label="x"),
+    lambda: Edge("a", "b", src="c"),
+], ids=["missing", "missing-first", "too-many", "too-many-with-defaults", "unknown-keyword",
+        "positional-and-keyword"])
+def test_wrong_arguments_raise_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_defaults_fill_in_around_keyword_arguments():
+    edge = Edge("a", "b", pos=(3, 4))
+    assert (edge.guard, edge.pos) == (None, (3, 4))
+    assert repr(edge) == "Edge(src='a', dst='b', guard=None, pos=(3, 4))"
+    assert Edge(dst="b", src="a", guard=P) == Edge("a", "b", P, (9, 9))
+    assert VarDecl("q", VarKind.LOCAL, ("false", "true"), pos=(2, 1)).initial is None
+    assert Node("a", kind=NodeKind.ACTION).assignments == ()
 
 
 @pytest.mark.parametrize("make", [
