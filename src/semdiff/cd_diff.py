@@ -38,11 +38,11 @@ from .cd_semantics import (
     Link,
     ObjectModel,
     count_vectors,
-    is_instance,
     object_block,
     object_id_prefixes,
     objects_for_counts,
     print_om,
+    violations,
 )
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
@@ -111,10 +111,11 @@ def _check_bound(k: int) -> None:
 
 
 def _check_witnesses(witnesses: list[ObjectModel], cd1: ClassDiagram, cd2: ClassDiagram) -> None:
-    """Confirm that each witness instantiates ``cd1`` and not ``cd2``."""
+    """Confirm that each witness instantiates ``cd1`` and not ``cd2``; the
+    first violation on each side settles it."""
     for w in witnesses:
-        ok1, _ = is_instance(w, cd1)
-        ok2, _ = is_instance(w, cd2)
+        ok1 = next(violations(w, cd1), None) is None
+        ok2 = next(violations(w, cd2), None) is None
         if not ok1 or ok2:
             raise RuntimeError(f"diff search produced an unsound witness:\n{print_om(w)}")
 

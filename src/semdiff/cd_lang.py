@@ -74,6 +74,12 @@ class ClassDiagram(Record):
         """Each declared class's subclass closure (``closures_of``), built on first use."""
         return closures_of(self.extends, tuple(c.name for c in self.classes))
 
+    @cached_property
+    def membership(self):
+        """The membership check's tables (``cd_semantics.membership_table``), built on first use."""
+        from .cd_semantics import membership_table  # not at the top: it imports this module
+        return membership_table(self)
+
 
 # The keywords written before ``class``; a concrete class has none.
 _MODIFIERS = {m.value: m for m in ClassModifier if m is not ClassModifier.CONCRETE}

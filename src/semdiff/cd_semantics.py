@@ -4,6 +4,11 @@ An object model is a set of typed, named objects plus directed links. It
 counts as an instance of a diagram when every object's class is declared and
 concrete, singleton counts hold, link ends respect the subclass closures of
 the association ends, and link counts stay inside the multiplicities.
+``violations`` yields the ways a model breaks those rules, read from the
+diagram's membership table (``ClassDiagram.membership``), which is built on
+first use and kept on the diagram. ``is_instance`` lists them all; the diff's
+self-check reads only the first on each side. The check is written apart from
+the diff search: this module imports nothing from ``cd_diff``.
 
 An object model may hold objects of any class name, so when two diagrams are
 compared, an object of a class that only the other diagram declares simply
@@ -16,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
+from operator import itemgetter
 
-from .cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
+from .cd_lang import MANY, ClassDiagram, ClassModifier, Multiplicity
 from .lexer import IDENT, Diagnostic, ParseError, Record, TokenCursor, tokenize
 
 Link = tuple[str, str, str]  # (association, source object, target object)
@@ -97,68 +103,131 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
     Returns (ok, violations) where the violation list is exhaustive and
     deterministic, not just the first problem found.
     """
-    violations: list[Violation] = []
-    modifiers = {c.name: c.modifier for c in cd.classes}
-    closures = cd.closures
+    found = list(violations(om, cd))
+    return (not found, found)
 
-    for oid in sorted(om.objects):
-        cls = om.objects[oid]
-        mod = modifiers.get(cls)
-        if mod is None:
-            violations.append(Violation(
-                ViolationKind.UNKNOWN_CLASS, oid,
-                f"object '{oid}' has class '{cls}' not declared in '{cd.name}'"))
-        elif mod is ClassModifier.ABSTRACT:
-            violations.append(Violation(
-                ViolationKind.ABSTRACT_INSTANTIATED, oid,
-                f"object '{oid}' instantiates abstract class '{cls}'"))
 
-    class_counts = Counter(om.objects.values())
-    for decl in cd.classes:
-        if decl.modifier is not ClassModifier.SINGLETON:
-            continue
-        n = sum(class_counts[c] for c in closures[decl.name])
-        if n != 1:
-            violations.append(Violation(
-                ViolationKind.SINGLETON_COUNT, decl.name,
-                f"singleton class '{decl.name}' has {n} instances, expected exactly 1"))
+def violations(om: ObjectModel, cd: ClassDiagram) -> Iterator[Violation]:
+    """Each way ``om`` breaks ``cd``, in a fixed order: objects by id, then
+    singletons in declaration order, links in sorted order, and multiplicities
+    by association name, object id and end.
 
-    ends = {a.name: _ends(a) for a in cd.associations}
+    Each part is first checked in any order and sorted only to report what it
+    found, so the first ``next`` costs no more than deciding membership."""
+    table = cd.membership
+    objects = om.objects
+    if not table.instantiable.issuperset(objects.values()):
+        modifiers = table.modifiers
+        for oid in sorted(objects):
+            cls = objects[oid]
+            mod = modifiers.get(cls)
+            if mod is None:
+                yield Violation(
+                    ViolationKind.UNKNOWN_CLASS, oid,
+                    f"object '{oid}' has class '{cls}' not declared in '{cd.name}'")
+            elif mod is ClassModifier.ABSTRACT:
+                yield Violation(
+                    ViolationKind.ABSTRACT_INSTANTIATED, oid,
+                    f"object '{oid}' instantiates abstract class '{cls}'")
+
+    if table.singletons:
+        class_counts = Counter(objects.values())
+        for name, closure in table.singletons:
+            n = sum(class_counts[c] for c in closure)
+            if n != 1:
+                yield Violation(
+                    ViolationKind.SINGLETON_COUNT, name,
+                    f"singleton class '{name}' has {n} instances, expected exactly 1")
+
+    ends = table.ends
+    for assoc, src, dst in om.links:
+        assoc_ends = ends.get(assoc)
+        if (assoc_ends is None or objects.get(src) not in assoc_ends[0][2]
+                or objects.get(dst) not in assoc_ends[1][2]):
+            yield from _link_violations(om, cd.name, ends)
+            break
+
+    checks = table.checks
+    if not checks:
+        return
+    degrees = (Counter(map(_SOURCE, om.links)), Counter(map(_TARGET, om.links)))
+    failed = []
+    for oid, cls in objects.items():
+        for rank, end, assoc, mult in checks.get(cls, ()):
+            n = degrees[end][assoc, oid]
+            if not mult.admits(n):
+                failed.append(((rank, oid, end), n, assoc, mult))
+    failed.sort(key=itemgetter(0))
+    for (_, oid, end), n, assoc, mult in failed:
+        yield Violation(
+            ViolationKind.MULTIPLICITY, oid,
+            f"'{oid}' has {n} {_DIRECTIONS[end]} '{assoc}' links, allowed {mult}")
+
+
+def _link_violations(
+    om: ObjectModel, cd_name: str, ends: dict[str, tuple[End, End]]
+) -> Iterator[Violation]:
+    """The unknown associations and bad endpoints of ``om``'s links, in sorted link order."""
     for assoc, src, dst in sorted(om.links):
-        if assoc not in ends:
-            violations.append(Violation(
+        assoc_ends = ends.get(assoc)
+        if assoc_ends is None:
+            yield Violation(
                 ViolationKind.UNKNOWN_ASSOCIATION, assoc,
-                f"link uses association '{assoc}' not declared in '{cd.name}'"))
+                f"link uses association '{assoc}' not declared in '{cd_name}'")
             continue
-        for oid, (side, end_class, _, _) in zip((src, dst), ends[assoc]):
-            if om.objects.get(oid) not in closures[end_class]:
-                violations.append(Violation(
+        for oid, (side, end_class, closure) in zip((src, dst), assoc_ends):
+            if om.objects.get(oid) not in closure:
+                yield Violation(
                     ViolationKind.BAD_ENDPOINT, oid,
                     f"'{oid}' is not a '{end_class}' (or subclass), required at the"
-                    f" {side} end of '{assoc}'"))
-
-    degrees = Counter((assoc, "outgoing", src) for assoc, src, _ in om.links)
-    degrees.update((assoc, "incoming", dst) for assoc, _, dst in om.links)
-    for a in sorted(cd.associations, key=lambda x: x.name):
-        a_ends = _ends(a)
-        for oid in sorted(om.objects):
-            for _, end_class, direction, mult in a_ends:
-                if om.objects[oid] in closures[end_class]:
-                    n = degrees[a.name, direction, oid]
-                    if not mult.admits(n):
-                        violations.append(Violation(
-                            ViolationKind.MULTIPLICITY, oid,
-                            f"'{oid}' has {n} {direction} '{a.name}' links, allowed {mult}"))
-
-    return (not violations, violations)
+                    f" {side} end of '{assoc}'")
 
 
-def _ends(a: Association) -> tuple[tuple[str, str, str, Multiplicity], ...]:
-    """Each end of ``a``, left first: its side, its class, the direction of its
-    objects' links, and the opposite multiplicity, which bounds their number."""
-    return (
-        ("left", a.left_class, "outgoing", a.right_mult),
-        ("right", a.right_class, "incoming", a.left_mult),
+# A link's association and the object at its left (source) or right (target)
+# end; the degree of an object at an end counts the links it is there in.
+_SOURCE = itemgetter(0, 1)
+_TARGET = itemgetter(0, 2)
+_DIRECTIONS = ("outgoing", "incoming")
+
+End = tuple[str, str, frozenset[str]]  # side, end class, its subclass closure
+Check = tuple[int, int, str, Multiplicity]  # rank, end (0 left, 1 right), association, bound
+
+
+class MembershipTable(Record):
+    """What ``violations`` reads of a diagram, keyed by class and association
+    name: ``ClassDiagram.membership``, built once per diagram."""
+
+    modifiers: dict[str, ClassModifier]  # each declared class's modifier
+    instantiable: frozenset[str]  # the declared classes that are not abstract
+    singletons: tuple[tuple[str, frozenset[str]], ...]  # each singleton class, its closure
+    ends: dict[str, tuple[End, End]]  # each association's left and right end
+    # Per class, the multiplicities other than ``*`` that bound its objects'
+    # links, ranked by association name and end.
+    checks: dict[str, tuple[Check, ...]]
+
+
+def membership_table(cd: ClassDiagram) -> MembershipTable:
+    """``cd``'s membership table; ``ClassDiagram.membership`` builds it once and keeps it."""
+    closures = cd.closures
+    modifiers = {c.name: c.modifier for c in cd.classes}
+    checks: dict[str, list[Check]] = {}
+    for rank, a in enumerate(sorted(cd.associations, key=lambda a: a.name)):
+        # The multiplicity written at one end bounds the links of each object
+        # of the other end.
+        for end, (end_class, mult) in enumerate(((a.left_class, a.right_mult),
+                                                 (a.right_class, a.left_mult))):
+            if mult != MANY:
+                for cls in closures[end_class]:
+                    checks.setdefault(cls, []).append((rank, end, a.name, mult))
+    return MembershipTable(
+        modifiers,
+        frozenset(c for c, mod in modifiers.items() if mod is not ClassModifier.ABSTRACT),
+        tuple((c.name, closures[c.name]) for c in cd.classes
+              if c.modifier is ClassModifier.SINGLETON),
+        {a.name: (("left", a.left_class, closures[a.left_class]),
+                  ("right", a.right_class, closures[a.right_class]))
+         for a in cd.associations},
+        {cls: tuple(found) for cls, found in checks.items()},
     )
 
 

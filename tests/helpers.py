@@ -1,10 +1,10 @@
 """Test-only helpers: the README's model blocks, a structural DOT validator,
 complement and word membership for the complete deterministic ``Nfa`` that
 ``determinize`` returns, the character-loop reference for ``tokenize``, the
-quadratic reference for ``object_id_prefixes``, the object-scan reference
-for the class-diagram diff's count test, the reference config-NFA builder
-that ``build_config_nfa`` must agree with, and ``addiff`` with nothing
-shared between valuations."""
+quadratic reference for ``object_id_prefixes``, the per-call reference for
+``is_instance``, the object-scan reference for the class-diagram diff's
+count test, the reference config-NFA builder that ``build_config_nfa`` must
+agree with, and ``addiff`` with nothing shared between valuations."""
 
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from semdiff.ad_semantics import (
     input_valuations,
 )
 from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity
+from semdiff.cd_semantics import ObjectModel, Violation, ViolationKind
 from semdiff.lexer import EOF, IDENT, NAT, SYM, Diagnostic, ParseError, Token
 from semdiff.verdict import DiffResult
 
@@ -209,6 +210,79 @@ def _digit_extension(stem: str, base: str) -> bool:
         and tail.isascii()
         and tail.isdigit()
         and tail[0] != "0"
+    )
+
+
+# ---------------------------------------------------------------------------
+# class-diagram membership
+
+
+def reference_is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation]]:
+    """``cd_semantics.is_instance`` as first written: every call rebuilds the
+    diagram's dicts, sorts the objects again for each association and lists
+    every violation."""
+    violations: list[Violation] = []
+    modifiers = {c.name: c.modifier for c in cd.classes}
+    closures = cd.closures
+
+    for oid in sorted(om.objects):
+        cls = om.objects[oid]
+        mod = modifiers.get(cls)
+        if mod is None:
+            violations.append(Violation(
+                ViolationKind.UNKNOWN_CLASS, oid,
+                f"object '{oid}' has class '{cls}' not declared in '{cd.name}'"))
+        elif mod is ClassModifier.ABSTRACT:
+            violations.append(Violation(
+                ViolationKind.ABSTRACT_INSTANTIATED, oid,
+                f"object '{oid}' instantiates abstract class '{cls}'"))
+
+    class_counts = Counter(om.objects.values())
+    for decl in cd.classes:
+        if decl.modifier is not ClassModifier.SINGLETON:
+            continue
+        n = sum(class_counts[c] for c in closures[decl.name])
+        if n != 1:
+            violations.append(Violation(
+                ViolationKind.SINGLETON_COUNT, decl.name,
+                f"singleton class '{decl.name}' has {n} instances, expected exactly 1"))
+
+    ends = {a.name: _reference_ends(a) for a in cd.associations}
+    for assoc, src, dst in sorted(om.links):
+        if assoc not in ends:
+            violations.append(Violation(
+                ViolationKind.UNKNOWN_ASSOCIATION, assoc,
+                f"link uses association '{assoc}' not declared in '{cd.name}'"))
+            continue
+        for oid, (side, end_class, _, _) in zip((src, dst), ends[assoc]):
+            if om.objects.get(oid) not in closures[end_class]:
+                violations.append(Violation(
+                    ViolationKind.BAD_ENDPOINT, oid,
+                    f"'{oid}' is not a '{end_class}' (or subclass), required at the"
+                    f" {side} end of '{assoc}'"))
+
+    degrees = Counter((assoc, "outgoing", src) for assoc, src, _ in om.links)
+    degrees.update((assoc, "incoming", dst) for assoc, _, dst in om.links)
+    for a in sorted(cd.associations, key=lambda x: x.name):
+        a_ends = _reference_ends(a)
+        for oid in sorted(om.objects):
+            for _, end_class, direction, mult in a_ends:
+                if om.objects[oid] in closures[end_class]:
+                    n = degrees[a.name, direction, oid]
+                    if not mult.admits(n):
+                        violations.append(Violation(
+                            ViolationKind.MULTIPLICITY, oid,
+                            f"'{oid}' has {n} {direction} '{a.name}' links, allowed {mult}"))
+
+    return (not violations, violations)
+
+
+def _reference_ends(a: Association) -> tuple[tuple[str, str, str, Multiplicity], ...]:
+    """Each end of ``a``, left first: its side, its class, the direction of its
+    objects' links, and the opposite multiplicity, which bounds their number."""
+    return (
+        ("left", a.left_class, "outgoing", a.right_mult),
+        ("right", a.right_class, "incoming", a.left_mult),
     )
 
 

@@ -25,6 +25,7 @@ from semdiff.verdict import Verdict
 import generators
 import oracles
 from conftest import fixture_path, fixture_text
+from helpers import reference_is_instance
 
 UNBOUNDED = 10**9
 
@@ -97,7 +98,8 @@ def test_workflow_versions_compare_and_witness_as_expected(adv):
 
 
 def reference_model_diff(models, cd1, cd2):
-    return [om for om in models if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]]
+    return [om for om in models
+            if reference_is_instance(om, cd1)[0] and not reference_is_instance(om, cd2)[0]]
 
 
 def cd_matches_oracle(cd1, cd2, k):

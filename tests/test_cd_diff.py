@@ -7,10 +7,11 @@ import generators
 from semdiff import cd_diff, cd_lang
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import MANY, Association, ClassDecl, ClassDiagram, Multiplicity, parse_cd
-from semdiff.cd_semantics import is_instance, print_om
+from semdiff.cd_semantics import ObjectModel, is_instance, print_om, violations
 from semdiff.verdict import Verdict, VerdictValue
 
 from conftest import fixture_text
+from helpers import reference_is_instance
 from oracles import reference_object_models, vocabulary_of
 
 
@@ -202,10 +203,10 @@ def test_compare_stops_at_the_first_witness_of_each_direction(monkeypatch):
 
     def counting_check(om, cd):
         checked.append(cd)
-        return is_instance(om, cd)
+        return violations(om, cd)
 
     monkeypatch.setattr(cd_diff, "print_om", counting_print)
-    monkeypatch.setattr(cd_diff, "is_instance", counting_check)
+    monkeypatch.setattr(cd_diff, "violations", counting_check)
     assert compare_cd(loose, tight, 4).value is VerdictValue.RIGHT_REFINES_LEFT
     assert len(printed) <= 1
     assert checked == [loose, tight]
@@ -286,7 +287,7 @@ def reference_diff(cd1, cd2, k):
     return [
         om
         for om in reference_object_models(vocabulary_of(cd1, cd2), k)
-        if is_instance(om, cd1)[0] and not is_instance(om, cd2)[0]
+        if reference_is_instance(om, cd1)[0] and not reference_is_instance(om, cd2)[0]
     ]
 
 
@@ -309,12 +310,22 @@ def test_search_checks_membership_only_for_the_self_check(cd1v1, cd1v2, monkeypa
 
     def counting(om, cd):
         calls.append(cd)
-        return is_instance(om, cd)
+        return violations(om, cd)
 
-    monkeypatch.setattr(cd_diff, "is_instance", counting)
+    monkeypatch.setattr(cd_diff, "violations", counting)
     result = cddiff(cd1v1, cd1v2, 3, max_witnesses=25)
     assert result.witnesses
     assert len(calls) == 2 * len(result.witnesses)
+
+
+@pytest.mark.parametrize("objects", [{"employee1": "Employee"}, {"ghost1": "Ghost"}],
+                         ids=["both-diagrams-admit-it", "neither-does"])
+def test_self_check_rejects_an_unsound_witness(cd1v1, cd1v2, objects):
+    om = ObjectModel("w", objects, frozenset())
+    assert is_instance(om, cd1v1)[0] == is_instance(om, cd1v2)[0]
+    with pytest.raises(RuntimeError) as err:
+        cd_diff._check_witnesses([om], cd1v1, cd1v2)
+    assert str(err.value) == f"diff search produced an unsound witness:\n{print_om(om)}"
 
 
 def test_prefix_and_digit_class_names_give_distinct_witnesses():

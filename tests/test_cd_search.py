@@ -37,11 +37,11 @@ from collections import Counter
 import pytest
 
 import generators
-from helpers import reference_count_decision
+from helpers import reference_count_decision, reference_is_instance
 from semdiff import cd_diff
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, parse_cd
-from semdiff.cd_semantics import count_vectors, is_instance, object_id_prefixes, objects_for_counts, print_om
+from semdiff.cd_semantics import count_vectors, object_id_prefixes, objects_for_counts, print_om
 from semdiff.verdict import DiffResult, Verdict
 
 from conftest import FIXTURES, fixture_text
@@ -400,7 +400,7 @@ def test_twin_classes_keep_every_answer():
             len(group) > 1 for a, b in ((cd1, cd2), (cd2, cd1)) for groups in role_groups(a, b) for group in groups
         )
         models = reference_object_models(vocabulary_of(cd1, cd2), k)
-        member = {cd: [is_instance(om, cd)[0] for om in models] for cd in (cd1, cd2)}
+        member = {cd: [reference_is_instance(om, cd)[0] for om in models] for cd in (cd1, cd2)}
         differs = []
         for a, b in ((cd1, cd2), (cd2, cd1)):
             classes, _, counts_list = search_space(a, b, k)

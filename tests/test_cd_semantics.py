@@ -1,9 +1,20 @@
+import pickle
 import random
 from itertools import product
 
 import pytest
 
-from semdiff.cd_lang import parse_cd
+import generators
+from semdiff.cd_lang import (
+    MANY,
+    Association,
+    ClassDecl,
+    ClassDiagram,
+    ClassModifier,
+    Multiplicity,
+    parse_cd,
+    print_cd,
+)
 from semdiff.cd_semantics import (
     ObjectModel,
     Violation,
@@ -13,10 +24,11 @@ from semdiff.cd_semantics import (
     object_id_prefixes,
     parse_om,
     print_om,
+    violations,
 )
 from semdiff.lexer import ParseError
 
-from helpers import reference_object_id_prefixes
+from helpers import reference_is_instance, reference_object_id_prefixes
 from oracles import compatible_pairs, reference_object_models, vocabulary_of
 
 
@@ -241,6 +253,135 @@ def test_violations_are_exhaustive_and_deterministic():
         ViolationKind.UNKNOWN_CLASS,
         ViolationKind.SINGLETON_COUNT,
     ]
+
+
+def test_every_kind_is_reported_in_order():
+    cd = parse_cd(
+        "classdiagram C { abstract class A; singleton class S; class B;"
+        " association r [0..1] B -- B [1]; }"
+    )
+    objects = {"x1": "Ghost", "a1": "A", "b1": "B", "b2": "B"}
+    links = frozenset({("q", "b1", "b2"), ("r", "a1", "b1"), ("r", "b1", "b1"), ("r", "b2", "b1")})
+    om = ObjectModel("m", objects, links)
+    assert is_instance(om, cd) == reference_is_instance(om, cd) == (False, [
+        Violation(ViolationKind.ABSTRACT_INSTANTIATED, "a1", "object 'a1' instantiates abstract class 'A'"),
+        Violation(ViolationKind.UNKNOWN_CLASS, "x1", "object 'x1' has class 'Ghost' not declared in 'C'"),
+        Violation(ViolationKind.SINGLETON_COUNT, "S", "singleton class 'S' has 0 instances, expected exactly 1"),
+        Violation(ViolationKind.UNKNOWN_ASSOCIATION, "q", "link uses association 'q' not declared in 'C'"),
+        Violation(ViolationKind.BAD_ENDPOINT, "a1",
+                  "'a1' is not a 'B' (or subclass), required at the left end of 'r'"),
+        Violation(ViolationKind.MULTIPLICITY, "b1", "'b1' has 3 incoming 'r' links, allowed 0..1"),
+    ])
+    assert {v.kind for v in is_instance(om, cd)[1]} == set(ViolationKind)
+
+
+def test_violations_of_one_kind_keep_their_order():
+    # Singletons in declaration order; links sorted; multiplicities by
+    # association name, then object id, then end, whatever the declaration order.
+    cd = parse_cd(
+        "classdiagram C { singleton class Z; singleton class A; class B; class Bs extends B;"
+        " association t [1] B -- B [1]; association s [2] B -- Z; }"
+    )
+    objects = {"b2": "Bs", "b1": "B", "b3": "B", "y1": "Z", "y2": "Z"}
+    links = frozenset({("t", "y2", "y1"), ("t", "b1", "y1"), ("t", "b1", "b2")})
+    om = ObjectModel("m", objects, links)
+    found = is_instance(om, cd)
+    assert found == reference_is_instance(om, cd)
+    assert [(v.kind.value, v.subject) for v in found[1]] == [
+        ("SINGLETON_COUNT", "Z"), ("SINGLETON_COUNT", "A"),
+        ("BAD_ENDPOINT", "y1"), ("BAD_ENDPOINT", "y2"), ("BAD_ENDPOINT", "y1"),
+        ("MULTIPLICITY", "y1"), ("MULTIPLICITY", "y2"),
+        ("MULTIPLICITY", "b1"), ("MULTIPLICITY", "b1"), ("MULTIPLICITY", "b2"),
+        ("MULTIPLICITY", "b3"), ("MULTIPLICITY", "b3"),
+    ]
+    assert [v.detail for v in found[1][-5:-3]] == [
+        "'b1' has 2 outgoing 't' links, allowed 1", "'b1' has 0 incoming 't' links, allowed 1"]
+    assert next(violations(om, cd)) == found[1][0]
+
+
+def test_an_association_end_naming_an_undeclared_class():
+    # ``parse_cd`` rejects such a diagram, but a diagram built directly may hold one.
+    cd = ClassDiagram("C", (ClassDecl("A"),), (), (Association("r", "A", Multiplicity(1, 1), "Ghost", MANY),))
+    om = ObjectModel("m", {"a1": "A", "g1": "Ghost"}, frozenset({("r", "a1", "g1"), ("r", "a1", "a1")}))
+    assert is_instance(om, cd) == reference_is_instance(om, cd) == (False, [
+        Violation(ViolationKind.UNKNOWN_CLASS, "g1", "object 'g1' has class 'Ghost' not declared in 'C'"),
+        Violation(ViolationKind.BAD_ENDPOINT, "a1",
+                  "'a1' is not a 'Ghost' (or subclass), required at the right end of 'r'"),
+        Violation(ViolationKind.BAD_ENDPOINT, "g1",
+                  "'g1' is not a 'Ghost' (or subclass), required at the right end of 'r'"),
+    ])
+
+
+def test_an_object_of_a_class_only_the_other_diagram_declares():
+    cd1 = parse_cd("classdiagram C { class A; class B; association r [*] A -- B [1]; }")
+    cd2 = parse_cd("classdiagram C { class A; association r [*] A -- A [1]; }")
+    om = ObjectModel("m", {"a1": "A", "b1": "B"}, frozenset({("r", "a1", "b1")}))
+    assert is_instance(om, cd1) == (True, [])
+    assert is_instance(om, cd2) == reference_is_instance(om, cd2) == (False, [
+        Violation(ViolationKind.UNKNOWN_CLASS, "b1", "object 'b1' has class 'B' not declared in 'C'"),
+        Violation(ViolationKind.BAD_ENDPOINT, "b1",
+                  "'b1' is not a 'A' (or subclass), required at the right end of 'r'"),
+    ])
+
+
+def test_repeated_names_are_checked_as_the_reference_does():
+    # Two singletons and two associations of one name, as only a diagram built
+    # directly can hold: the last association of a name gives the link ends,
+    # and each one bounds the links of that name.
+    cd = ClassDiagram(
+        "C",
+        (ClassDecl("A", ClassModifier.SINGLETON), ClassDecl("A", ClassModifier.SINGLETON), ClassDecl("B")),
+        (),
+        (Association("r", "A", MANY, "B", Multiplicity(0, 1)), Association("r", "B", MANY, "A", MANY)),
+    )
+    om = ObjectModel("m", {"a1": "A", "b1": "B"}, frozenset({("r", "a1", "b1"), ("r", "a1", "a1")}))
+    assert is_instance(om, cd) == reference_is_instance(om, cd)
+    assert [v.kind for v in is_instance(om, cd)[1]] == [ViolationKind.BAD_ENDPOINT] * 3 + [ViolationKind.MULTIPLICITY]
+
+
+def random_object_model(rng, classes, associations):
+    ids = rng.sample(["a1", "a2", "b1", "b10", "b2", "c1", "x", "z9"], rng.randint(0, 6))
+    objects = {oid: rng.choice(classes) for oid in ids}
+    ends = ids + ["ghost"] if rng.random() < 0.2 else ids
+    links = frozenset(
+        (rng.choice(associations), rng.choice(ends), rng.choice(ends))
+        for _ in range(rng.randint(0, 8) if ends else 0)
+    )
+    return ObjectModel("m", objects, links)
+
+
+def test_membership_matches_the_reference_on_random_models():
+    rng = random.Random(2701)
+    kinds_seen, members = set(), 0
+    for _ in range(300):
+        cd1, cd2 = generators.random_cd_pair(rng, 1, twins=rng.random() < 0.5)
+        classes = sorted({c.name for cd in (cd1, cd2) for c in cd.classes}) + ["Ghost"]
+        associations = sorted({a.name for cd in (cd1, cd2) for a in cd.associations}) + ["q"]
+        for _ in range(8):
+            om = random_object_model(rng, classes, associations)
+            for cd in (cd1, cd2):
+                expected = reference_is_instance(om, cd)
+                assert is_instance(om, cd) == expected, (om, cd)
+                assert next(violations(om, cd), None) == (expected[1] or [None])[0]
+                kinds_seen.update(v.kind for v in expected[1])
+                members += expected[0]
+    assert kinds_seen == set(ViolationKind)
+    assert members >= 200, members
+
+
+def test_a_diagram_with_a_membership_table_still_pickles(cd1v2):
+    # The table is kept on the diagram but left out of ``==``, ``hash`` and ``repr``.
+    cd = parse_cd(print_cd(cd1v2))
+    assert "membership" not in vars(cd)  # built on first use, not by the parser
+    fresh = (repr(cd), hash(cd))
+    om = ObjectModel("m", {"m1": "Manager", "t1": "Task", "t2": "Task", "t3": "Task"},
+                     frozenset({("worksOn", "m1", t) for t in ("t1", "t2", "t3")}))
+    expected = is_instance(om, cd)
+    assert not expected[0] and "membership" in vars(cd)
+    assert (repr(cd), hash(cd)) == fresh and cd == cd1v2
+    copy = pickle.loads(pickle.dumps(cd))
+    assert copy == cd and (repr(copy), hash(copy)) == fresh
+    assert is_instance(om, copy) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 No module imports a ``_``-prefixed name from a sibling, and the command-line
 front end leaves every choice of output format to ``render``: it imports no
 per-format renderer and names no ``OutputFormat`` member. The test oracles
-take only data types and ``print_om`` from ``semdiff``, and the package's
-public names are pinned. No module calls ``exec``, ``eval`` or ``compile``.
-``import semdiff`` loads every module of the package and none of the costly
-standard modules, which only a command line needs, and every annotation in
-the package still resolves with ``typing.get_type_hints``.
+take only data types and ``print_om`` from ``semdiff``, the class-diagram
+membership check imports nothing from the diff search it checks, and the
+package's public names are pinned. No module calls ``exec``, ``eval`` or
+``compile``. ``import semdiff`` loads every module of the package and none of
+the costly standard modules, which only a command line needs, and every
+annotation in the package still resolves with ``typing.get_type_hints``.
 """
 
 import ast
@@ -95,6 +96,11 @@ def test_cli_names_no_output_format_member():
 def test_oracles_import_only_data_types_from_semdiff():
     names = {name for _, name in sibling_imports(ORACLES)}
     assert names and names <= ORACLE_IMPORTS
+
+
+def test_the_membership_check_imports_nothing_from_the_search():
+    modules = {module for module, _ in sibling_imports(SRC / "cd_semantics.py")}
+    assert modules == {"cd_lang", "lexer"}
 
 
 def test_public_names_are_pinned_and_resolve():

@@ -30,6 +30,8 @@ def test_compared_class_diagrams_are_freed():
     assert is_instance(result.witnesses[0], cd1)[0]
     assert not is_instance(result.witnesses[0], cd2)[0]
     compare_cd(cd1, cd2)
+    # The self-check built each diagram's membership table, kept on the diagram.
+    assert "membership" in vars(cd1) and "membership" in vars(cd2)
     refs = [weakref.ref(cd1), weakref.ref(cd2)]
     del cd1, cd2
     gc.collect()
