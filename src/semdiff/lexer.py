@@ -99,13 +99,15 @@ _SYMBOLS = (
     "{", "}", "(", ")", "[", "]", ";", ":", ",", "*", "!", "=", "/",
 )
 
-# The one definition of a token, alternatives tried in order. ``\d`` is
-# exactly ``str.isdecimal`` and ``\w`` exactly ``str.isalnum`` or "_"; a word
-# is an identifier only if it starts with a letter or "_" (see _starts_ident).
-# Only space, tab, CR and LF separate tokens; anything else is an error.
+# The one definition of a token: the blanks before it, then the first of these
+# alternatives that matches. ``\d`` is exactly ``str.isdecimal`` and ``\w``
+# exactly ``str.isalnum`` or "_"; a word is an identifier only if it starts
+# with a letter or "_" (see _starts_ident). Only space, tab and CR separate
+# tokens within a line, and the text is split into lines at LF; anything else
+# is an error. A comment runs to the end of its line.
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
-    rf"|(?P<{NAT}>\d+)|(?P<{IDENT}>\w+)|(?P<{SYM}>{'|'.join(map(re.escape, _SYMBOLS))})|(?P<error>.)"
+    r"(?P<blank>[ \t\r]*)(?:(?P<comment>//.*)"
+    rf"|(?P<{NAT}>\d+)|(?P<{IDENT}>\w+)|(?P<{SYM}>{'|'.join(map(re.escape, _SYMBOLS))})|(?P<error>[^ \t\r]))"
 )
 
 
@@ -116,47 +118,76 @@ class Token(namedtuple("Token", "kind text line col")):
         return "end of input" if self.kind == EOF else f"'{self.text}'"
 
 
+# Builds a Token without the argument handling of namedtuple's ``__new__``.
+_new = tuple.__new__
+
+
 def _starts_ident(word: str) -> bool:
     return word[0].isalpha() or word[0] == "_"
 
 
+def _unexpected(char: str, line: int, col: int):
+    raise ParseError(Diagnostic(line, col, f"unexpected character {char!r}"))
+
+
 def tokenize(text: str) -> list[Token]:
-    """Split source text into tokens, skipping whitespace and // comments."""
+    """Split source text into tokens, skipping blanks and // comments.
+
+    The text is split into lines at LF, and each line read by one ``findall``
+    of the token regex: every match is one token and the blanks before it, so
+    a token's column is the sum of the lengths read before it on its line.
+    """
     tokens: list[Token] = []
-    line, line_start, m = 1, 0, None
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space" or kind == "comment":
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        word, col = m.group(), m.start() - line_start + 1
-        if kind == "error" or kind == IDENT and not _starts_ident(word):
-            raise ParseError(Diagnostic(line, col, f"unexpected character {word[0]!r}"))
-        tokens.append(Token(kind, word, line, col))
-    # A trailing comment leaves the end of input at the column it starts in.
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    tokens.append(Token(EOF, "", line, end - line_start + 1))
+    append = tokens.append
+    for line, source in enumerate(text.split("\n"), 1):
+        col = 1
+        # With the blanks at its end stripped, no match fails: a failed one
+        # would be retried from each blank after it, quadratic in their number.
+        for blank, comment, nat, word, sym, error in _TOKEN_RE.findall(source.rstrip(" \t\r")):
+            col += len(blank)
+            if sym:
+                append(_new(Token, (SYM, sym, line, col)))
+                col += len(sym)
+            elif word:
+                if not _starts_ident(word):
+                    _unexpected(word[0], line, col)
+                append(_new(Token, (IDENT, word, line, col)))
+                col += len(word)
+            elif nat:
+                append(_new(Token, (NAT, nat, line, col)))
+                col += len(nat)
+            elif comment:
+                # The end of input after a comment is at the column it starts in.
+                break
+            else:
+                _unexpected(error, line, col)
+        else:
+            col = len(source) + 1
+    append(_new(Token, (EOF, "", line, col)))
     return tokens
 
 
 def is_ident(text: str) -> bool:
-    """Whether ``tokenize`` reads ``text`` as exactly one identifier token."""
+    """Whether ``tokenize`` reads ``text`` as exactly one identifier token: the
+    token regex matches all of it as a word, with no blank before it."""
     m = _TOKEN_RE.fullmatch(text)
-    return m is not None and m.lastgroup == IDENT and _starts_ident(text)
+    return m is not None and m.start(IDENT) == 0 and _starts_ident(text)
 
 
 class TokenCursor:
-    """Sequential reader over a token list with positioned error helpers."""
+    """Sequential reader over a token list with positioned error helpers.
+
+    The end-of-input token is repeated once past the end, so ``peek(1)`` needs
+    no bounds check, and ``advance`` never steps past the first one.
+    """
 
     def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+        self._tokens = tokens + tokens[-1:]
         self._i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self._i + ahead, len(self._tokens) - 1)
-        return self._tokens[i]
+        """The current token, or with ``ahead=1`` the one after it."""
+        return self._tokens[self._i + ahead]
 
     def advance(self) -> Token:
         tok = self._tokens[self._i]
@@ -165,27 +196,41 @@ class TokenCursor:
         return tok
 
     # A symbol, a keyword and a number never share a text, so the text alone
-    # says which token is meant.
+    # says which token is meant. No such text is empty, as the end of input's is,
+    # so a token matched by text is never the end of input.
     def at(self, text: str) -> bool:
         return self._tokens[self._i].text == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self._tokens[self._i].text == text:
+            self._i += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        return self._take(self.at(text), f"'{text}'")
+        tok = self._tokens[self._i]
+        if tok.text != text:
+            self._expected(f"'{text}'")
+        self._i += 1
+        return tok
 
     def expect_ident(self, what: str = "an identifier") -> Token:
-        return self._take(self.peek().kind == IDENT, what)
+        tok = self._tokens[self._i]
+        if tok.kind != IDENT:
+            self._expected(what)
+        self._i += 1
+        return tok
 
     def expect_nat(self) -> int:
-        return int(self._take(self.peek().kind == NAT, "a number").text)
+        tok = self._tokens[self._i]
+        if tok.kind != NAT:
+            self._expected("a number")
+        self._i += 1
+        return int(tok.text)
 
     def expect_eof(self) -> None:
-        self._take(self.peek().kind == EOF, "end of input")
+        if self._tokens[self._i].kind != EOF:
+            self._expected("end of input")
 
     def block(self, keyword: str, what: str) -> tuple[str, Iterator[Token]]:
         """Read ``keyword name {``; return the name and an iterator over the first
@@ -203,10 +248,8 @@ class TokenCursor:
             yield self.peek()
         self.expect_eof()
 
-    def _take(self, found: bool, what: str) -> Token:
-        if not found:
-            self.fail(f"expected {what}, found {self.peek().describe()}")
-        return self.advance()
+    def _expected(self, what: str):
+        self.fail(f"expected {what}, found {self.peek().describe()}")
 
     def fail(self, message: str, token: Token | None = None):
         tok = token if token is not None else self.peek()

@@ -100,13 +100,14 @@ def parse_trace(text: str) -> Trace:
     """Parse the textual trace form back into a Trace.
 
     The first non-blank line is `inputs:` followed by comma-separated
-    name=value pairs; each following line is a 1-based numbered action.
+    name=value pairs; each following line is a 1-based numbered action. Lines
+    end at LF only, as in ``tokenize``.
     """
     diagnostics: list[Diagnostic] = []
     inputs: dict[str, str] = {}
     actions: list[str] = []
     seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue

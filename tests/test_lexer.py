@@ -1,12 +1,16 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from semdiff import ad_lang, cd_lang, cd_semantics
 from semdiff.ad_lang import parse_ad
+from semdiff.cd_diff import cddiff
 from semdiff.cd_lang import parse_cd
-from semdiff.cd_semantics import parse_om
+from semdiff.cd_semantics import parse_om, print_om
 from semdiff.lexer import EOF, IDENT, NAT, SYM, ParseError, TokenCursor, is_ident, tokenize
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text
 from helpers import reference_tokenize
 
 # Text for the differential tests: every character of the fixtures, plus
@@ -187,6 +191,15 @@ def test_characters_outside_the_rules_are_positioned_errors(text, message):
     assert outcome(tokenize, text) == message == outcome(reference_tokenize, text)
 
 
+def test_blanks_at_the_end_of_a_line_take_linear_time():
+    blanks = " \t\r" * 7000
+    started = time.monotonic()
+    tokens = tokenize(f"a{blanks}\n{blanks}")
+    elapsed = time.monotonic() - started
+    assert tokens == [(IDENT, "a", 1, 1), (EOF, "", 2, len(blanks) + 1)]
+    assert elapsed < 1.0
+
+
 def test_trailing_comment_leaves_end_of_input_at_its_start():
     with pytest.raises(ParseError) as err:
         parse_cd("classdiagram C {\n  class A; // note")
@@ -197,6 +210,51 @@ def test_trailing_comment_leaves_end_of_input_at_its_start():
     ("a", True), ("_", True), ("caf\u00e9", True), ("a\u00b2", True),
     ("", False), ("1a", False), ("\u00b2a", False), ("x\u0301", False), ("a b", False),
     ("a//", False), ("a\n", False), ("->", False), ("7", False),
+    (" a", False), ("a ", False), ("\ta", False), ("a\r", False),
 ])
 def test_is_ident(text, expected):
     assert is_ident(text) is expected is reads_as_one_ident(text)
+
+
+def test_cursor_stops_at_end_of_input():
+    cur = TokenCursor(tokenize("a ;"))
+    cur.advance()
+    assert cur.peek().text == ";"
+    assert cur.peek(1).kind == EOF
+    cur.advance()
+    end = cur.advance()
+    assert end.kind == EOF and (end.line, end.col) == (1, 4)
+    assert cur.advance() is cur.peek() is end
+    assert cur.peek(1) == end
+    cur.expect_eof()
+
+
+def sweep_cases():
+    """Every .cd and .ad fixture, and one object model that ``cddiff`` prints,
+    each with its parser."""
+    parsers = {".cd": parse_cd, ".ad": parse_ad}
+    cases = [pytest.param(parsers[path.suffix], path.read_text(encoding="utf-8"), id=path.name)
+             for path in sorted(FIXTURES.iterdir()) if path.suffix in parsers]
+    witness = cddiff(parse_cd(fixture_text("cd1v1.cd")), parse_cd(fixture_text("cd1v2.cd")), 3, 1).witnesses[0]
+    return cases + [pytest.param(parse_om, print_om(witness), id="cd1-witness.om")]
+
+
+def parsed(parse, text):
+    """The model and its repr, which shows the source positions ``==`` leaves
+    out, or the diagnostic text of the error."""
+    try:
+        model = parse(text)
+    except ParseError as err:
+        return str(err)
+    return model, repr(model)
+
+
+@pytest.mark.parametrize("parse, text", sweep_cases())
+def test_every_prefix_parses_as_with_the_character_loop(parse, text, monkeypatch):
+    prefixes = [text[:n] for n in range(len(text) + 1)]
+    ours = [parsed(parse, prefix) for prefix in prefixes]
+    for module in (ad_lang, cd_lang, cd_semantics):
+        monkeypatch.setattr(module, "tokenize", reference_tokenize)
+    for prefix, got in zip(prefixes, ours):
+        assert got == parsed(parse, prefix), prefix
+    assert not isinstance(ours[-1], str)

@@ -114,6 +114,8 @@ def test_trace_text_round_trip():
     assert parse_trace("inputs:\n  1. a\n") == bare
     # Blank lines, also between steps, are skipped.
     assert parse_trace("\ninputs:\n  1. a\n\n  2. b\n\n") == Trace((), ("a", "b"))
+    # A CR before the LF is a blank, as in a model file.
+    assert parse_trace("inputs: p=true\r\n  1. a\r\n  2. b\r\n") == Trace.make({"p": "true"}, ("a", "b"))
 
 
 def test_trace_text_round_trips_non_ascii_names():
@@ -157,6 +159,19 @@ def test_parse_trace_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_trace(text)
     assert any(fragment in d.message for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # Only LF ends a line, so \x85 and \x0c stay inside theirs, as in a model file.
+    ("inputs: p=true\n  1. a\x85  2. b\n  x\n",
+     "2:1: expected a numbered action step, found '1. a\x85  2. b'; "
+     "3:1: expected a numbered action step, found 'x'"),
+    ("inputs: p=true\x0c  1. a\n", "1:1: malformed input binding 'p=true\x0c  1. a'"),
+])
+def test_parse_trace_counts_lines_at_lf_only(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_trace(text)
+    assert str(err.value) == expected
 
 
 def test_trace_json_shape():
