@@ -1,10 +1,13 @@
 """Semantic differencing of activity diagrams.
 
 For each input valuation both diagrams compile to finite NFAs, their config
-NFAs. A call keeps one ``ConfigTable`` per diagram, which every valuation
-extends with the configurations it reaches that the table lacks. The table
+NFAs. Each diagram keeps one ``ConfigTable`` (``ActivityDiagram.table``),
+which every valuation that any call starts extends with the configurations
+it reaches that the table lacks, so a diagram compared with several others,
+as ``history`` does, plays each configuration's token game once. The table
 sets the state values that no marked edge can read to None, so valuations
-that differ only in those share configurations and ε-closures. ``addiff``
+that differ only in those share configurations and ε-closures. ``start``
+returns a valuation's initial closure to the call, which keeps it. ``addiff``
 searches one graph per call, the pair graph: its states are the pairs
 (A-subset, B-subset) of configurations that reading the same trace leads to
 in A and in B. Each valuation interns the pair of its initial closures and
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 from .ad_lang import ActivityDiagram
 from .ad_semantics import (
-    ConfigTable,
     Nfa,
     NfaRunner,
     Trace,
@@ -249,22 +251,23 @@ def prefix_minimal_words(
     return graph.words(graph.add(a.initial, b.initial), max_witnesses, max_len)
 
 
-def _checked(a: NfaRunner, b: NfaRunner, valuation: dict[str, str], words) -> list[Trace]:
-    """``words`` as traces under ``valuation``, each re-run from the
-    runners' ``initial`` subsets to confirm that ``a`` accepts it and ``b``
-    does not."""
+def _checked(a: NfaRunner, b: NfaRunner, starts, valuation: dict[str, str], words) -> list[Trace]:
+    """``words`` as traces under ``valuation``, each re-run from the start
+    subsets ``starts`` of ``a`` and ``b`` to confirm that ``a`` accepts it
+    and ``b`` does not."""
     traces = [Trace.make(valuation, w) for w in words]
     for trace in traces:
-        if not a.accepts(trace.actions) or b.accepts(trace.actions):
+        if not a.accepts(trace.actions, starts[0]) or b.accepts(trace.actions, starts[1]):
             raise RuntimeError(f"diff search produced an unsound witness: {trace}")
     return traces
 
 
-def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, ...] | None]:
+def _shortest_witnesses(a: NfaRunner, b: NfaRunner, start, wanted) -> list[tuple[str, ...] | None]:
     """Per direction, forward (``a`` accepts, ``b`` does not) and backward,
     a shortest word that witnesses it, or None where there is none or the
     direction is not ``wanted``; one breadth-first search of the joint pair
-    graph (see the module docstring).
+    graph (see the module docstring) from the pair of start subsets
+    ``start``.
 
     Direction d needs side d non-empty, and a pair where exactly one side
     accepts decides the direction of that side."""
@@ -281,7 +284,6 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, wanted) -> list[tuple[str, .
             words[b_accepts] = _word_to(pair, links)
         return not any(todo)
 
-    start = (a.initial, b.initial)
     links: dict = {start: None}  # pair -> (parent pair, letter)
     queue = [start]
     if settles(start):
@@ -329,17 +331,16 @@ def addiff(
         raise ValueError("max_len must be >= 0")
     witnesses: list[Trace] = []
     exhausted = True
-    a, b = ConfigTable(ad1), ConfigTable(ad2)
+    a, b = ad1.table, ad2.table
     graph = _PairGraph(a, b)
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         budget = max_witnesses - len(witnesses)
         if budget == 0:
             exhausted = False
             break
-        a.start(v)
-        b.start(v)
-        words, done = graph.words(graph.add(a.initial, b.initial), budget, max_len)
-        witnesses.extend(_checked(a, b, v, words))
+        starts = (a.start(v), b.start(v))
+        words, done = graph.words(graph.add(*starts), budget, max_len)
+        witnesses.extend(_checked(a, b, starts, v, words))
         exhausted = exhausted and done
     return DiffResult(witnesses, exhausted)
 
@@ -351,18 +352,19 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
     are visited in order until both directions differ; each valuation serves
     one joint search for the directions still open.
     """
-    tables = (ConfigTable(ad1), ConfigTable(ad2))
+    tables = (ad1.table, ad2.table)
     differs = [False, False]
+    starts = [None, None]  # each valuation sets both
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         if all(differs):
             break
         # Start in the order a forward search, then a backward one, would, so
         # that of two unsafe diagrams the same one is reported.
         for side in ((1, 0) if differs[0] else (0, 1)):
-            tables[side].start(v)
-        words = _shortest_witnesses(*tables, [not d for d in differs])
+            starts[side] = tables[side].start(v)
+        words = _shortest_witnesses(*tables, tuple(starts), [not d for d in differs])
         for d, (a, b) in enumerate((tables, tables[::-1])):
             if words[d] is not None:
-                _checked(a, b, v, [words[d]])
+                _checked(a, b, (starts[d], starts[1 - d]), v, [words[d]])
                 differs[d] = True
     return Verdict.of(*differs, bounded=False)

@@ -195,9 +195,18 @@ class ActivityDiagram(Record):
         from .ad_semantics import compile_ad  # not at the top: ad_semantics imports this module
         return compile_ad(self)
 
+    @cached_property
+    def table(self):
+        """The configurations of every valuation a diff has started so far
+        (``ad_semantics.ConfigTable``), shared by every diff of this diagram.
+        Not safe to extend from several threads at once."""
+        from .ad_semantics import ConfigTable
+        return ConfigTable(self)
+
     def __getstate__(self):
-        # The compiled guards are closures, which do not pickle; a copy compiles again.
-        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
+        # The compiled guards are closures, which do not pickle, and the table
+        # is built from them; a copy builds both again.
+        return {k: v for k, v in self.__dict__.items() if k not in ("compiled", "table")}
 
 
 _VAR_KEYWORDS = {k.value: k for k in VarKind}

@@ -13,13 +13,14 @@ diagram): a marking is an int with bit i for edge i, a state a tuple of
 values in sorted variable order, and guards are closures over that tuple.
 One firing loop, ``_play``, plays the game for ``build_config_nfa`` and for
 ``ConfigTable``, which keeps the configurations of many valuations of one
-diagram in one automaton. There a value that no marked edge can read before
-it is written is set to None, so valuations that differ only in such
-values share configurations.
+diagram in one automaton, also cached on the diagram. There a value that no
+marked edge can read before it is written is set to None, so valuations
+that differ only in such values share configurations.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from itertools import product
 
@@ -363,10 +364,9 @@ class NfaRunner:
     def is_accepting(self, states: frozenset[int]) -> bool:
         return not self.accepting.isdisjoint(states)
 
-    def accepts(self, word) -> bool:
-        """Whether ``word`` leads from ``initial`` to an accepting state,
+    def accepts(self, word, states: frozenset[int]) -> bool:
+        """Whether ``word`` leads from ``states`` to an accepting state,
         taken one ``step`` at a time."""
-        states = self.initial
         for letter in word:
             states = self.step(states, letter)
             if not states:
@@ -376,7 +376,10 @@ class NfaRunner:
 
 class ConfigTable(NfaRunner):
     """The configuration NFAs of one diagram under several valuations, as one
-    ``NfaRunner`` that every valuation extends.
+    ``NfaRunner`` that every valuation extends. A diagram keeps one, as
+    ``ActivityDiagram.table``, for every diff it takes part in; it holds
+    only per-configuration state, so it has no ``initial``: ``start``
+    returns each valuation's initial closure to the search that asked.
 
     State values that no marked edge can read are set to None, so valuations
     that differ only in those share configurations and their closures. That
@@ -386,7 +389,9 @@ class ConfigTable(NfaRunner):
     """
 
     def __init__(self, ad: ActivityDiagram):
-        self.ad = ad
+        # A weak reference: the diagram holds its table, and a strong one back
+        # would make the two a cycle that only the garbage collector frees.
+        self._ad = weakref.ref(ad)
         self.rows = []
         self.accepting = set()
         self._closures = {}
@@ -394,13 +399,14 @@ class ConfigTable(NfaRunner):
         self.index: dict[tuple[int, tuple], int] = {}
         self.live_of: dict[int, int] | None = {} if ad.variables else None
 
-    def start(self, valuation: dict[str, str]) -> None:
-        """Set ``initial`` to the initial closure under ``valuation``, after
-        exploring every configuration the valuation reaches that the table
-        lacks. An unsafe firing raises the UnsafeMarkingError of
-        ``build_config_nfa``, which shows the whole state."""
-        _, start_bit, _, _, _, edge_live, _ = self.ad.compiled
-        state = _initial_state(self.ad, valuation)
+    def start(self, valuation: dict[str, str]) -> frozenset[int]:
+        """The initial closure under ``valuation``, after exploring every
+        configuration the valuation reaches that the table lacks. An unsafe
+        firing raises the UnsafeMarkingError of ``build_config_nfa``, which
+        shows the whole state, and leaves the table as it was before."""
+        ad = self._ad()
+        _, start_bit, _, _, _, edge_live, _ = ad.compiled
+        state = _initial_state(ad, valuation)
         if self.live_of is not None:
             dead = ((1 << len(state)) - 1) & ~_live(self.live_of, edge_live, start_bit)
             if dead:
@@ -411,11 +417,17 @@ class ConfigTable(NfaRunner):
             cid = self.index[initial] = len(self.configs)
             self.configs.append(initial)
             try:
-                _play(self.ad, self.configs, self.index, self.rows, self.accepting, self.live_of)
+                _play(ad, self.configs, self.index, self.rows, self.accepting, self.live_of)
             except UnsafeMarkingError:
-                build_config_nfa(self.ad, valuation)
+                # Drop every configuration this start added: one indexed but
+                # not fired would make a later start skip the error.
+                for config in self.configs[cid:]:
+                    del self.index[config]
+                self.accepting.difference_update(range(cid, len(self.configs)))
+                del self.configs[cid:], self.rows[cid:]
+                build_config_nfa(ad, valuation)
                 raise
-        self.initial = self.closure((cid,))
+        return self.closure((cid,))
 
 
 def accepts(ad: ActivityDiagram, trace: Trace) -> bool:
@@ -424,4 +436,5 @@ def accepts(ad: ActivityDiagram, trace: Trace) -> bool:
     The trace's inputs must cover the diagram's input variables; extra
     variables are ignored.
     """
-    return NfaRunner(build_config_nfa(ad, trace.inputs_dict())).accepts(trace.actions)
+    runner = NfaRunner(build_config_nfa(ad, trace.inputs_dict()))
+    return runner.accepts(trace.actions, runner.initial)

@@ -520,10 +520,8 @@ def reference_addiff(ad1: ActivityDiagram, ad2: ActivityDiagram, max_witnesses: 
             exhausted = False
             break
         a, b = ConfigTable(ad1), ConfigTable(ad2)
-        a.start(v)
-        b.start(v)
         graph = ad_diff._PairGraph(a, b)
-        words, done = graph.words(graph.add(a.initial, b.initial), budget, max_len)
+        words, done = graph.words(graph.add(a.start(v), b.start(v)), budget, max_len)
         pairs += len(graph.rows)
         witnesses += [Trace.make(v, w) for w in words]
         exhausted = exhausted and done

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import generators
+from conftest import fixture_text
 from helpers import dfa_accepts_word, dfa_complement, reference_addiff
 from oracles import reference_words
 from semdiff import ad_diff, ad_semantics
@@ -16,7 +17,7 @@ from semdiff.ad_diff import (
     difference_automaton,
     prefix_minimal_words,
 )
-from semdiff.ad_lang import parse_ad
+from semdiff.ad_lang import parse_ad, print_ad
 from semdiff.ad_semantics import (
     ConfigTable,
     Nfa,
@@ -135,7 +136,7 @@ def test_determinize_gives_one_move_per_letter_and_no_silent_move(adv):
             assert moves == Counter({(sid, x): 1 for sid in range(dfa.n_states) for x in letters})
             for length in range(4):
                 for word in product(sorted(letters), repeat=length):
-                    assert dfa_accepts_word(dfa, word) == runner.accepts(word)
+                    assert dfa_accepts_word(dfa, word) == runner.accepts(word, runner.initial)
 
 
 def test_prefix_minimal_trims_at_first_accept():
@@ -365,9 +366,8 @@ def test_walk_limits_cut_a_prefix_and_exhausted_means_nothing_more():
         a, b = ConfigTable(ad1), ConfigTable(ad2)
         graph = ad_diff._PairGraph(a, b)
         for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
-            a.start(v)
-            b.start(v)
-            start = graph.add(a.initial, b.initial)
+            starts = (a.start(v), b.start(v))
+            start = graph.add(*starts)
             reference, _ = graph.words(start, 50, None)
             # A word beyond a list is, if there is one, pumped down to at most
             # len(graph.rows) letters past the list's longest word or max_len.
@@ -380,7 +380,7 @@ def test_walk_limits_cut_a_prefix_and_exhausted_means_nothing_more():
                     words, exhausted = graph.words(start, cap, max_len)
                     assert words == uncapped[:cap]
                     for w in words:
-                        assert a.accepts(w) and not b.accepts(w)
+                        assert a.accepts(w, starts[0]) and not b.accepts(w, starts[1])
                     upto = max([max_len or 0] + [len(w) for w in words]) + len(graph.rows)
                     assert exhausted == (sum(counts[: upto + 1]) == len(words))
     assert infinite > 0  # loops gave some valuation an infinite difference
@@ -498,7 +498,7 @@ def test_compare_agrees_with_one_witness_per_direction(adv):
 
 def record_exploration(monkeypatch):
     """How often the shared firing loop explored each configuration of each
-    diagram, and how often ``ConfigTable.start`` started each diagram under
+    diagram, and how often ``ConfigTable.start`` started each table under
     each valuation."""
     explored, started = Counter(), Counter()
     play, start = ad_semantics._play, ConfigTable.start
@@ -509,37 +509,48 @@ def record_exploration(monkeypatch):
         explored.update((id(ad), config) for config in configs[first:])
 
     def recording_start(table, valuation):
-        started[id(table.ad), tuple(sorted(valuation.items()))] += 1
-        start(table, valuation)
+        started[id(table), tuple(sorted(valuation.items()))] += 1
+        return start(table, valuation)
 
     monkeypatch.setattr(ad_semantics, "_play", recording_play)
     monkeypatch.setattr(ConfigTable, "start", recording_start)
     return explored, started
 
 
-def test_each_configuration_is_explored_once_per_call_for_visited_valuations(adv, monkeypatch):
+def test_each_configuration_is_explored_once_per_diagram_across_calls(monkeypatch):
     explored, started = record_exploration(monkeypatch)
+    adv = [parse_ad(fixture_text(f"adv{n}.ad")) for n in (1, 2, 3, 4)]
     valuations = [tuple(sorted(v.items())) for v in input_valuations(
         adv[1].input_vars(), adv[2].input_vars())]
     assert len(valuations) == 2
-    assert len(addiff(adv[1], adv[2]).witnesses) == 4
-    assert started == Counter({(id(ad), v): 1 for ad in adv[1:3] for v in valuations})
+    first = addiff(adv[1], adv[2])
+    assert len(first.witnesses) == 4
+    assert started == Counter({(id(ad.table), v): 1 for ad in adv[1:3] for v in valuations})
     assert explored and max(explored.values()) == 1
+    # The same call again starts the same tables and explores nothing new.
+    seen = Counter(explored)
+    started.clear()
+    assert addiff(adv[1], adv[2]) == first
+    assert started == Counter({(id(ad.table), v): 1 for ad in adv[1:3] for v in valuations})
+    assert explored == seen
 
-    # The only witness of the first valuation fills the budget: one valuation.
-    explored.clear()
+    # The only witness of the first valuation fills the budget: one
+    # valuation, and only adv4 is new.
     started.clear()
     assert len(addiff(adv[2], adv[3], max_witnesses=1).witnesses) == 1
-    assert started == Counter({(id(ad), valuations[0]): 1 for ad in adv[2:4]})
-    assert explored and max(explored.values()) == 1
+    assert started == Counter({(id(ad.table), valuations[0]): 1 for ad in adv[2:4]})
+    assert {ad for ad, _ in explored - seen} == {id(adv[3])}
+    assert max(explored.values()) == 1
 
     for pair in ((adv[1], adv[2]), (adv[2], adv[1]), (adv[2], adv[3])):
-        explored.clear()
-        started.clear()
-        compare_ad(*pair)
-        assert started and max(started.values()) == 1
-        assert sum(started.values()) <= 2 * len(valuations)
-        assert explored and max(explored.values()) == 1
+        for _ in range(2):
+            seen = Counter(explored)
+            started.clear()
+            compare_ad(*pair)
+            assert started and max(started.values()) == 1
+            assert sum(started.values()) <= 2 * len(valuations)
+            assert max(explored.values()) == 1
+        assert explored == seen  # the second call explored 0 configurations
 
 
 def test_valuations_share_configurations_once_their_inputs_are_read(monkeypatch):
@@ -572,7 +583,7 @@ def test_unsound_search_result_fails_the_self_check(monkeypatch):
     # A joint search that claims that trace for every open direction.
     monkeypatch.setattr(
         ad_diff, "_shortest_witnesses",
-        lambda a, b, wanted: [("x", "y") if w else None for w in wanted])
+        lambda a, b, start, wanted: [("x", "y") if w else None for w in wanted])
     with pytest.raises(RuntimeError, match="unsound witness"):
         compare_ad(par, seq)
 
@@ -595,6 +606,61 @@ def test_compare_reports_the_unsafe_diagram_a_backward_search_meets_first():
         compare_ad(x, y)
     with pytest.raises(UnsafeMarkingError, match="'mY'"):
         compare_ad(y, x)
+
+
+def test_a_failed_start_leaves_the_shared_tables_as_they_were():
+    # X and Y are safe when p is false and unsafe when it holds. A start that
+    # fails must not leave a configuration indexed but not fired: a later
+    # start would then skip the error, or read a row that is not there.
+    def fresh():
+        return generators.unsafe_when_p("X", ["x1", "z"]), generators.unsafe_when_p("Y", ["z"])
+
+    def error(call, x, y):
+        with pytest.raises(UnsafeMarkingError) as err:
+            call(x, y)
+        e = err.value
+        return str(e), e.node, e.edge, e.config
+
+    calls = [compare_ad, lambda x, y: compare_ad(y, x), addiff, lambda x, y: addiff(y, x)]
+    expected = [error(call, *fresh()) for call in calls]
+    assert {e[1] for e in expected} == {"mX", "mY"}
+    assert all(e[3].state == (("p", "true"),) for e in expected)
+    for order in (calls + calls, (calls + calls)[::-1]):
+        x, y = fresh()
+        for call in order:
+            assert error(call, x, y) == expected[calls.index(call)]
+            for ad in (x, y):
+                assert len(ad.table.rows) == len(ad.table.configs) == len(ad.table.index)
+        # The only witness of p=false fills the budget, so p=true is never
+        # started and the answer is that of fresh diagrams.
+        result = addiff(x, y, 1)
+        assert result == addiff(*fresh(), 1)
+        assert [t.inputs for t in result.witnesses] == [(("p", "false"),)]
+
+
+def test_repeated_calls_on_the_same_diagrams_answer_as_fresh_ones():
+    # Every call extends the tables that the diagrams keep, so a call made
+    # after others must answer as the same call on diagrams parsed anew.
+    rng = random.Random(2929)
+    queries = [(addiff, forward, cap, max_len) for forward in (True, False)
+               for cap, max_len in ((1, None), (3, None), (10**9, 6))]
+    queries += [(addiff, True, 3, 2), (compare_ad, True, None, None)]
+
+    def ask(query, x, y):
+        search, forward, cap, max_len = query
+        left, right = (x, y) if forward else (y, x)
+        if search is compare_ad:
+            return compare_ad(left, right)
+        return addiff(left, right, cap, max_len)
+
+    for _ in range(150):
+        x, y = generators.random_ad_pair(rng, max_len=8)
+        texts = print_ad(x), print_ad(y)
+        expected = [ask(q, *map(parse_ad, texts)) for q in queries]
+        order = list(range(len(queries))) * 2
+        rng.shuffle(order)
+        for i in order:
+            assert ask(queries[i], x, y) == expected[i], (texts, queries[i])
 
 
 def joint_search_pairs(adv):

@@ -192,12 +192,11 @@ def test_unsafe_marking_error_matches_the_reference_builder(ad, valuation):
     assert ours.value.config == ref.value.config
 
 
-def same_language(a, b) -> bool:
-    """Whether two runners accept the same words from their ``initial``
-    subsets: no pair of subsets that one word leads to has exactly one
+def same_language(a, b, start) -> bool:
+    """Whether two runners accept the same words from the pair of subsets
+    ``start``: no pair of subsets that one word leads to has exactly one
     side accepting."""
     empty = frozenset()
-    start = (a.initial, b.initial)
     seen = {start}
     todo = [start]
     while todo:
@@ -238,10 +237,11 @@ def test_shared_tables_keep_each_valuations_language(adv):
         table = ConfigTable(ad)
         for v in input_valuations(ad.input_vars(), ()):
             explored = len(table.configs)
-            table.start(v)
+            initial = table.start(v)
             nfa = build_config_nfa(ad, v)
             shared += len(table.configs) - explored < nfa.n_states
-            assert same_language(table, NfaRunner(nfa)), (print_ad(ad), v)
+            runner = NfaRunner(nfa)
+            assert same_language(table, runner, (initial, runner.initial)), (print_ad(ad), v)
             compared += 1
     assert compared > len(diagrams) and shared > 0
 
@@ -469,10 +469,14 @@ def test_enumeration_is_deterministic(adv):
 
 
 def test_a_compiled_diagram_still_pickles(adv):
-    ad = parse_ad(print_ad(adv[1]))
+    ad, other = parse_ad(print_ad(adv[1])), parse_ad(print_ad(adv[2]))
     before = pickle.dumps(ad)
     build_config_nfa(ad, {"isInternal": "true"})
+    forward, backward = addiff(ad, other), addiff(other, ad)
+    assert {"compiled", "table"} <= set(vars(ad)) and ad.table.configs
     copy = pickle.loads(pickle.dumps(ad))
     assert pickle.dumps(ad) == before
-    assert copy == ad and "compiled" not in vars(copy)
+    assert copy == ad and not {"compiled", "table"} & set(vars(copy))
     assert build_config_nfa(copy, {"isInternal": "true"}) == build_config_nfa(ad, {"isInternal": "true"})
+    assert (addiff(copy, other), addiff(other, copy)) == (forward, backward)
+    assert compare_ad(copy, other) == compare_ad(ad, other)

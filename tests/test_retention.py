@@ -2,6 +2,7 @@
 diagram lives on the instance, and no module keeps a cache keyed by one."""
 
 import gc
+import tracemalloc
 import weakref
 
 from semdiff.ad_diff import addiff, compare_ad
@@ -44,8 +45,41 @@ def test_compared_activity_diagrams_are_freed():
     result = addiff(ad1, ad2)
     assert result.witnesses
     compare_ad(ad1, ad2)
-    refs = [weakref.ref(ad1), weakref.ref(ad2)]
+    # Both calls explored each diagram's configurations into one table, kept
+    # on the diagram.
+    assert "table" in vars(ad1) and "table" in vars(ad2)
+    refs = [weakref.ref(x) for x in (ad1, ad2, ad1.table, ad2.table)]
     del ad1, ad2
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    # The table holds its diagram weakly, so no cycle waits for the collector.
+    assert [ref() for ref in refs] == [None] * 4
     assert result.witnesses
+
+
+def test_memory_stays_flat_over_many_compared_activity_diagrams():
+    # Each round parses two diagrams no earlier round parsed, diffs them both
+    # ways and drops them. Whatever a round leaves behind adds up over the
+    # rounds; one live pair with its tables takes more than the allowed growth.
+    def round_(i):
+        ad1, ad2 = (parse_ad(fixture_text(name).replace("activity hire", f"activity hire{i}"))
+                    for name in ("adv1.ad", "adv2.ad"))
+        addiff(ad1, ad2)
+        addiff(ad2, ad1)
+        compare_ad(ad1, ad2)
+        return ad1, ad2
+
+    tracemalloc.start()
+    try:
+        for i in range(10):  # warm-up: first-use caches of the interpreter
+            round_(i)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = round_(10_000)
+        one_pair = tracemalloc.get_traced_memory()[0] - before
+        del kept
+        for i in range(10, 110):
+            round_(i)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert one_pair > 20_000 and growth < one_pair / 2, (one_pair, growth)
