@@ -190,23 +190,19 @@ class ActivityDiagram(Record):
         return tuple(v for v in self.variables if v.kind is VarKind.INPUT)
 
     @cached_property
-    def compiled(self):
-        """The token game's tables (``ad_semantics.compile_ad``), built on first use."""
-        from .ad_semantics import compile_ad  # not at the top: ad_semantics imports this module
-        return compile_ad(self)
-
-    @cached_property
     def table(self):
-        """The configurations of every valuation a diff has started so far
-        (``ad_semantics.ConfigTable``), shared by every diff of this diagram.
-        Not safe to extend from several threads at once."""
-        from .ad_semantics import ConfigTable
+        """The diagram compiled for the token game, with the configurations
+        of every valuation a diff has started so far
+        (``ad_semantics.ConfigTable``): built on first use and shared by
+        every diff and ``build_config_nfa`` call on this diagram. Not safe to
+        extend from several threads at once."""
+        from .ad_semantics import ConfigTable  # not at the top: ad_semantics imports this module
         return ConfigTable(self)
 
     def __getstate__(self):
-        # The compiled guards are closures, which do not pickle, and the table
-        # is built from them; a copy builds both again.
-        return {k: v for k, v in self.__dict__.items() if k not in ("compiled", "table")}
+        # The table's compiled guards are closures, which do not pickle; a
+        # copy builds its table again.
+        return {k: v for k, v in self.__dict__.items() if k != "table"}
 
 
 _VAR_KEYWORDS = {k.value: k for k in VarKind}

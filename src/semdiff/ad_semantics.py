@@ -8,19 +8,18 @@ discarded), so such configurations accept and have no outgoing transitions.
 Compiling all reachable configurations gives a finite NFA whose language is
 the set of action traces for one input valuation.
 
-Each diagram is compiled once into tables (``compile_ad``, cached on the
-diagram): a marking is an int with bit i for edge i, a state a tuple of
-values in sorted variable order, and guards are closures over that tuple.
-One firing loop, ``_play``, plays the game for ``build_config_nfa`` and for
-``ConfigTable``, which keeps the configurations of many valuations of one
-diagram in one automaton, also cached on the diagram. There a value that no
-marked edge can read before it is written is set to None, so valuations
-that differ only in such values share configurations.
+Each diagram is compiled once, into the ``ConfigTable`` kept as
+``ActivityDiagram.table``: a marking is an int with bit i for edge i, a
+state a tuple of values in sorted variable order, and guards are closures
+over that tuple. The table's one firing loop, ``ConfigTable.play``, plays
+the game for ``build_config_nfa`` and for the table itself, which keeps the
+configurations of many valuations of the diagram in one automaton. There a
+value that no marked edge can read before it is written is set to None, so
+valuations that differ only in such values share configurations.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterator
 from itertools import product
 
@@ -113,91 +112,6 @@ def input_valuations(
     return (dict(zip(names, combo)) for combo in product(*(domains[n] for n in names)))
 
 
-def compile_ad(ad: ActivityDiagram):
-    """The tables the token game is played on, cached as ``ad.compiled``:
-    (variable names in slot order, start edge bit, mask of the edges
-    entering a final node, destination node of each edge, firings of each
-    node in edge order, per edge the mask of the slots a token there may
-    read, the slot of each variable name). A firing is (label, consumed
-    edges, marked edges, guard or None, assignments, mask of the slots they
-    write), an assignment (target slot, source slot or -1, literal).
-
-    A token may read a slot when some path from its edge reads the slot, in
-    a guard or as an assignment source, before an assignment writes it. The
-    per-edge masks are the least fixpoint of that rule."""
-    var_names = tuple(sorted(v.name for v in ad.variables))
-    slots = {name: i for i, name in enumerate(var_names)}
-    node_index = {n.name: i for i, n in enumerate(ad.nodes)}
-    ins, outs = [[] for _ in ad.nodes], [[] for _ in ad.nodes]
-    for i, e in enumerate(ad.edges):
-        outs[node_index[e.src]].append(i)
-        ins[node_index[e.dst]].append(i)
-    edge_dst = tuple(node_index[e.dst] for e in ad.edges)
-    node_assigns = [tuple((slots[a.target], slots[a.source] if a.source_is_var else -1, a.source)
-                          for a in node.assignments) for node in ad.nodes]
-
-    # A token reads the guards on the edges leaving its node, then what the
-    # tokens on those edges may read, less what the node's assignments write
-    # (taken last to first, as one may read an earlier one's target). When
-    # an edge's mask grows, the edges into its source node are revisited.
-    reads = [0 if e.guard is None else sum(1 << slots[v] for v in guard_variables(e.guard))
-             for e in ad.edges]
-    edge_live = [0] * len(ad.edges)
-    todo = list(range(len(ad.edges)))
-    while todo:
-        i = todo.pop()
-        n = edge_dst[i]
-        live = 0
-        for o in outs[n]:
-            live |= edge_live[o] | reads[o]
-        for target, source, _ in reversed(node_assigns[n]):
-            live &= ~(1 << target)
-            if source >= 0:
-                live |= 1 << source
-        if live != edge_live[i]:
-            edge_live[i] = live
-            todo += ins[node_index[ad.edges[i].src]]
-
-    firings = []
-    for node, node_ins, node_outs, assigns in zip(ad.nodes, ins, outs, node_assigns):
-        emit = sum(1 << o for o in node_outs)
-        if node.kind in (NodeKind.ACTION, NodeKind.MERGE):
-            label = node.name if node.kind is NodeKind.ACTION else EPSILON
-            written = sum(1 << target for target, _, _ in assigns)
-            rules = [(label, 1 << i, emit, None, assigns, written) for i in node_ins]
-        elif node.kind is NodeKind.DECISION:
-            rules = [(EPSILON, 1 << node_ins[0], 1 << o, compile_guard(ad.edges[o].guard, slots),
-                      (), 0) for o in node_outs]
-        elif node.kind is NodeKind.FORK:
-            rules = [(EPSILON, 1 << node_ins[0], emit, None, (), 0)]
-        elif node.kind is NodeKind.JOIN:
-            rules = [(EPSILON, sum(1 << i for i in node_ins), emit, None, (), 0)]
-        else:  # initial and final nodes never fire
-            rules = []
-        firings.append(tuple(rules))
-    final_mask = sum(1 << i for i, n in enumerate(edge_dst) if ad.nodes[n].kind is NodeKind.FINAL)
-    return (var_names, 1 << outs[node_index[START]][0], final_mask, edge_dst, tuple(firings),
-            tuple(edge_live), slots)
-
-
-def _initial_state(ad: ActivityDiagram, valuation: dict[str, str]) -> tuple[str, ...]:
-    """The state a run under ``valuation`` starts in, checked against the
-    input domains."""
-    slots = ad.compiled[6]
-    state0: list[str | None] = [None] * len(slots)
-    for v in ad.variables:
-        value = v.initial
-        if v.kind is VarKind.INPUT:
-            if v.name not in valuation:
-                raise ValueError(f"valuation is missing input variable '{v.name}'")
-            value = valuation[v.name]
-            if value not in v.domain:
-                raise ValueError(
-                    f"value '{value}' is outside the domain of input '{v.name}'")
-        state0[slots[v.name]] = value
-    return tuple(state0)
-
-
 def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
     """Explore every configuration reachable under one input valuation.
 
@@ -206,9 +120,7 @@ def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
     edge. Configurations are numbered breadth-first, and the firings of each
     are tried in node order, then edge order.
     """
-    initial = (ad.compiled[1], _initial_state(ad, valuation))
-    configs, rows, accepting = [initial], [], set()
-    _play(ad, configs, {initial: 0}, rows, accepting)
+    configs, rows, accepting = ad.table.explore(valuation)
     return Nfa(
         n_states=len(configs),
         alphabet=ad.action_names(),
@@ -216,61 +128,6 @@ def build_config_nfa(ad: ActivityDiagram, valuation: dict[str, str]) -> Nfa:
         initial=0,
         accepting=frozenset(accepting),
     )
-
-
-def _play(ad: ActivityDiagram, configs: list, index: dict, rows: list, accepting: set,
-          live_of: dict | None = None) -> None:
-    """The token game: fire each configuration of ``configs`` from
-    ``len(rows)`` on, in order, appending its moves to ``rows`` as a list of
-    (label, target id) and the configurations they reach that ``index``
-    lacks to ``configs`` and ``index``; accepting ones go to ``accepting``.
-
-    With ``live_of``, a cache of ``_live`` per marking, each reached state
-    has the slots that no marked edge may read set to None, as the
-    configurations already in ``configs`` must have.
-    """
-    var_names, _, final_mask, edge_dst, firings, edge_live, _ = ad.compiled
-    # Index from len(rows): each call reads only the configurations not yet
-    # fired, the ones it appends itself included.
-    while len(rows) < len(configs):
-        marking, state = configs[len(rows)]
-        row: list = []
-        rows.append(row)
-        if marking & final_mask:
-            # A token has entered a final node: the run stops here and any
-            # other tokens are discarded.
-            accepting.add(len(rows) - 1)
-            continue
-        if live_of is not None:
-            live = live_of[marking]
-        # Only the nodes that a marked edge enters can fire.
-        if marking & (marking - 1):
-            nodes = sorted({edge_dst[i] for i in _bits(marking)})
-        else:
-            nodes = (edge_dst[marking.bit_length() - 1],)
-        for n in nodes:
-            for label, consume, emit, guard, assigns, written in firings[n]:
-                if marking & consume != consume or guard is not None and not guard(state):
-                    continue
-                rest = marking ^ consume
-                if rest & emit:
-                    edge = ad.edges[next(_bits(rest & emit))]
-                    raise UnsafeMarkingError(ad.nodes[n].name, (edge.src, edge.dst), Config(
-                        frozenset(_bits(marking)), tuple(zip(var_names, state))))
-                nxt_marking = rest | emit
-                nxt_state = _assign(state, assigns) if assigns else state
-                if live_of is not None:
-                    # Only the slots live before the firing or written by it
-                    # can hold a value.
-                    dead = (live | written) & ~_live(live_of, edge_live, nxt_marking)
-                    if dead:
-                        nxt_state = _cleared(nxt_state, dead)
-                nxt = (nxt_marking, nxt_state)
-                nxt_id = index.get(nxt)
-                if nxt_id is None:
-                    nxt_id = index[nxt] = len(configs)
-                    configs.append(nxt)
-                row.append((label, nxt_id))
 
 
 def _live(live_of: dict, edge_live: tuple[int, ...], marking: int) -> int:
@@ -375,11 +232,18 @@ class NfaRunner:
 
 
 class ConfigTable(NfaRunner):
-    """The configuration NFAs of one diagram under several valuations, as one
-    ``NfaRunner`` that every valuation extends. A diagram keeps one, as
-    ``ActivityDiagram.table``, for every diff it takes part in; it holds
-    only per-configuration state, so it has no ``initial``: ``start``
-    returns each valuation's initial closure to the search that asked.
+    """One diagram compiled for the token game, and its configuration NFAs
+    under several valuations as one ``NfaRunner`` that every valuation
+    extends. A diagram keeps one, as ``ActivityDiagram.table``, for every
+    diff it takes part in; it has no ``initial``: ``start`` returns each
+    valuation's initial closure to the search that asked.
+
+    Slot i of a state holds variable ``var_names[i]`` (``slots`` maps back).
+    A firing of ``firings[node]`` is (label, consumed edges, marked edges,
+    guard or None, assignments, mask of the slots they write), an assignment
+    (target slot, source slot or -1, literal). ``edge_live[e]`` masks the
+    slots a token on edge e may read: those that some path from e reads, in
+    a guard or as an assignment source, before an assignment writes them.
 
     State values that no marked edge can read are set to None, so valuations
     that differ only in those share configurations and their closures. That
@@ -389,9 +253,65 @@ class ConfigTable(NfaRunner):
     """
 
     def __init__(self, ad: ActivityDiagram):
-        # A weak reference: the diagram holds its table, and a strong one back
-        # would make the two a cycle that only the garbage collector frees.
-        self._ad = weakref.ref(ad)
+        # The diagram's own tuples, not the diagram: the diagram holds its
+        # table, so a reference back would make the two a cycle.
+        self.variables, self.nodes, self.edges = ad.variables, ad.nodes, ad.edges
+        self.var_names = tuple(sorted(v.name for v in ad.variables))
+        slots = self.slots = {name: i for i, name in enumerate(self.var_names)}
+        node_index = {n.name: i for i, n in enumerate(ad.nodes)}
+        ins, outs = [[] for _ in ad.nodes], [[] for _ in ad.nodes]
+        for i, e in enumerate(ad.edges):
+            outs[node_index[e.src]].append(i)
+            ins[node_index[e.dst]].append(i)
+        edge_dst = self.edge_dst = tuple(node_index[e.dst] for e in ad.edges)
+        node_assigns = [tuple((slots[a.target], slots[a.source] if a.source_is_var else -1,
+                               a.source) for a in node.assignments) for node in ad.nodes]
+
+        # A token reads the guards on the edges leaving its node, then what the
+        # tokens on those edges may read, less what the node's assignments write
+        # (taken last to first, as one may read an earlier one's target). When
+        # an edge's mask grows, the edges into its source node are revisited.
+        reads = [0 if e.guard is None else sum(1 << slots[v] for v in guard_variables(e.guard))
+                 for e in ad.edges]
+        edge_live = [0] * len(ad.edges)
+        todo = list(range(len(ad.edges)))
+        while todo:
+            i = todo.pop()
+            n = edge_dst[i]
+            live = 0
+            for o in outs[n]:
+                live |= edge_live[o] | reads[o]
+            for target, source, _ in reversed(node_assigns[n]):
+                live &= ~(1 << target)
+                if source >= 0:
+                    live |= 1 << source
+            if live != edge_live[i]:
+                edge_live[i] = live
+                todo += ins[node_index[ad.edges[i].src]]
+        self.edge_live = tuple(edge_live)
+
+        firings = []
+        for node, node_ins, node_outs, assigns in zip(ad.nodes, ins, outs, node_assigns):
+            emit = sum(1 << o for o in node_outs)
+            if node.kind in (NodeKind.ACTION, NodeKind.MERGE):
+                label = node.name if node.kind is NodeKind.ACTION else EPSILON
+                written = sum(1 << target for target, _, _ in assigns)
+                rules = [(label, 1 << i, emit, None, assigns, written) for i in node_ins]
+            elif node.kind is NodeKind.DECISION:
+                rules = [(EPSILON, 1 << node_ins[0], 1 << o,
+                          compile_guard(ad.edges[o].guard, slots), (), 0) for o in node_outs]
+            elif node.kind is NodeKind.FORK:
+                rules = [(EPSILON, 1 << node_ins[0], emit, None, (), 0)]
+            elif node.kind is NodeKind.JOIN:
+                rules = [(EPSILON, sum(1 << i for i in node_ins), emit, None, (), 0)]
+            else:  # initial and final nodes never fire
+                rules = []
+            firings.append(tuple(rules))
+        self.firings = tuple(firings)
+        self.start_bit = 1 << outs[node_index[START]][0]
+        self.final_mask = sum(1 << i for i, n in enumerate(edge_dst)
+                              if ad.nodes[n].kind is NodeKind.FINAL)
+
         self.rows = []
         self.accepting = set()
         self._closures = {}
@@ -399,35 +319,118 @@ class ConfigTable(NfaRunner):
         self.index: dict[tuple[int, tuple], int] = {}
         self.live_of: dict[int, int] | None = {} if ad.variables else None
 
+    def _initial_state(self, valuation: dict[str, str]) -> tuple[str, ...]:
+        """The state a run under ``valuation`` starts in, checked against the
+        input domains."""
+        state0: list[str | None] = [None] * len(self.slots)
+        for v in self.variables:
+            value = v.initial
+            if v.kind is VarKind.INPUT:
+                if v.name not in valuation:
+                    raise ValueError(f"valuation is missing input variable '{v.name}'")
+                value = valuation[v.name]
+                if value not in v.domain:
+                    raise ValueError(
+                        f"value '{value}' is outside the domain of input '{v.name}'")
+            state0[self.slots[v.name]] = value
+        return tuple(state0)
+
+    def explore(self, valuation: dict[str, str]) -> tuple[list, list, set]:
+        """(configurations, rows, accepting ids) of all that ``valuation``
+        reaches, unprojected and numbered breadth-first, apart from the table's."""
+        initial = (self.start_bit, self._initial_state(valuation))
+        configs, rows, accepting = [initial], [], set()
+        self.play(configs, {initial: 0}, rows, accepting)
+        return configs, rows, accepting
+
+    def play(self, configs: list, index: dict, rows: list, accepting: set,
+             live_of: dict | None = None) -> None:
+        """The token game: fire each configuration of ``configs`` from
+        ``len(rows)`` on, in order, appending its moves to ``rows`` as a list
+        of (label, target id) and the configurations they reach that
+        ``index`` lacks to ``configs`` and ``index``; accepting ones go to
+        ``accepting``.
+
+        With ``live_of``, a cache of ``_live`` per marking, each reached state
+        has the slots that no marked edge may read set to None, as the
+        configurations already in ``configs`` must have.
+        """
+        final_mask, edge_dst = self.final_mask, self.edge_dst
+        firings, edge_live = self.firings, self.edge_live
+        # Index from len(rows): each call reads only the configurations not yet
+        # fired, the ones it appends itself included.
+        while len(rows) < len(configs):
+            marking, state = configs[len(rows)]
+            row: list = []
+            rows.append(row)
+            if marking & final_mask:
+                # A token has entered a final node: the run stops here and any
+                # other tokens are discarded.
+                accepting.add(len(rows) - 1)
+                continue
+            if live_of is not None:
+                live = live_of[marking]
+            # Only the nodes that a marked edge enters can fire.
+            if marking & (marking - 1):
+                nodes = sorted({edge_dst[i] for i in _bits(marking)})
+            else:
+                nodes = (edge_dst[marking.bit_length() - 1],)
+            for n in nodes:
+                for label, consume, emit, guard, assigns, written in firings[n]:
+                    if marking & consume != consume or guard is not None and not guard(state):
+                        continue
+                    rest = marking ^ consume
+                    if rest & emit:
+                        edge = self.edges[next(_bits(rest & emit))]
+                        raise UnsafeMarkingError(self.nodes[n].name, (edge.src, edge.dst), Config(
+                            frozenset(_bits(marking)), tuple(zip(self.var_names, state))))
+                    nxt_marking = rest | emit
+                    nxt_state = _assign(state, assigns) if assigns else state
+                    if live_of is not None:
+                        # Only the slots live before the firing or written by it
+                        # can hold a value.
+                        dead = (live | written) & ~_live(live_of, edge_live, nxt_marking)
+                        if dead:
+                            nxt_state = _cleared(nxt_state, dead)
+                    nxt = (nxt_marking, nxt_state)
+                    nxt_id = index.get(nxt)
+                    if nxt_id is None:
+                        nxt_id = index[nxt] = len(configs)
+                        configs.append(nxt)
+                    row.append((label, nxt_id))
+
     def start(self, valuation: dict[str, str]) -> frozenset[int]:
         """The initial closure under ``valuation``, after exploring every
         configuration the valuation reaches that the table lacks. An unsafe
         firing raises the UnsafeMarkingError of ``build_config_nfa``, which
         shows the whole state, and leaves the table as it was before."""
-        ad = self._ad()
-        _, start_bit, _, _, _, edge_live, _ = ad.compiled
-        state = _initial_state(ad, valuation)
+        state = self._initial_state(valuation)
         if self.live_of is not None:
-            dead = ((1 << len(state)) - 1) & ~_live(self.live_of, edge_live, start_bit)
+            dead = ((1 << len(state)) - 1) & ~_live(self.live_of, self.edge_live, self.start_bit)
             if dead:
                 state = _cleared(state, dead)
-        initial = (start_bit, state)
+        initial = (self.start_bit, state)
         cid = self.index.get(initial)
-        if cid is None:
-            cid = self.index[initial] = len(self.configs)
-            self.configs.append(initial)
-            try:
-                _play(ad, self.configs, self.index, self.rows, self.accepting, self.live_of)
-            except UnsafeMarkingError:
-                # Drop every configuration this start added: one indexed but
-                # not fired would make a later start skip the error.
-                for config in self.configs[cid:]:
-                    del self.index[config]
-                self.accepting.difference_update(range(cid, len(self.configs)))
-                del self.configs[cid:], self.rows[cid:]
-                build_config_nfa(ad, valuation)
-                raise
-        return self.closure((cid,))
+        if cid is not None:
+            return self.closure((cid,))
+        cid = self.index[initial] = len(self.configs)
+        self.configs.append(initial)
+        try:
+            self.play(self.configs, self.index, self.rows, self.accepting, self.live_of)
+        except UnsafeMarkingError as err:
+            # Drop every configuration this start added: one indexed but not
+            # fired would make a later start skip the error.
+            for config in self.configs[cid:]:
+                del self.index[config]
+            self.accepting.difference_update(range(cid, len(self.configs)))
+            del self.configs[cid:], self.rows[cid:]
+            projected = err
+        else:
+            return self.closure((cid,))
+        # Replayed outside the handler, so that the error raised does not carry
+        # the projected one, with its cleared slots, as its context.
+        self.explore(valuation)
+        raise projected
 
 
 def accepts(ad: ActivityDiagram, trace: Trace) -> bool:

@@ -12,10 +12,10 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from semdiff import ad_semantics, cd_diff, cd_semantics
+from semdiff import cd_diff, cd_semantics
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import parse_ad, print_ad
-from semdiff.ad_semantics import Trace, accepts, input_valuations
+from semdiff.ad_semantics import ConfigTable, Trace, accepts, input_valuations
 from semdiff.cd_diff import cddiff, compare_cd
 from semdiff.cd_lang import parse_cd, print_cd
 from semdiff.cd_semantics import is_instance, print_om
@@ -205,15 +205,15 @@ def test_ad_oracle_catches_a_dropped_transition(monkeypatch, adv):
     # build_config_nfa alike. Each diagram keeps its table, so the lossy
     # loop runs on diagrams parsed after it is in place.
     assert all(ad_matches_oracle(a, b, 12) for a in adv for b in adv)
-    play = ad_semantics._play
+    play = ConfigTable.play
 
-    def lossy(ad, configs, index, rows, *rest):
+    def lossy(table, configs, index, rows, *rest):
         first = len(rows)
-        play(ad, configs, index, rows, *rest)
+        play(table, configs, index, rows, *rest)
         fired = [row for row in rows[first:] if row]
         fired[-1].pop()
 
-    monkeypatch.setattr(ad_semantics, "_play", lossy)
+    monkeypatch.setattr(ConfigTable, "play", lossy)
     fresh = [parse_ad(print_ad(ad)) for ad in adv]
     assert not all(ad_matches_oracle(a, b, 12) for a in fresh for b in fresh)
 

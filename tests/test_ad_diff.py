@@ -9,7 +9,7 @@ import generators
 from conftest import fixture_text
 from helpers import dfa_accepts_word, dfa_complement, reference_addiff
 from oracles import reference_words
-from semdiff import ad_diff, ad_semantics
+from semdiff import ad_diff
 from semdiff.ad_diff import (
     addiff,
     compare_ad,
@@ -501,18 +501,18 @@ def record_exploration(monkeypatch):
     diagram, and how often ``ConfigTable.start`` started each table under
     each valuation."""
     explored, started = Counter(), Counter()
-    play, start = ad_semantics._play, ConfigTable.start
+    play, start = ConfigTable.play, ConfigTable.start
 
-    def recording_play(ad, configs, index, rows, *rest):
+    def recording_play(table, configs, index, rows, *rest):
         first = len(rows)
-        play(ad, configs, index, rows, *rest)
-        explored.update((id(ad), config) for config in configs[first:])
+        play(table, configs, index, rows, *rest)
+        explored.update((id(table), config) for config in configs[first:])
 
     def recording_start(table, valuation):
         started[id(table), tuple(sorted(valuation.items()))] += 1
         return start(table, valuation)
 
-    monkeypatch.setattr(ad_semantics, "_play", recording_play)
+    monkeypatch.setattr(ConfigTable, "play", recording_play)
     monkeypatch.setattr(ConfigTable, "start", recording_start)
     return explored, started
 
@@ -539,7 +539,7 @@ def test_each_configuration_is_explored_once_per_diagram_across_calls(monkeypatc
     started.clear()
     assert len(addiff(adv[2], adv[3], max_witnesses=1).witnesses) == 1
     assert started == Counter({(id(ad.table), valuations[0]): 1 for ad in adv[2:4]})
-    assert {ad for ad, _ in explored - seen} == {id(adv[3])}
+    assert {table for table, _ in explored - seen} == {id(adv[3].table)}
     assert max(explored.values()) == 1
 
     for pair in ((adv[1], adv[2]), (adv[2], adv[1]), (adv[2], adv[3])):
@@ -564,8 +564,8 @@ def test_valuations_share_configurations_once_their_inputs_are_read(monkeypatch)
     swapped = parse_ad(generators.decision_chain_text(8).replace("d3 -[b3]-> y3", "d3 -[!b3]-> y3")
                        .replace("d3 -[!b3]-> n3", "d3 -[b3]-> n3"))
     assert len(addiff(plain, swapped, 300).witnesses) == 256
-    configs = Counter(ad for ad, _ in explored)
-    assert configs == Counter({id(plain): 1531, id(swapped): 1531})
+    configs = Counter(table for table, _ in explored)
+    assert configs == Counter({id(plain.table): 1531, id(swapped.table): 1531})
 
 
 def test_unsound_search_result_fails_the_self_check(monkeypatch):

@@ -1,13 +1,13 @@
 import pickle
 import random
 import time
+import traceback
 
 import pytest
 
 import generators
 from helpers import reference_build_config_nfa
 from oracles import reference_words
-from semdiff import ad_semantics
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import guard_variables, parse_ad, print_ad
 from semdiff.ad_semantics import (
@@ -251,7 +251,7 @@ def test_the_racing_fork_projects_a_variable_only_once_no_branch_reads_it():
     table = ConfigTable(ad)
     for v in input_valuations(ad.input_vars(), ()):
         table.start(v)
-    var_names, edge_live = ad.compiled[0], ad.compiled[5]
+    var_names, edge_live = table.var_names, table.edge_live
     assert var_names == ("p", "q", "x", "y")
     # A configuration keeps a value exactly where a marked edge may read it.
     for marking, state in table.configs:
@@ -279,7 +279,7 @@ def test_a_nested_guard_makes_its_three_variables_live_before_the_decision():
 """)
     guard = next(e.guard for e in ad.edges if e.dst == "a")
     assert guard_variables(guard) == {"p", "q", "x"}
-    var_names, edge_live = ad.compiled[0], ad.compiled[5]
+    var_names, edge_live = ad.table.var_names, ad.table.edge_live
     assert var_names == ("p", "q", "u", "x", "z")
     # Only the token entering the decision reads; slots p, q and x.
     assert edge_live == tuple(0b01011 if e.dst == "d" else 0 for e in ad.edges)
@@ -295,7 +295,7 @@ def test_liveness_reaches_back_along_a_long_chain_quickly():
     lines.append("d -[x]-> y; d -[!x]-> z; y -> end; z -> end; }")
     ad = parse_ad("\n".join(lines))
     started = time.monotonic()
-    edge_live = ad.compiled[5]
+    edge_live = ad.table.edge_live
     assert time.monotonic() - started < 2.0
     guarded = {i for i, e in enumerate(ad.edges) if e.dst == "d" or e.dst.startswith("a")}
     assert len(guarded) == n + 1
@@ -361,6 +361,20 @@ def test_unsafe_marking_errors_read_the_same_through_every_entry():
         assert str(err.value) == texts[reported]
 
 
+def test_an_unsafe_start_shows_only_the_unprojected_error():
+    # The table meets the unsafe firing in a projected configuration, p=None
+    # here. The error raised is the unprojected replay's, and a traceback
+    # shows that one alone, not the projected one as its context.
+    y, x = generators.unsafe_when_p("Y", ["z"]), generators.unsafe_when_p("X", ["x1", "z"])
+    with pytest.raises(UnsafeMarkingError) as err:
+        addiff(y, x, 1)
+    assert str(err.value) == ("firing 'mY' would mark the edge mY -> c twice in configuration"
+                              " <edges [7, 8]; p=true>")
+    assert err.value.__context__ is None and err.value.__cause__ is None
+    text = "".join(traceback.format_exception(err.value))
+    assert text.count("Traceback (most recent call last)") == 1 and "p=None" not in text
+
+
 def test_missing_inputs_name_the_first_declared_one():
     ad = parse_ad(
         "activity M { input zeta: bool; input alpha: bool; decision d; action x;"
@@ -374,13 +388,13 @@ def test_missing_inputs_name_the_first_declared_one():
 
 def test_addiff_compiles_each_diagram_once(monkeypatch):
     compiled = []
-    real = ad_semantics.compile_ad
+    real = ConfigTable.__init__
 
-    def counting(ad):
+    def counting(table, ad):
         compiled.append(id(ad))
-        return real(ad)
+        real(table, ad)
 
-    monkeypatch.setattr(ad_semantics, "compile_ad", counting)
+    monkeypatch.setattr(ConfigTable, "__init__", counting)
     text = generators.decision_chain_text(8)
     a, b = parse_ad(text), parse_ad(text)
     assert len(list(input_valuations(a.input_vars(), b.input_vars()))) == 256
@@ -473,10 +487,10 @@ def test_a_compiled_diagram_still_pickles(adv):
     before = pickle.dumps(ad)
     build_config_nfa(ad, {"isInternal": "true"})
     forward, backward = addiff(ad, other), addiff(other, ad)
-    assert {"compiled", "table"} <= set(vars(ad)) and ad.table.configs
+    assert "table" in vars(ad) and ad.table.configs
     copy = pickle.loads(pickle.dumps(ad))
     assert pickle.dumps(ad) == before
-    assert copy == ad and not {"compiled", "table"} & set(vars(copy))
+    assert copy == ad and "table" not in vars(copy)
     assert build_config_nfa(copy, {"isInternal": "true"}) == build_config_nfa(ad, {"isInternal": "true"})
     assert (addiff(copy, other), addiff(other, copy)) == (forward, backward)
     assert compare_ad(copy, other) == compare_ad(ad, other)
