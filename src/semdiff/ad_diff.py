@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from .ad_lang import ActivityDiagram
 from .ad_semantics import (
+    EMPTY,
     Nfa,
     NfaRunner,
     Trace,
@@ -60,7 +61,6 @@ from .ad_semantics import (
 )
 from .verdict import DEFAULT_MAX_WITNESSES, DiffResult, Verdict
 
-_EMPTY: frozenset[int] = frozenset()
 _NOTHING = Nfa(n_states=1, alphabet=frozenset(), transitions=(), initial=0, accepting=frozenset())
 
 
@@ -101,7 +101,7 @@ class _PairGraph:
             if not (accepting and self.trimmed):
                 succ_b = b.successors(y)
                 for letter, succ_a in sorted(a.successors(x).items()):
-                    succ = (succ_a, succ_b.get(letter, _EMPTY))
+                    succ = (succ_a, succ_b.get(letter, EMPTY))
                     sid = index.get(succ)
                     if sid is None:
                         sid = index[succ] = first + len(new)
@@ -294,7 +294,7 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, start, wanted) -> list[tuple
         succ_a = a.successors(pair[0]) if pair[0] else {}
         succ_b = b.successors(pair[1]) if pair[1] else {}
         for letter in {**succ_a, **succ_b}:
-            succ = (succ_a.get(letter, _EMPTY), succ_b.get(letter, _EMPTY))
+            succ = (succ_a.get(letter, EMPTY), succ_b.get(letter, EMPTY))
             if succ not in links and (todo[0] and succ[0] or todo[1] and succ[1]):
                 links[succ] = (pair, letter)
                 if settles(succ):

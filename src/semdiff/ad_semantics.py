@@ -35,6 +35,7 @@ from .ad_lang import (
 from .lexer import Record
 
 EPSILON = None
+EMPTY: frozenset[int] = frozenset()  # the subset no move leads to
 
 
 class UnsafeMarkingError(Exception):
@@ -168,8 +169,10 @@ def _assign(state: tuple[str, ...], assigns) -> tuple[str, ...]:
 
 class NfaRunner:
     """Subset queries over an automaton's moves, kept per state as a list of
-    (label, target); each state's ε-closure is computed once. ``initial`` is
-    the closure of the initial state."""
+    (label, target); each state's ε-closure is computed once. A step's set
+    is the union of its targets' ε-closures, as the closure of a union is
+    the union of the closures. ``initial`` is the closure of the initial
+    state."""
 
     def __init__(self, nfa: Nfa):
         self.rows: list[list[tuple[str | None, int]]] = [[] for _ in range(nfa.n_states)]
@@ -177,19 +180,10 @@ class NfaRunner:
             self.rows[src].append((label, dst))
         self.accepting = nfa.accepting
         self._closures: dict[int, frozenset[int]] = {}
-        self.initial = self.closure((nfa.initial,))
+        self.initial = self.closure(nfa.initial)
 
-    def closure(self, states) -> frozenset[int]:
-        """The states that silent moves lead to from ``states``, them included."""
-        if len(states) == 1:
-            (s,) = states
-            return self._closure_of(s)
-        out: set[int] = set()
-        for s in states:
-            out |= self._closure_of(s)
-        return frozenset(out)
-
-    def _closure_of(self, state: int) -> frozenset[int]:
+    def closure(self, state: int) -> frozenset[int]:
+        """The states that silent moves lead to from ``state``, it included."""
         closure = self._closures.get(state)
         if closure is None:
             out = {state}
@@ -204,19 +198,24 @@ class NfaRunner:
         return closure
 
     def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
-        """The closure of the states one ``letter`` move leads to."""
-        rows = self.rows
-        return self.closure({t for s in states for label, t in rows[s] if label == letter})
+        """The states one ``letter`` move from ``states`` leads to, closed."""
+        return self.successors(states).get(letter, EMPTY)
 
     def successors(self, states: frozenset[int]) -> dict[str, frozenset[int]]:
-        """``step(states, letter)`` for each letter where it is not empty."""
-        targets: dict[str, set[int]] = {}
-        rows = self.rows
+        """Per letter that some state of ``states`` can read, the union of the
+        closures of the states it leads to."""
+        out: dict[str, frozenset[int]] = {}
+        more: dict[str, list[frozenset[int]]] = {}  # per letter, the closures after its first
+        rows, closures = self.rows, self._closures
         for s in states:
             for label, t in rows[s]:
                 if label is not EPSILON:
-                    targets.setdefault(label, set()).add(t)
-        return {letter: self.closure(ts) for letter, ts in targets.items()}
+                    closure = closures.get(t) or self.closure(t)
+                    if out.setdefault(label, closure) is not closure:
+                        more.setdefault(label, []).append(closure)
+        for label, others in more.items():  # one union, not a copy per closure
+            out[label] = out[label].union(*others)
+        return out
 
     def is_accepting(self, states: frozenset[int]) -> bool:
         return not self.accepting.isdisjoint(states)
@@ -412,7 +411,7 @@ class ConfigTable(NfaRunner):
         initial = (self.start_bit, state)
         cid = self.index.get(initial)
         if cid is not None:
-            return self.closure((cid,))
+            return self.closure(cid)
         cid = self.index[initial] = len(self.configs)
         self.configs.append(initial)
         try:
@@ -426,7 +425,7 @@ class ConfigTable(NfaRunner):
             del self.configs[cid:], self.rows[cid:]
             projected = err
         else:
-            return self.closure((cid,))
+            return self.closure(cid)
         # Replayed outside the handler, so that the error raised does not carry
         # the projected one, with its cleared slots, as its context.
         self.explore(valuation)

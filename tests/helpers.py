@@ -4,7 +4,8 @@ complement and word membership for the complete deterministic ``Nfa`` that
 quadratic reference for ``object_id_prefixes``, the per-call reference for
 ``is_instance``, the object-scan reference for the class-diagram diff's
 count test, the reference config-NFA builder that ``build_config_nfa`` must
-agree with, and ``addiff`` with nothing shared between valuations."""
+agree with, the memo-free subset step that ``NfaRunner`` must agree with,
+and ``addiff`` with nothing shared between valuations."""
 
 from __future__ import annotations
 
@@ -500,6 +501,25 @@ def eval_guard(guard: Guard, state: dict[str, str]) -> bool:
     if isinstance(guard, GuardOr):
         return eval_guard(guard.left, state) or eval_guard(guard.right, state)
     raise TypeError(f"not a guard: {guard!r}")
+
+
+# ---------------------------------------------------------------------------
+# subset steps
+
+
+def reference_step(nfa: Nfa, states, letter: str) -> frozenset[int]:
+    """The states one ``letter`` move from ``states`` leads to, closed under
+    silent moves: the raw targets are gathered from ``nfa.transitions`` and
+    closed by a search of their own, and nothing is kept between calls."""
+    out = {dst for src, label, dst in nfa.transitions if src in states and label == letter}
+    todo = list(out)
+    while todo:
+        state = todo.pop()
+        for src, label, dst in nfa.transitions:
+            if src == state and label is EPSILON and dst not in out:
+                out.add(dst)
+                todo.append(dst)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ import traceback
 import pytest
 
 import generators
-from helpers import reference_build_config_nfa
+from helpers import reference_build_config_nfa, reference_step
 from oracles import reference_words
 from semdiff.ad_diff import addiff, compare_ad
 from semdiff.ad_lang import guard_variables, parse_ad, print_ad
 from semdiff.ad_semantics import (
+    EMPTY,
+    EPSILON,
     ConfigTable,
     DomainMismatchError,
+    Nfa,
     NfaRunner,
     Trace,
     UnsafeMarkingError,
@@ -244,6 +247,70 @@ def test_shared_tables_keep_each_valuations_language(adv):
             assert same_language(table, runner, (initial, runner.initial)), (print_ad(ad), v)
             compared += 1
     assert compared > len(diagrams) and shared > 0
+
+
+def check_steps(runner, nfa, states) -> None:
+    """``successors`` and ``step`` of ``runner`` from ``states`` against
+    ``reference_step``, for every letter of ``nfa`` and one it lacks."""
+    succ = runner.successors(states)
+    assert EMPTY not in succ.values()
+    for letter in sorted(nfa.alphabet) + ["noSuchAction"]:
+        expected = reference_step(nfa, states, letter)
+        assert succ.get(letter, EMPTY) == expected, (states, letter)
+        assert runner.step(states, letter) == expected, (states, letter)
+
+
+def test_subset_steps_agree_with_the_memo_free_reference():
+    rng = random.Random(3131)
+    subsets = united = 0
+    for _ in range(30):
+        for ad in generators.random_ad_pair(rng, max_len=6):
+            table = ConfigTable(ad)
+            starts = {table.start(v) for v in input_valuations(ad.input_vars(), ())}
+            nfa = Nfa(len(table.rows), ad.action_names(), tuple(
+                (src, label, dst) for src, row in enumerate(table.rows) for label, dst in row),
+                0, frozenset(table.accepting))
+            seen, todo = set(starts), list(starts)
+            while todo:
+                states = todo.pop()
+                for letter in nfa.alphabet:
+                    nxt = reference_step(nfa, states, letter)
+                    if nxt and nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            # The subsets reading leads to, and the union of each with the
+            # next, where states of several valuations read the same letter.
+            walked = sorted(seen, key=sorted)
+            walked += [x | y for x, y in zip(walked, walked[1:])]
+            for states in walked:
+                check_steps(NfaRunner(nfa), nfa, states)  # only the initial closure kept
+                check_steps(table, nfa, states)  # closures kept from earlier steps
+                for letter in nfa.alphabet:
+                    parts = {reference_step(nfa, {s}, letter) for s in states} - {EMPTY}
+                    united += len(parts) > 1 and reference_step(nfa, states, letter) not in parts
+            subsets += len(walked)
+    assert subsets > 500 and united > 20
+
+
+def test_a_letter_read_by_two_states_unites_their_targets_closures():
+    # States 1 and 2 both read a, to 3 and to 4 (2 to 3 as well), whose
+    # closures share 5 and 6; b leads back.
+    nfa = Nfa(9, frozenset("ab"), (
+        (0, EPSILON, 1), (0, EPSILON, 2), (1, "a", 3), (2, "a", 4), (2, "a", 3),
+        (3, EPSILON, 5), (4, EPSILON, 5), (5, EPSILON, 6), (3, EPSILON, 7), (4, EPSILON, 8),
+        (6, "b", 0),
+    ), 0, frozenset({8}))
+    runner = NfaRunner(nfa)
+    assert runner.initial == {0, 1, 2}
+    after_a = frozenset({3, 4, 5, 6, 7, 8})
+    assert runner.successors(runner.initial) == {"a": after_a}
+    assert runner.successors(after_a) == {"b": runner.initial}
+    # One target's letter gets that target's kept closure itself.
+    assert runner.successors(frozenset({1}))["a"] is runner.closure(3)
+    assert runner.accepts("a", runner.initial) and not runner.accepts("ab", runner.initial)
+    for states in (runner.initial, after_a, frozenset({1}), frozenset({2}), EMPTY):
+        check_steps(NfaRunner(nfa), nfa, states)
+        check_steps(runner, nfa, states)
 
 
 def test_the_racing_fork_projects_a_variable_only_once_no_branch_reads_it():
