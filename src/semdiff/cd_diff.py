@@ -23,7 +23,8 @@ link sets once and flag those B rejects, and only the combinations that hold
 a flagged link set are built into models.
 
 The count test also gives the total the walk starts from, past the last one
-for a direction it proves empty (see ``_count_test``).
+for a direction it proves empty (see ``_count_test``). It settles on group
+totals cut at each association's multiplicity threshold, whatever the bound.
 """
 
 from __future__ import annotations
@@ -208,6 +209,19 @@ def _count_test(
     groups' caps passes. A count vector of a smaller total projects onto
     entries of no larger total, which all pass. ``decide`` reads the tables
     this fills.
+
+    Settling meets only the entries whose totals are at most the
+    association's threshold ``T``: 1 plus the largest finite ``min`` or
+    ``max`` of its multiplicities in A and in B (A's two when B lacks it),
+    the only ones ``_contained`` reads. (1) An entry and its totals each cut
+    to at most ``T`` get the same answer: a total is zero after the cut
+    exactly when it was before, and a total, or a sum of totals, of at least
+    ``T`` still is after the cut, so it lies on the same side of every bound
+    of at most ``T - 1``. (2) So a failing entry cuts to a failing entry of
+    no larger total, and the least total of a failing entry is met among the
+    cut ones. (3) So the start total, and which directions settle, are those
+    of the uncut walk, while settling meets at most the product over the
+    groups of ``min(cap, T) + 1`` entries, whatever the bound.
     """
     index = {c: i for i, c in enumerate(classes)}
 
@@ -228,8 +242,9 @@ def _count_test(
             if not b.left_mult.admits(0):
                 barred |= _members(cd2, b.right_class, index)
     # Per association: the key that reads its entry off a count vector, its
-    # groups' caps (the entry of ``caps``), its table, and the arguments of
-    # ``_contained`` before the entry, its ends as positions among the groups.
+    # groups' caps (the entry of ``caps``) cut at its threshold, its table,
+    # and the arguments of ``_contained`` before the entry, its ends as
+    # positions among the groups.
     parts = []
     for a, b in pairs:
         ends = [_members(cd1, a.left_class, index), _members(cd1, a.right_class, index), set(), set()]
@@ -244,7 +259,9 @@ def _count_test(
         key = (itemgetter(*roles) if len(groups) == len(roles) > 1
                else lambda counts, m=tuple(groups.values()): tuple(sum(counts[i] for i in g) for g in m))
         test = (a, b, *({j for j, held in enumerate(groups) if held[e]} for e in range(4)))
-        parts.append((key, key(caps), {}, test))
+        mults = [m for d in (a, b) if d is not None for m in (d.left_mult, d.right_mult)]
+        threshold = 1 + max(n for m in mults for n in (m.min, m.max) if n is not None)
+        parts.append((key, tuple(min(cap, threshold) for cap in key(caps)), {}, test))
 
     def passes(part: tuple, entry: tuple[int, ...]) -> bool:
         _, _, table, test = part

@@ -16,7 +16,10 @@ cap. These tests hold that design to what the search did before it:
   grouped by the ends that hold them); settling and the walk together test
   no more entries than there are count vectors up to the start total and up
   to the last witness; on an ``extends`` chain, whose classes below an end
-  form one group, a direction settles on a few hundred entries;
+  form one group, a direction settles on a few entries;
+- an entry and its totals cut at the association's multiplicity threshold
+  get the same containment answer, so settling meets the same number of
+  entries whatever the bound;
 - with twin classes (``class Xt extends X;``), the count test, ``cddiff``
   and ``compare_cd`` agree with the object scan and the brute-force oracle;
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
@@ -33,6 +36,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -40,7 +44,7 @@ import generators
 from helpers import reference_count_decision, reference_is_instance
 from semdiff import cd_diff
 from semdiff.cd_diff import cddiff, compare_cd
-from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, parse_cd
+from semdiff.cd_lang import Association, ClassDiagram, ClassModifier, Multiplicity, parse_cd
 from semdiff.cd_semantics import count_vectors, object_id_prefixes, objects_for_counts, print_om
 from semdiff.verdict import DiffResult, Verdict
 
@@ -270,11 +274,24 @@ def role_groups(cd1, cd2):
     return result
 
 
+def threshold(a, b):
+    """1 plus the largest finite bound of ``a``'s multiplicities and, when
+    the other diagram declares it, of ``b``'s: no group total above it
+    changes a containment answer."""
+    mults = [a.left_mult, a.right_mult] + ([b.left_mult, b.right_mult] if b is not None else [])
+    return 1 + max(n for m in mults for n in (m.min, m.max) if n is not None)
+
+
 def group_caps(cd1, cd2, k):
-    """The caps of each association's role groups, in group order."""
+    """The caps of each association's role groups, in group order, cut at
+    its threshold: the entries settling meets."""
     classes, caps, _ = search_space(cd1, cd2, k)
     cap = dict(zip(classes, caps))
-    return [tuple(sum(cap[c] for c in group) for group in groups) for groups in role_groups(cd1, cd2)]
+    decls2 = {b.name: b for b in cd2.associations}
+    return [
+        tuple(min(sum(cap[c] for c in group), threshold(a, decls2.get(a.name))) for group in groups)
+        for a, groups in zip(cd1.associations, role_groups(cd1, cd2))
+    ]
 
 
 def test_a_settled_direction_labels_no_object(monkeypatch):
@@ -363,20 +380,74 @@ def test_settling_tests_no_more_than_the_walk_meets(case, monkeypatch):
     assert len({(test[0], test[-1]) for test in tests}) == len(tests)
 
 
-@pytest.mark.parametrize("n, entries", ((12, 136), (30, 352)))
-def test_a_chain_direction_settles_on_its_group_totals(n, entries, monkeypatch):
+@pytest.mark.parametrize("k", (3, 9))
+@pytest.mark.parametrize("n", (12, 30))
+def test_a_chain_direction_settles_on_its_group_totals(n, k, monkeypatch):
     """From the diagram with r on C1, r's roles are C0, in B's ends only,
-    and C1 .. C(n-1), in all four: two groups, with caps 3 and 3(n - 1) at
-    k=3. So settling tests 4 * (3n - 2) entries, each once, where per-class
-    counts made 4^n (16,777,216 for 12 classes)."""
+    and C1 .. C(n-1), in all four: two groups, with caps k and k(n - 1).
+    Every multiplicity is ``*``, so r's threshold is 1 and settling tests
+    the 4 entries with both totals at most 1, each once, at any bound k.
+    Uncut group totals made (k + 1)(k(n - 1) + 1) entries (136 for 12
+    classes at k=3), and per-class counts (k + 1)^n."""
     c0 = extends_chain(n, "association r [*] C0 -- C0 [*];")
     c1 = extends_chain(n, "association r [*] C1 -- C1 [*];")
     labelled = counting(monkeypatch, "objects_for_counts")
     tests = counting(monkeypatch, "_contained")
-    assert cddiff(c1, c0, 3) == DiffResult([], True)
+    assert cddiff(c1, c0, k) == DiffResult([], True)
     assert labelled == []
-    assert len(tests) == entries
-    assert sorted(test[-1] for test in tests) == [(i, j) for i in range(4) for j in range(3 * (n - 1) + 1)]
+    assert sorted(test[-1] for test in tests) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+NARROW = "class P; class A extends P; class Q; class B extends Q; association r [*] A -- B [*];"
+WIDE = "class P; class A extends P; class Q; class B extends Q; association r [*] P -- Q [*];"
+
+
+@pytest.mark.parametrize("k", (3, 12, 24))
+def test_settling_meets_as_many_entries_at_every_bound(k, monkeypatch):
+    """r's roles fall into four groups, P, A, Q and B, each one class with
+    cap k. Its threshold is 1, so settling tests the 16 entries of totals 0
+    and 1, where uncut totals made (k + 1)^4 (390,625 at k=24)."""
+    labelled = counting(monkeypatch, "objects_for_counts")
+    tests = counting(monkeypatch, "_contained")
+    assert cddiff(diagram(NARROW), diagram(WIDE), k) == DiffResult([], True)
+    assert labelled == []
+    assert len(tests) == len({test[-1] for test in tests}) == 16
+
+
+# The multiplicities the cut-lemma test draws from, as ``min, max``.
+LEMMA_MULTS = ((0, None), (0, 1), (1, 1), (1, None), (2, 5), (3, 3), (0, 0))
+LEMMA_TOTAL = 6  # the largest group total drawn; only 2..5's threshold, 6, is not below it
+
+
+def test_an_entry_cut_at_the_threshold_keeps_its_answer():
+    """For seeded associations ``a`` and ``b`` (or none) with random end
+    memberships over up to four groups, every entry of totals up to 6 gets
+    the same ``_contained`` answer as that entry cut at the threshold, each
+    total at most ``threshold(a, b)``. The 1 in the threshold is needed:
+    a total of 2 targets exceeds ``b``'s ``0..1``, one does not."""
+    rng = random.Random(3201)
+    cut = 0
+    for _ in range(120):
+        a, b = (
+            Association(name, "X", Multiplicity(*rng.choice(LEMMA_MULTS)), "Y", Multiplicity(*rng.choice(LEMMA_MULTS)))
+            for name in ("a", "b")
+        )
+        if rng.random() < 0.25:
+            b = None
+        width = rng.randint(1, 4)
+        ends = [{j for j in range(width) if rng.random() < 0.5} for _ in range(2 if b is None else 4)]
+        ends += [set()] * (4 - len(ends))
+        t = threshold(a, b)
+        for entry in product(range(LEMMA_TOTAL + 1), repeat=width):
+            answer = cd_diff._contained(a, b, *ends, entry)
+            assert cd_diff._contained(a, b, *ends, tuple(min(n, t) for n in entry)) == answer, (a, b, ends, entry)
+            cut += any(n > t for n in entry)
+    assert cut > 10000, cut
+    a = Association("r", "X", Multiplicity(0, None), "Y", Multiplicity(1, None))
+    b = Association("r", "X", Multiplicity(0, None), "Y", Multiplicity(0, 1))
+    assert threshold(a, b) == 2
+    ends = ({0}, {1}, {0}, {1})
+    assert not cd_diff._contained(a, b, *ends, (1, 2)) and cd_diff._contained(a, b, *ends, (1, 1))
 
 
 # ---------------------------------------------------------------------------
