@@ -19,8 +19,8 @@ targets and the classes present: A's end classes inside B's end closures,
 A's possible degrees inside B's multiplicities. A count vector whose
 associations all pass is skipped without labelling its objects. Only the
 rest get objects; there the remaining associations enumerate their A-valid
-link sets once and flag those B rejects, and only the combinations that hold
-a flagged link set are built into models.
+link sets once and split off those B rejects, and only the combinations that
+hold a rejected link set are built into models.
 
 The count test also gives the total the walk starts from, past the last one
 for a direction it proves empty (see ``_count_test``). It settles on group
@@ -61,19 +61,16 @@ def cddiff(
     """Object models instantiating ``cd1`` but not ``cd2``, up to bound ``k``.
 
     Witnesses come back sorted by total object count, then canonical text,
-    truncated at ``max_witnesses``. ``exhausted`` is only true when every
-    canonical model within the bound was covered and nothing was cut off.
+    truncated at ``max_witnesses``. ``exhausted`` is true when no witness
+    lies past the cap and no level of the search is left unread; a level
+    past the cap is not read, so it counts even when it holds no witness.
     """
     _check_bound(k)
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be >= 1")
+    levels = _witness_levels(cd1, cd2, k)
     witnesses: list[ObjectModel] = []
-    exhausted = True
-    for vectors in _witness_levels(cd1, cd2, k):
-        # A further level may hold a witness past the cap; it is built only as read.
-        if len(witnesses) >= max_witnesses:
-            exhausted = False
-            break
+    for vectors in levels:
         # The count vectors of one level give object blocks of one length, so
         # those blocks alone order their models' texts; links only order the
         # models of one count vector. One witness past the cap settles
@@ -82,9 +79,10 @@ def cddiff(
             witnesses.extend(sorted(models, key=print_om))
             if len(witnesses) > max_witnesses:
                 break
-    if len(witnesses) > max_witnesses:
-        witnesses = witnesses[:max_witnesses]
-        exhausted = False
+        if len(witnesses) >= max_witnesses:
+            break
+    exhausted = len(witnesses) <= max_witnesses and next(levels, None) is None
+    witnesses = witnesses[:max_witnesses]
     _check_witnesses(witnesses, cd1, cd2)
     return DiffResult(witnesses, exhausted)
 
@@ -151,16 +149,12 @@ def _witness_levels(cd1: ClassDiagram, cd2: ClassDiagram, k: int) -> Iterator[It
         return
     prefixes = object_id_prefixes(classes)
 
-    def models(objects: dict[str, str], listed: Decision) -> Iterator[ObjectModel]:
-        for links in _rejected_link_choices(objects, listed, pairs, cd1, cd2):
-            yield ObjectModel("om", dict(objects), links)
-
     def level(total: int) -> Iterator[Vector]:
         for counts in count_vectors(caps, total):
             listed = decide(counts)
             if listed != ():
                 objects = objects_for_counts(classes, prefixes, counts)
-                yield objects, models(objects, listed)
+                yield objects, _rejected_models(objects, listed, pairs, cd1, cd2)
 
     for total in range(first, max_total + 1):
         yield level(total)
@@ -330,50 +324,40 @@ def _contained(
     )
 
 
-def _rejected_link_choices(
+def _rejected_models(
     objects: dict[str, str], listed: Decision, pairs: Pairs, cd1: ClassDiagram, cd2: ClassDiagram
-) -> Iterator[frozenset[Link]]:
-    """Links of every model of ``cd1`` over ``objects`` that ``cd2`` rejects.
+) -> Iterator[ObjectModel]:
+    """The models of ``cd1`` over ``objects`` that ``cd2`` rejects, built as
+    they are read.
 
     ``listed`` is the count test's decision for ``objects``: None when
     ``cd2`` rejects every model of ``cd1`` over them, else the positions, in
     ``pairs``, of the associations whose link sets must be checked against
-    ``cd2``; every other association's link sets all pass.
+    ``cd2``. Each of those lists its link sets once and splits them into the
+    ones ``cd2`` accepts and the ones it rejects. Every other association's
+    link sets all pass; they are listed only once a checked association has
+    a rejected link set. A rejected model is built under the first
+    association whose link set ``cd2`` rejects: accepted link sets before
+    it, any link set after it.
     """
     if listed is None:
-        yield from _unions([_assoc_link_sets(a, objects, cd1.closures) for a, _ in pairs])
-        return
-    accepted: list[list[LinkSet] | None] = []  # None: cd2 admits every link set
-    flagged: list[list[LinkSet]] = []
-    for i, (a, b) in enumerate(pairs):
-        if i not in listed:
-            accepted.append(None)
-            flagged.append([])
-            continue
-        ok: list[LinkSet] = []
-        bad: list[LinkSet] = []
-        for links in _assoc_link_sets(a, objects, cd1.closures):
-            (ok if _links_ok(b, links, objects, cd2.closures) else bad).append(links)
-        accepted.append(ok)
-        flagged.append(bad)
-    if not any(flagged):
-        return
-    every = [
-        _assoc_link_sets(a, objects, cd1.closures) if ok is None else ok + bad
-        for (a, _), ok, bad in zip(pairs, accepted, flagged)
-    ]
-    accepted = [e if ok is None else ok for e, ok in zip(every, accepted)]
-    # The rejected combinations, split by the first association whose link
-    # set cd2 rejects: accepted sets before it, any set after it.
-    for i, bad in enumerate(flagged):
-        if bad:
-            yield from _unions([*accepted[:i], bad, *every[i + 1:]])
-
-
-def _unions(choice_lists: list[list[LinkSet]]) -> Iterator[frozenset[Link]]:
-    """One link set per association, in every combination, as one link set."""
-    for combo in product(*choice_lists):
-        yield frozenset(link for links in combo for link in links)
+        splits = [[_assoc_link_sets(a, objects, cd1.closures) for a, _ in pairs]]
+    else:
+        checked: dict[int, tuple[list[LinkSet], list[LinkSet]]] = {}  # accepted, rejected
+        for i in listed:
+            a, b = pairs[i]
+            ok, bad = checked[i] = [], []
+            for links in _assoc_link_sets(a, objects, cd1.closures):
+                (ok if _links_ok(b, links, objects, cd2.closures) else bad).append(links)
+        if not any(bad for _, bad in checked.values()):
+            return
+        every = [checked[i][0] + checked[i][1] if i in checked else _assoc_link_sets(a, objects, cd1.closures)
+                 for i, (a, _) in enumerate(pairs)]
+        accepted = [checked[i][0] if i in checked else sets for i, sets in enumerate(every)]
+        splits = [[*accepted[:i], bad, *every[i + 1:]] for i, (_, bad) in checked.items() if bad]
+    for choices in splits:
+        for combo in product(*choices):
+            yield ObjectModel("om", dict(objects), frozenset(chain.from_iterable(combo)))
 
 
 def _links_ok(

@@ -483,6 +483,15 @@ def test_addiff_limits_cut_a_prefix_of_the_uncapped_answer():
                     assert not result.exhausted
 
 
+def test_a_budget_filled_before_the_last_valuation_reads_not_exhausted(adv):
+    # adv3 -> adv4 has one witness, in the first valuation. A budget of one
+    # stops before the second valuation is walked, so the flag reads False
+    # although the uncapped call finds nothing more; pinned as it is today.
+    capped, full = addiff(adv[2], adv[3], 1), addiff(adv[2], adv[3])
+    assert capped.witnesses == full.witnesses and len(full.witnesses) == 1
+    assert (capped.exhausted, full.exhausted) == (False, True)
+
+
 def test_compare_agrees_with_one_witness_per_direction(adv):
     rng = random.Random(507)
     pairs = [generators.random_ad_pair(rng, max_len=8) for _ in range(200)]

@@ -137,6 +137,17 @@ def test_truncation_clears_exhausted(cd1v2, cd1v1):
     assert not result.exhausted
 
 
+def test_a_cap_met_before_the_last_level_reads_not_exhausted():
+    # Both witnesses have fewer than two objects, but at cap 2 the level of
+    # two objects is left unread, so the flag reads False although it holds
+    # no witness; pinned as it is today.
+    plain = parse_cd("classdiagram C { class A; class B; }")
+    single = parse_cd("classdiagram C { class A; singleton class B; }")
+    answers = [(texts(r), r.exhausted) for r in (cddiff(plain, single, 1, cap) for cap in (1, 2, 3))]
+    empty, one_a = "objectmodel om {\n}\n", "objectmodel om {\n  a1: A;\n}\n"
+    assert answers == [([empty], False), ([empty, one_a], False), ([empty, one_a], True)]
+
+
 def test_truncation_keeps_the_smallest(cd1v2, cd1v1):
     full = texts(cddiff(cd1v2, cd1v1, 1))
     cut = texts(cddiff(cd1v2, cd1v1, 1, max_witnesses=2))

@@ -25,7 +25,10 @@ cap. These tests hold that design to what the search did before it:
 - every witness list, ``exhausted`` flag and ``compare_cd`` verdict on the
   fixtures and 400 seeded pairs hashes to the outputs recorded in
   ``fixtures/cd_diff_outputs.json``;
-- a capped diff builds no model past the count vector that crosses its cap.
+- a capped diff builds no model past the count vector that crosses its cap;
+- a labelled count vector lists each association's link sets at most once,
+  and those of an association the count test does not list only once a
+  listed one has a link set the other diagram rejects.
 
 Run ``python tests/test_cd_search.py`` to print the outputs file for the
 ``semdiff`` on ``PYTHONPATH``. It was written once, at commit ``7178aad``,
@@ -587,6 +590,60 @@ def test_a_capped_diff_builds_no_model_past_the_crossing_count_vector(left, righ
         crossing = vector_of.count(vector_of[cap])
         fills_level = len(full[cap - 1].objects) < len(full[cap].objects)
         assert len(built) == (cap if fills_level else first + crossing) <= cap + crossing
+
+
+# ---------------------------------------------------------------------------
+# a labelled count vector lists each association's link sets once, lazily
+
+
+def listings_per_vector(cd1, cd2, k, listings):
+    """Per count vector the walk labels: its objects, the count test's
+    decision, and the names of the associations whose link sets building
+    its models listed, with how often; ``listings`` records the calls."""
+    classes = search_space(cd1, cd2, k)[0]
+    decide = count_test(cd1, cd2, k)[0]
+    for vectors in cd_diff._witness_levels(cd1, cd2, k):
+        for objects, models in vectors:
+            listings.clear()
+            list(models)
+            present = Counter(objects.values())
+            yield objects, decide(tuple(present[c] for c in classes)), Counter(a.name for a, *_ in listings)
+
+
+def test_each_association_lists_its_link_sets_at_most_once_and_lazily(monkeypatch):
+    """Per labelled count vector, each association's link sets are listed
+    at most once. Where the count test lists some associations, the others
+    are listed only once a listed one has a link set the other diagram
+    rejects; where it rejects every model, all are listed."""
+    link_sets = cd_diff._assoc_link_sets
+    listings = counting(monkeypatch, "_assoc_link_sets")
+    lazy = eager = 0
+    rng = random.Random(3302)
+    pairs = [(*generators.random_cd_pair(rng, k), k) for k in (1, 2) * 150]
+    pairs.append((parse_cd(fixture_text("cd1v1.cd")), parse_cd(fixture_text("cd1v2.cd")), 2))
+    # One A gives r no link set, since each A needs two sources: r is listed
+    # and s is not. Two As give r a link set the other diagram rejects.
+    pairs.append((diagram("class A; association r [2] A -- A [*]; association s [*] A -- A [*];"),
+                  diagram("class A; association s [*] A -- A [*];"), 3))
+    for x, y, k in pairs:
+        for cd1, cd2 in ((x, y), (y, x)):
+            decls2 = {b.name: b for b in cd2.associations}
+            assocs = [(a, decls2.get(a.name)) for a in sorted(cd1.associations, key=lambda a: a.name)]
+            every = {a.name for a, _ in assocs}
+            for objects, decision, listed in listings_per_vector(cd1, cd2, k, listings):
+                assert max(listed.values(), default=1) == 1, (cd1, cd2, objects)
+                if decision is None:
+                    assert set(listed) == every
+                    continue
+                checked = [assocs[i] for i in decision]
+                if any(not cd_diff._links_ok(b, links, objects, cd2.closures)
+                       for a, b in checked for links in link_sets(a, objects, cd1.closures)):
+                    assert set(listed) == every
+                    eager += len(checked) < len(every)
+                else:
+                    assert set(listed) == {a.name for a, _ in checked}
+                    lazy += len(checked) < len(every)
+    assert lazy >= 10 and eager >= 40, (lazy, eager)
 
 
 if __name__ == "__main__":
