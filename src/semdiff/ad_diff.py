@@ -40,6 +40,8 @@ decides the backward direction. An emptied side never accepts again, so the
 search drops pairs whose side is empty for every open direction, and it
 stops as soon as no direction is open. The word that first decided a
 direction, rebuilt from the search's parent links, is its shortest witness.
+The searches keep their pairs and parent links for the whole call, so each
+valuation explores only the pairs that earlier ones did not reach.
 ``addiff`` and ``compare_ad`` both re-run every witness on the two tables'
 per-configuration moves, one step at a time, apart from the pair graph and
 the joint search (``_checked``).
@@ -262,7 +264,9 @@ def _checked(a: NfaRunner, b: NfaRunner, starts, valuation: dict[str, str], word
     return traces
 
 
-def _shortest_witnesses(a: NfaRunner, b: NfaRunner, start, wanted) -> list[tuple[str, ...] | None]:
+def _shortest_witnesses(
+    a: NfaRunner, b: NfaRunner, start, wanted, links: dict
+) -> list[tuple[str, ...] | None]:
     """Per direction, forward (``a`` accepts, ``b`` does not) and backward,
     a shortest word that witnesses it, or None where there is none or the
     direction is not ``wanted``; one breadth-first search of the joint pair
@@ -270,7 +274,19 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, start, wanted) -> list[tuple
     ``start``.
 
     Direction d needs side d non-empty, and a pair where exactly one side
-    accepts decides the direction of that side."""
+    accepts decides the direction of that side.
+
+    ``links`` maps each pair that earlier searches of the same call entered
+    to its parent pair and letter, and the search adds the pairs it enters.
+    It enters no pair already there, and returns at once when ``start`` is
+    one. An earlier search either stopped because no direction was open,
+    which ends the call, or emptied its queue. So each pair it kept was
+    expanded while a superset of the open directions was open, or has
+    non-empty sides only for closed directions: no witness of an open
+    direction lies at or beyond it. A new pair's links lead back to
+    ``start``, so each word found starts there."""
+    if start in links:
+        return [None, None]
     todo = list(wanted)  # todo[d]: direction d is still open
     words: list[tuple[str, ...] | None] = [None, None]
     accepting_a, accepting_b = a.accepting, b.accepting
@@ -284,7 +300,7 @@ def _shortest_witnesses(a: NfaRunner, b: NfaRunner, start, wanted) -> list[tuple
             words[b_accepts] = _word_to(pair, links)
         return not any(todo)
 
-    links: dict = {start: None}  # pair -> (parent pair, letter)
+    links[start] = None
     queue = [start]
     if settles(start):
         return words
@@ -355,6 +371,7 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
     tables = (ad1.table, ad2.table)
     differs = [False, False]
     starts = [None, None]  # each valuation sets both
+    links: dict = {}  # joint pair -> (parent pair, letter), None for a start
     for v in input_valuations(ad1.input_vars(), ad2.input_vars()):
         if all(differs):
             break
@@ -362,7 +379,7 @@ def compare_ad(ad1: ActivityDiagram, ad2: ActivityDiagram) -> Verdict:
         # that of two unsafe diagrams the same one is reported.
         for side in ((1, 0) if differs[0] else (0, 1)):
             starts[side] = tables[side].start(v)
-        words = _shortest_witnesses(*tables, tuple(starts), [not d for d in differs])
+        words = _shortest_witnesses(*tables, tuple(starts), [not d for d in differs], links)
         for d, (a, b) in enumerate((tables, tables[::-1])):
             if words[d] is not None:
                 _checked(a, b, (starts[d], starts[1 - d]), v, [words[d]])

@@ -110,25 +110,22 @@ def is_instance(om: ObjectModel, cd: ClassDiagram) -> tuple[bool, list[Violation
 def violations(om: ObjectModel, cd: ClassDiagram) -> Iterator[Violation]:
     """Each way ``om`` breaks ``cd``, in a fixed order: objects by id, then
     singletons in declaration order, links in sorted order, and multiplicities
-    by association name, object id and end.
-
-    Each part is first checked in any order and sorted only to report what it
-    found, so the first ``next`` costs no more than deciding membership."""
+    by association name, object id and end. Each part collects its failures
+    in one pass and sorts only those, so the first ``next`` costs no more
+    than deciding membership."""
     table = cd.membership
     objects = om.objects
-    if not table.instantiable.issuperset(objects.values()):
-        modifiers = table.modifiers
-        for oid in sorted(objects):
-            cls = objects[oid]
-            mod = modifiers.get(cls)
-            if mod is None:
-                yield Violation(
-                    ViolationKind.UNKNOWN_CLASS, oid,
-                    f"object '{oid}' has class '{cls}' not declared in '{cd.name}'")
-            elif mod is ClassModifier.ABSTRACT:
+    instantiable = table.instantiable
+    if not instantiable.issuperset(objects.values()):
+        for oid, cls in sorted([(oid, cls) for oid, cls in objects.items() if cls not in instantiable]):
+            if cls in table.modifiers:
                 yield Violation(
                     ViolationKind.ABSTRACT_INSTANTIATED, oid,
                     f"object '{oid}' instantiates abstract class '{cls}'")
+            else:
+                yield Violation(
+                    ViolationKind.UNKNOWN_CLASS, oid,
+                    f"object '{oid}' has class '{cls}' not declared in '{cd.name}'")
 
     if table.singletons:
         class_counts = Counter(objects.values())
@@ -140,12 +137,25 @@ def violations(om: ObjectModel, cd: ClassDiagram) -> Iterator[Violation]:
                     f"singleton class '{name}' has {n} instances, expected exactly 1")
 
     ends = table.ends
+    bad_links = []
     for assoc, src, dst in om.links:
         assoc_ends = ends.get(assoc)
         if (assoc_ends is None or objects.get(src) not in assoc_ends[0][2]
                 or objects.get(dst) not in assoc_ends[1][2]):
-            yield from _link_violations(om, cd.name, ends)
-            break
+            bad_links.append((assoc, src, dst, assoc_ends))
+    bad_links.sort()  # links are distinct, so their ends are never compared
+    for assoc, src, dst, assoc_ends in bad_links:
+        if assoc_ends is None:
+            yield Violation(
+                ViolationKind.UNKNOWN_ASSOCIATION, assoc,
+                f"link uses association '{assoc}' not declared in '{cd.name}'")
+            continue
+        for oid, (side, end_class, closure) in zip((src, dst), assoc_ends):
+            if objects.get(oid) not in closure:
+                yield Violation(
+                    ViolationKind.BAD_ENDPOINT, oid,
+                    f"'{oid}' is not a '{end_class}' (or subclass), required at the"
+                    f" {side} end of '{assoc}'")
 
     checks = table.checks
     if not checks:
@@ -162,25 +172,6 @@ def violations(om: ObjectModel, cd: ClassDiagram) -> Iterator[Violation]:
         yield Violation(
             ViolationKind.MULTIPLICITY, oid,
             f"'{oid}' has {n} {_DIRECTIONS[end]} '{assoc}' links, allowed {mult}")
-
-
-def _link_violations(
-    om: ObjectModel, cd_name: str, ends: dict[str, tuple[End, End]]
-) -> Iterator[Violation]:
-    """The unknown associations and bad endpoints of ``om``'s links, in sorted link order."""
-    for assoc, src, dst in sorted(om.links):
-        assoc_ends = ends.get(assoc)
-        if assoc_ends is None:
-            yield Violation(
-                ViolationKind.UNKNOWN_ASSOCIATION, assoc,
-                f"link uses association '{assoc}' not declared in '{cd_name}'")
-            continue
-        for oid, (side, end_class, closure) in zip((src, dst), assoc_ends):
-            if om.objects.get(oid) not in closure:
-                yield Violation(
-                    ViolationKind.BAD_ENDPOINT, oid,
-                    f"'{oid}' is not a '{end_class}' (or subclass), required at the"
-                    f" {side} end of '{assoc}'")
 
 
 # A link's association and the object at its left (source) or right (target)

@@ -5,10 +5,13 @@ per check. The oracle-based checks regenerate their random models from
 fixed seeds, so failures reproduce exactly.
 """
 
+import os
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -321,3 +324,19 @@ def test_cli_exit_codes_follow_contract(tmp_path):
 
         out, err = io.StringIO(), io.StringIO()
         assert run(argv, out, err) == expected, (argv, err.getvalue())
+
+
+def test_the_ab_digest_prints_one_digest_per_engine_whatever_the_hash_seed():
+    tests = Path(__file__).resolve().parent
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(tests.parent / "src"))
+        proc = subprocess.run([sys.executable, str(tests / "ab_digest.py"), "7", "2"],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    lines = outputs[0].splitlines()
+    assert [line.split()[0] for line in lines] == ["cd", "ad"]
+    for line in lines:
+        _, sha, answers = line.split()
+        assert re.fullmatch("[0-9a-f]{64}", sha) and int(answers) > 0, line
+    assert outputs[1] == outputs[0]

@@ -577,6 +577,24 @@ def test_valuations_share_configurations_once_their_inputs_are_read(monkeypatch)
     assert configs == Counter({id(plain.table): 1531, id(swapped.table): 1531})
 
 
+def test_compare_expands_each_joint_pair_once_per_call(monkeypatch):
+    # Identical diagrams: no direction ever closes, so every valuation
+    # searches, and the later ones meet the pairs the earlier ones kept.
+    a, b = parse_ad(generators.decision_chain_text(6)), parse_ad(generators.decision_chain_text(6))
+    expanded = Counter()
+    successors = ConfigTable.successors
+
+    def counting_successors(table, states):
+        expanded[id(table), states] += 1
+        return successors(table, states)
+
+    monkeypatch.setattr(ConfigTable, "successors", counting_successors)
+    assert compare_ad(a, b).value is VerdictValue.EQUIVALENT
+    assert len(list(input_valuations(a.input_vars(), b.input_vars()))) == 64
+    assert {id(a.table), id(b.table)} == {table for table, _ in expanded}
+    assert max(expanded.values()) == 1
+
+
 def test_unsound_search_result_fails_the_self_check(monkeypatch):
     par = parse_ad(
         "activity P { action x; action y; fork f; join j;"
@@ -592,7 +610,7 @@ def test_unsound_search_result_fails_the_self_check(monkeypatch):
     # A joint search that claims that trace for every open direction.
     monkeypatch.setattr(
         ad_diff, "_shortest_witnesses",
-        lambda a, b, start, wanted: [("x", "y") if w else None for w in wanted])
+        lambda a, b, start, wanted, links: [("x", "y") if w else None for w in wanted])
     with pytest.raises(RuntimeError, match="unsound witness"):
         compare_ad(par, seq)
 
